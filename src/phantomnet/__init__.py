@@ -14,8 +14,7 @@ from .baselines import (BaselineParams, hbdrw_route, pusbrf_route,
                         shortest_path_route)
 from .config import ExperimentConfig, load_config, parse_config
 from .harness import AggregateRow, emit_csv, pick_source, run_experiment
-from .net import (SINK, UNREACHABLE, Network, SensorNode, deploy,
-                  euclidean_hops, flood, neighbors_at_hop)
+from .net import SINK, UNREACHABLE, Network, deploy
 from .protocols import PROTOCOLS, make_router
 from .psspr import (PhantomChoice, SectorParams, SourceFrame, build_frame,
                     candidate_domain, directed_route, route_packet,

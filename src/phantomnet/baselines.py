@@ -45,7 +45,7 @@ def hbdrw_route(network: Network, source: int, params: BaselineParams,
     annotations: list[str] = []
     cur, prev = source, None
     for step in range(params.walk_hops):
-        nbrs = network.neighbor_ids[cur]
+        nbrs = network.neighbors(cur)
         parents = nbrs[hops[nbrs] < hops[cur]]
         children = nbrs[hops[nbrs] > hops[cur]]
         primary, other = ((parents, children) if committed_parent
@@ -99,7 +99,7 @@ def pusbrf_route(network: Network, source: int, params: BaselineParams,
     descend = [phantom]
     cur = phantom
     while source_hops[cur] > 0:
-        nbrs = network.neighbor_ids[cur]
+        nbrs = network.neighbors(cur)
         down = nbrs[source_hops[nbrs] == source_hops[cur] - 1]
         d = np.linalg.norm(pos[down] - pos[source], axis=1)
         cur = int(down[int(np.argmin(d))])
@@ -128,7 +128,7 @@ def shortest_path_route(network: Network, source: int) -> RouteTrace:
     nodes = [source]
     cur = source
     while hops[cur] > 0:
-        nbrs = network.neighbor_ids[cur]
+        nbrs = network.neighbors(cur)
         down = nbrs[hops[nbrs] == hops[cur] - 1]
         d = np.linalg.norm(pos[down] - network.sink_pos, axis=1)
         cur = int(down[int(np.argmin(d))])

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage/validation errors, 2 runtime errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -81,47 +82,46 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+# Each reference table as (name, title, columns); a column is (field,
+# printed label, printed width, value format). The field names double as
+# the CSV header.
+_TABLE_KEYS = (("h", "h", 3, ""), ("r_min", "Rmin", 5, ""),
+               ("r_max", "Rmax", 5, ""))
+_TABLES = (
+    ("table2", "Random directed path ratios (%)", _TABLE_KEYS + (
+        ("hbdrw_over_pusbrf", "HBDRW/PUSBRF", 13, ".2f"),
+        ("pusbrf_over_psspr", "PUSBRF/PSSPR", 13, ".2f"))),
+    ("table3", "Phantom-to-source distance "
+               "(hops; annulus Monte-Carlo vs printed form)", _TABLE_KEYS + (
+        ("distance_mc", "D_mc", 8, ".2f"),
+        ("distance_printed", "D_printed", 10, ".2f"))),
+    ("table4", "Phantom node counts", _TABLE_KEYS + (
+        ("n_hbdrw", "N_HBDRW", 9, ".2f"),
+        ("n_pusbrf", "N_PUSBRF", 9, ".2f"),
+        ("n_psspr", "N_PSSPR", 9, ".2f"))),
+)
+
+
 def cmd_tables(args) -> int:
     tables = analysis.make_tables()
-    print("Random directed path ratios (%)")
-    print(f"{'h':>3} {'Rmin':>5} {'Rmax':>5} {'HBDRW/PUSBRF':>13} {'PUSBRF/PSSPR':>13}")
-    for r in tables.table2:
-        print(f"{r.h:>3} {r.r_min:>5} {r.r_max:>5} "
-              f"{r.hbdrw_over_pusbrf:>13.2f} {r.pusbrf_over_psspr:>13.2f}")
-    print()
-    print("Phantom-to-source distance (hops; annulus Monte-Carlo vs printed form)")
-    print(f"{'h':>3} {'Rmin':>5} {'Rmax':>5} {'D_mc':>8} {'D_printed':>10}")
-    for r in tables.table3:
-        print(f"{r.h:>3} {r.r_min:>5} {r.r_max:>5} "
-              f"{r.distance_mc:>8.2f} {r.distance_printed:>10.2f}")
-    print()
-    print("Phantom node counts")
-    print(f"{'h':>3} {'Rmin':>5} {'Rmax':>5} {'N_HBDRW':>9} {'N_PUSBRF':>9} {'N_PSSPR':>9}")
-    for r in tables.table4:
-        print(f"{r.h:>3} {r.r_min:>5} {r.r_max:>5} "
-              f"{r.n_hbdrw:>9.2f} {r.n_pusbrf:>9.2f} {r.n_psspr:>9.2f}")
+    for k, (name, title, cols) in enumerate(_TABLES):
+        if k:
+            print()
+        print(title)
+        print(" ".join(f"{label:>{width}}" for _, label, width, _ in cols))
+        for row in getattr(tables, name):
+            print(" ".join(f"{getattr(row, field):>{width}{fmt}}"
+                           for field, _, width, fmt in cols))
 
     if args.csv_dir:
-        import os
         os.makedirs(args.csv_dir, exist_ok=True)
-        with open(os.path.join(args.csv_dir, "table2.csv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write("h,r_min,r_max,hbdrw_over_pusbrf,pusbrf_over_psspr\n")
-            for r in tables.table2:
-                fh.write(f"{r.h},{r.r_min},{r.r_max},"
-                         f"{r.hbdrw_over_pusbrf:.2f},{r.pusbrf_over_psspr:.2f}\n")
-        with open(os.path.join(args.csv_dir, "table3.csv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write("h,r_min,r_max,distance_mc,distance_printed\n")
-            for r in tables.table3:
-                fh.write(f"{r.h},{r.r_min},{r.r_max},"
-                         f"{r.distance_mc:.2f},{r.distance_printed:.2f}\n")
-        with open(os.path.join(args.csv_dir, "table4.csv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write("h,r_min,r_max,n_hbdrw,n_pusbrf,n_psspr\n")
-            for r in tables.table4:
-                fh.write(f"{r.h},{r.r_min},{r.r_max},"
-                         f"{r.n_hbdrw:.2f},{r.n_pusbrf:.2f},{r.n_psspr:.2f}\n")
+        for name, _, cols in _TABLES:
+            with open(os.path.join(args.csv_dir, f"{name}.csv"), "w",
+                      encoding="utf-8") as fh:
+                fh.write(",".join(field for field, *_ in cols) + "\n")
+                for row in getattr(tables, name):
+                    fh.write(",".join(f"{getattr(row, field):{fmt}}"
+                                      for field, _, _, fmt in cols) + "\n")
     return 0
 
 

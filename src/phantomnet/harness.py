@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -118,7 +119,9 @@ def run_experiment(config: ExperimentConfig,
     """Execute the full sweep and aggregate per (protocol, sweep point).
 
     Individual run failures are tolerated up to 10% of the grid; beyond
-    that the experiment aborts with HarnessError.
+    that the experiment aborts with HarnessError. Every failed run is
+    reported on stderr as (protocol, h, H, seed, exception type) and
+    leaves its cell's n_runs one short.
     """
     config.validate()
     specs = [
@@ -148,11 +151,16 @@ def run_experiment(config: ExperimentConfig,
             except Exception as exc:  # noqa: BLE001 - recorded per run
                 results.append(exc)
 
-    failures = sum(1 for r in results if isinstance(r, Exception))
-    if failures > 0.10 * len(specs):
-        first = next(r for r in results if isinstance(r, Exception))
-        raise HarnessError(
-            f"{failures}/{len(specs)} runs failed; first error: {first}")
+    failed = [(spec, res) for spec, res in zip(specs, results)
+              if isinstance(res, Exception)]
+    if failed:
+        print(f"{len(failed)}/{len(specs)} runs failed: " + ", ".join(
+            f"({spec.protocol}, {spec.h}, {spec.H}, {spec.seed}, "
+            f"{type(exc).__name__})" for spec, exc in failed),
+            file=sys.stderr)
+    if len(failed) > 0.10 * len(specs):
+        raise HarnessError(f"{len(failed)}/{len(specs)} runs failed; "
+                           f"first error: {failed[0][1]}")
 
     rows: list[AggregateRow] = []
     n_seeds = len(config.seeds)

@@ -8,10 +8,9 @@ deployment would run at startup.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 from scipy.spatial import cKDTree
 
 from .errors import ConnectivityError, InvalidParameter, UnknownNode
@@ -22,22 +21,14 @@ SINK = 0
 UNREACHABLE = -1
 
 
-@dataclass(frozen=True)
-class SensorNode:
-    """Read-only view of one deployed node."""
-
-    id: int
-    pos: np.ndarray            # (x, y) in meters
-    hop_to_sink: int           # UNREACHABLE if the flood never arrived
-    neighbors: np.ndarray      # ids of nodes within communication radius
-
-
 class Network:
     """Immutable deployed field.
 
-    Holds node positions, the radius-r neighbor tables, and the flooded
-    minimum hop counts. Instances must not be mutated after construction
-    and can be shared read-only across concurrently executing runs.
+    Holds node positions, the k-d tree over them, the radius-r neighbor
+    graph (a symmetric CSR matrix with sorted rows, built from the tree's
+    pair query), and the flooded minimum hop counts. Instances must not
+    be mutated after construction and can be shared read-only across
+    concurrently executing runs.
     """
 
     def __init__(self, positions: np.ndarray, r: float, r0: float,
@@ -49,17 +40,13 @@ class Network:
         self.field_side = float(field_side)
         self.rng_seed = rng_seed
         self.sink = SINK
-        self.neighbor_ids = _build_adjacency(self.positions, self.r)
-        self.hops = _bfs_hops(self.neighbor_ids, SINK)
-        self.hops.setflags(write=False)
         self.kdtree = cKDTree(self.positions)
+        self.graph = _radius_graph(self.kdtree, self.r)
+        self.hops = _flood(self.graph, SINK)
+        self.hops.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.positions)
-
-    @property
-    def n_sensors(self) -> int:
-        return len(self.positions) - 1
 
     @property
     def sink_pos(self) -> np.ndarray:
@@ -69,23 +56,14 @@ class Network:
         if not 0 <= node < len(self.positions):
             raise UnknownNode(f"node id {node} not in network of {len(self)} nodes")
 
-    def node(self, node: int) -> SensorNode:
-        self.check_node(node)
-        return SensorNode(
-            id=node,
-            pos=self.positions[node],
-            hop_to_sink=int(self.hops[node]),
-            neighbors=self.neighbor_ids[node],
-        )
+    def neighbors(self, node: int) -> np.ndarray:
+        """Sorted ids of the nodes within radius r of ``node``.
 
-    def neighbor_table(self, node: int) -> list[tuple[int, np.ndarray, int]]:
-        """(id, position, hop count) triplets, one per neighbor.
-
-        Mirrors what a node learns from its neighbors' beacon messages.
+        A read-only view into the graph's index array; ``node`` is not
+        range-checked, since this sits on every routing hop.
         """
-        self.check_node(node)
-        return [(int(j), self.positions[j], int(self.hops[j]))
-                for j in self.neighbor_ids[node]]
+        indptr = self.graph.indptr
+        return self.graph.indices[indptr[node]:indptr[node + 1]]
 
     def hops_from(self, node: int) -> np.ndarray:
         """Minimum hop counts of every node measured from ``node``.
@@ -95,7 +73,7 @@ class Network:
         packets from the same source.
         """
         self.check_node(node)
-        return _bfs_hops(self.neighbor_ids, node)
+        return _flood(self.graph, node)
 
     def reachable_sensor_ids(self) -> np.ndarray:
         """Sensor ids (sink excluded) that the sink flood reached."""
@@ -104,12 +82,13 @@ class Network:
 
     def dump_csv(self, path) -> None:
         """One row per node: id, x, y, hop_to_sink, neighbor_count."""
+        degree = np.diff(self.graph.indptr)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("id,x,y,hop_to_sink,neighbor_count\n")
             for i in range(len(self.positions)):
                 x, y = self.positions[i]
                 fh.write(f"{i},{x:.6f},{y:.6f},{int(self.hops[i])},"
-                         f"{len(self.neighbor_ids[i])}\n")
+                         f"{degree[i]}\n")
 
 
 def deploy(n_nodes: int, field_side: float, r: float, r0: float,
@@ -144,69 +123,24 @@ def deploy(n_nodes: int, field_side: float, r: float, r0: float,
     return net
 
 
-def flood(network: Network) -> np.ndarray:
-    """Recompute minimum hop counts from the sink over the neighbor graph.
+def _radius_graph(tree: cKDTree, r: float) -> csr_matrix:
+    """Symmetric CSR adjacency of every pair at distance <= r.
 
-    Equivalent to the beacon flood run at construction; returned array
-    matches ``network.hops`` exactly.
+    Rows are sorted, so a node's neighbors come out in ascending id
+    order, and the index array is read-only.
     """
-    return _bfs_hops(network.neighbor_ids, network.sink)
+    n = tree.n
+    pairs = tree.query_pairs(r, output_type="ndarray")
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    graph = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
+                       shape=(n, n))
+    graph.sort_indices()
+    graph.indices.setflags(write=False)
+    return graph
 
 
-def neighbors_at_hop(network: Network, node: int, target_hop: int) -> np.ndarray:
-    """Subset of ``node``'s neighbors whose hop count equals ``target_hop``."""
-    network.check_node(node)
-    nbrs = network.neighbor_ids[node]
-    return nbrs[network.hops[nbrs] == target_hop]
-
-
-def euclidean_hops(network: Network, a: int, b: int) -> float:
-    """Euclidean distance between two nodes expressed in hop units."""
-    network.check_node(a)
-    network.check_node(b)
-    return float(np.linalg.norm(network.positions[a] - network.positions[b])
-                 / network.r)
-
-
-def _build_adjacency(positions: np.ndarray, r: float) -> list[np.ndarray]:
-    """Radius-r adjacency lists via a uniform grid with cell size r.
-
-    Identical results to the naive all-pairs scan but O(n) at the
-    densities this simulator runs at.
-    """
-    n = len(positions)
-    cells = np.floor(positions / r).astype(np.int64)
-    grid: dict[tuple[int, int], list[int]] = {}
-    for i in range(n):
-        grid.setdefault((cells[i, 0], cells[i, 1]), []).append(i)
-
-    r2 = r * r
-    out: list[np.ndarray] = []
-    for i in range(n):
-        cx, cy = cells[i]
-        cand: list[int] = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                cand.extend(grid.get((cx + dx, cy + dy), ()))
-        cand_arr = np.array(cand, dtype=np.int64)
-        diff = positions[cand_arr] - positions[i]
-        mask = (diff[:, 0] ** 2 + diff[:, 1] ** 2) <= r2
-        nbrs = cand_arr[mask]
-        nbrs = np.sort(nbrs[nbrs != i])
-        nbrs.setflags(write=False)
-        out.append(nbrs)
-    return out
-
-
-def _bfs_hops(neighbor_ids: list[np.ndarray], root: int) -> np.ndarray:
-    hops = np.full(len(neighbor_ids), UNREACHABLE, dtype=np.int64)
-    hops[root] = 0
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        d = hops[u] + 1
-        for v in neighbor_ids[u]:
-            if hops[v] == UNREACHABLE:
-                hops[v] = d
-                queue.append(int(v))
-    return hops
+def _flood(graph: csr_matrix, root: int) -> np.ndarray:
+    """Minimum hop count of every node from ``root``, UNREACHABLE if none."""
+    dist = shortest_path(graph, unweighted=True, indices=root)
+    return np.where(np.isinf(dist), UNREACHABLE, dist).astype(np.int64)

@@ -331,7 +331,6 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
     def finish() -> RouteTrace:
         t = stitch(legs, delivered, annotations)
         t.phantom = choice.chosen
-        t.choice = choice
         return t
 
     # Phases that fail to reach their geometric anchor hand the packet to
@@ -497,7 +496,7 @@ def _directed_leg(network: Network, start: int, target: np.ndarray,
     stack = [start]
     first_step = True
     while len(nodes) - 1 < max_hops:
-        nbrs = network.neighbor_ids[cur]
+        nbrs = network.neighbors(cur)
         cands = nbrs[[n not in seen for n in nbrs]]
         cands = _avoid_filter(network, cands, avoid_near, cur)
         if first_step and prev is not None and len(cands) > 1:
@@ -549,7 +548,7 @@ def _var_angle_leg(network: Network, start: int, frame: SourceFrame,
     stack = [start]
     first_step = True
     while len(nodes) - 1 < budget:
-        nbrs = network.neighbor_ids[cur]
+        nbrs = network.neighbors(cur)
         cands = nbrs[[n not in seen for n in nbrs]]
         cands = _avoid_filter(network, cands, avoid_near, cur)
         if first_step and prev is not None and len(cands) > 1:
@@ -603,7 +602,7 @@ def _same_hop_leg(network: Network, start: int, h_m: int, frame: SourceFrame,
     cur = start
     relaxed = False
     for _ in range(h_m):
-        nbrs = network.neighbor_ids[cur]
+        nbrs = network.neighbors(cur)
         ring = _avoid_filter(network, nbrs[hops[nbrs] == hops[cur]],
                              avoid_near, cur)
         # Never bounce straight back unless the ring offers nothing else.

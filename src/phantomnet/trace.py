@@ -33,7 +33,6 @@ class RouteTrace:
     delivered: bool
     annotations: list[str] = field(default_factory=list)
     phantom: int | None = None
-    choice: object | None = None  # PhantomChoice for sector-phantom packets
 
     def __post_init__(self):
         if len(self.hops) != len(self.phases):

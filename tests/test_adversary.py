@@ -32,7 +32,7 @@ def test_out_of_range_trace_leaves_state_unchanged(dense_net):
     far = ids[np.linalg.norm(dense_net.positions[ids] - dense_net.sink_pos,
                              axis=1) > 900]
     a = int(far[0])
-    b = int(dense_net.neighbor_ids[a][0])
+    b = int(dense_net.neighbors(a)[0])
     trace = RouteTrace(hops=[a, b], phases=[PHASE_SHORTEST] * 2,
                        delivered=False)
     new = pn.observe_packet(dense_net, state, trace)
@@ -75,7 +75,7 @@ def test_adversary_never_teleports(desk_net):
 
 
 def test_capture_is_monotone(desk_net):
-    src = int(desk_net.neighbor_ids[pn.SINK][0])
+    src = int(desk_net.neighbors(pn.SINK)[0])
     state = initial_state(desk_net)
     trace = pn.shortest_path_route(desk_net, src)
     state = pn.observe_packet(desk_net, state, trace)

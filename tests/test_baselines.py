@@ -7,6 +7,10 @@ from phantomnet.errors import EmptyRing, InvalidParameter
 from conftest import bfs_oracle
 
 
+def adjacency_lists(net):
+    return [net.neighbors(i) for i in range(len(net))]
+
+
 def test_params_validation():
     with pytest.raises(InvalidParameter):
         pn.BaselineParams(0)
@@ -18,7 +22,7 @@ class TestHbdrw:
         rng = np.random.default_rng(1)
         for _ in range(40):
             t = pn.hbdrw_route(dense_net, src, pn.BaselineParams(1), rng)
-            assert t.phantom in dense_net.neighbor_ids[src]
+            assert t.phantom in dense_net.neighbors(src)
 
     def test_delivers_and_respects_hop_bound(self, dense_net):
         src = pn.pick_source(dense_net, 10, 11)
@@ -79,7 +83,7 @@ class TestPusbrf:
         src = pn.pick_source(dense_net, 10, 11)
         source_hops = dense_net.hops_from(src)
         # Independent oracle for the source-rooted distances.
-        oracle = bfs_oracle(dense_net.neighbor_ids, src)
+        oracle = bfs_oracle(adjacency_lists(dense_net), src)
         rng = np.random.default_rng(4)
         for h in (1, 5, 9):
             for _ in range(30):
@@ -96,7 +100,7 @@ class TestPusbrf:
         rng = np.random.default_rng(6)
         seen = {pn.pusbrf_route(dense_net, src, pn.BaselineParams(1), rng).phantom
                 for _ in range(200)}
-        assert seen <= {int(j) for j in dense_net.neighbor_ids[src]}
+        assert seen <= {int(j) for j in dense_net.neighbors(src)}
 
     def test_empty_ring_raises(self, dense_net):
         src = pn.pick_source(dense_net, 10, 11)
@@ -121,14 +125,14 @@ class TestPusbrf:
 
 class TestShortestPath:
     def test_one_hop_source(self, dense_net):
-        src = int(dense_net.neighbor_ids[pn.SINK][0])
+        src = int(dense_net.neighbors(pn.SINK)[0])
         t = pn.shortest_path_route(dense_net, src)
         assert t.hops == [src, pn.SINK]
 
     def test_length_equals_hop_count(self, dense_net):
         rng = np.random.default_rng(8)
         ids = dense_net.reachable_sensor_ids()
-        oracle = bfs_oracle(dense_net.neighbor_ids, pn.SINK)
+        oracle = bfs_oracle(adjacency_lists(dense_net), pn.SINK)
         for _ in range(100):
             src = int(ids[rng.integers(len(ids))])
             t = pn.shortest_path_route(dense_net, src)

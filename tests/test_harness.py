@@ -137,6 +137,17 @@ class TestRunExperiment:
         parallel = run_experiment(cfg, max_workers=2)
         assert serial == parallel
 
+    def test_failed_runs_reported_on_stderr(self, capsys):
+        # Seed 5 of this sparse field leaves more than 1% of its sensors
+        # cut off from the sink; one failure in ten stays under the
+        # abort threshold.
+        cfg = tiny_config(n_nodes=400, field_side=1200.0, H=[4],
+                          packets_per_run=5, seeds=list(range(1, 11)))
+        rows = run_experiment(cfg, max_workers=1)
+        assert [row.n_runs for row in rows] == [9]
+        assert capsys.readouterr().err == (
+            "1/10 runs failed: (shortest-path, 5, 4, 5, ConnectivityError)\n")
+
 
 class TestPickSource:
     def test_within_window_and_stable_across_protocols(self, desk_net):

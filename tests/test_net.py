@@ -12,7 +12,7 @@ def test_deploy_two_nodes_all_adjacent():
     assert len(net) == 3
     assert net.hops[1] == 1 and net.hops[2] == 1
     for i in (1, 2):
-        assert pn.SINK in net.neighbor_ids[i]
+        assert pn.SINK in net.neighbors(i)
 
 
 def test_deploy_sink_at_center():
@@ -45,33 +45,53 @@ def test_deploy_rejects_disconnected_field():
         pn.deploy(40, 5000.0, 100.0, 300.0, seed=1)
 
 
-def test_flood_matches_bfs_oracle(small_net):
-    adj = brute_force_adjacency(small_net.positions, small_net.r)
+# Hand-placed fields for the risky inputs of the adjacency build: pairs
+# at exactly distance r (the radius is inclusive; 60-80-100 triangles
+# make the squared distance exact) and a field with no edges at all.
+EXACT_R = [[0.0, 0.0], [60.0, 80.0], [60.0, 180.0], [400.0, 400.0]]
+NO_EDGES = [[0.0, 0.0], [500.0, 0.0], [0.0, 500.0]]
+
+
+@pytest.fixture(params=["small_net", "exact_r", "no_edges"])
+def oracle_net(request):
+    if request.param == "small_net":
+        return request.getfixturevalue("small_net")
+    positions = np.array(EXACT_R if request.param == "exact_r" else NO_EDGES)
+    return pn.Network(positions, r=100.0, r0=300.0, field_side=600.0,
+                      rng_seed=0)
+
+
+def test_flood_matches_bfs_oracle(oracle_net):
+    adj = brute_force_adjacency(oracle_net.positions, oracle_net.r)
     dist = bfs_oracle(adj, pn.SINK)
-    for i in range(len(small_net)):
+    for i in range(len(oracle_net)):
         expected = dist.get(i, pn.UNREACHABLE)
-        assert small_net.hops[i] == expected
+        assert oracle_net.hops[i] == expected
 
 
 def test_flood_is_idempotent(small_net):
-    assert np.array_equal(pn.flood(small_net), small_net.hops)
+    assert np.array_equal(small_net.hops_from(pn.SINK), small_net.hops)
+    with pytest.raises(UnknownNode):
+        small_net.hops_from(len(small_net))
 
 
 def test_sink_neighbors_have_hop_one(small_net):
-    for j in small_net.neighbor_ids[pn.SINK]:
+    for j in small_net.neighbors(pn.SINK):
         assert small_net.hops[j] == 1
 
 
-def test_adjacency_matches_brute_force(small_net):
-    adj = brute_force_adjacency(small_net.positions, small_net.r)
-    for i in range(len(small_net)):
-        assert np.array_equal(small_net.neighbor_ids[i], np.sort(adj[i]))
+def test_adjacency_matches_brute_force(oracle_net):
+    adj = brute_force_adjacency(oracle_net.positions, oracle_net.r)
+    for i in range(len(oracle_net)):
+        nbrs = oracle_net.neighbors(i)
+        assert np.array_equal(nbrs, np.sort(adj[i]))
+        assert not nbrs.flags.writeable
 
 
 def test_neighbor_symmetry_and_hop_lipschitz(small_net):
     for u in range(len(small_net)):
-        for v in small_net.neighbor_ids[u]:
-            assert u in small_net.neighbor_ids[v]
+        for v in small_net.neighbors(u):
+            assert u in small_net.neighbors(v)
             if small_net.hops[u] != pn.UNREACHABLE:
                 assert abs(small_net.hops[u] - small_net.hops[v]) <= 1
 
@@ -83,58 +103,7 @@ def test_deterministic_deployment(seed):
     assert np.array_equal(a.positions, b.positions)
     assert np.array_equal(a.hops, b.hops)
     for i in range(len(a)):
-        assert np.array_equal(a.neighbor_ids[i], b.neighbor_ids[i])
-
-
-def test_neighbors_at_hop_sink(small_net):
-    got = pn.neighbors_at_hop(small_net, pn.SINK, 1)
-    assert np.array_equal(got, small_net.neighbor_ids[pn.SINK])
-
-
-def test_neighbors_at_hop_filter_matches_scan(small_net):
-    for node in (3, 57, 200):
-        target = int(small_net.hops[node])
-        got = set(pn.neighbors_at_hop(small_net, node, target).tolist())
-        expected = {int(j) for j in small_net.neighbor_ids[node]
-                    if small_net.hops[j] == target}
-        assert got == expected
-
-
-def test_neighbors_at_hop_can_be_empty(small_net):
-    # A hop value no neighbor can have.
-    assert len(pn.neighbors_at_hop(small_net, 3, 10_000)) == 0
-
-
-def test_neighbors_at_hop_unknown_node(small_net):
-    with pytest.raises(UnknownNode):
-        pn.neighbors_at_hop(small_net, 10_000, 1)
-
-
-def test_euclidean_hops(small_net):
-    assert pn.euclidean_hops(small_net, 5, 5) == 0.0
-    a, b = 10, 20
-    expected = float(np.linalg.norm(small_net.positions[a]
-                                    - small_net.positions[b])) / small_net.r
-    assert pn.euclidean_hops(small_net, a, b) == pytest.approx(expected)
-    with pytest.raises(UnknownNode):
-        pn.euclidean_hops(small_net, 0, -1)
-
-
-def test_exact_distance_three_hops():
-    positions = np.array([[0.0, 0.0], [300.0, 0.0], [150.0, 0.0]])
-    net = pn.Network(positions, r=100.0, r0=300.0, field_side=400.0, rng_seed=0)
-    assert pn.euclidean_hops(net, 0, 1) == 3.0
-
-
-def test_node_view_and_neighbor_table(small_net):
-    node = small_net.node(12)
-    assert node.id == 12
-    assert node.hop_to_sink == small_net.hops[12]
-    table = small_net.neighbor_table(12)
-    assert len(table) == len(small_net.neighbor_ids[12])
-    for nid, npos, nhop in table:
-        assert np.linalg.norm(npos - node.pos) <= small_net.r
-        assert nhop == small_net.hops[nid]
+        assert np.array_equal(a.neighbors(i), b.neighbors(i))
 
 
 def test_network_dump_csv(small_net, tmp_path):

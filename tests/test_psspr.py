@@ -267,7 +267,7 @@ class TestRoutePacket:
             if t.delivered:
                 assert t.hops[-1] == pn.SINK
             for a, b in zip(t.hops, t.hops[1:]):
-                assert b in dense_net.neighbor_ids[a]
+                assert b in dense_net.neighbors(a)
 
     def test_phantom_leg_avoids_visible_area(self, dense_net):
         # r_min * r = 400 > r0 = 300 here; the packet legs from the
@@ -288,7 +288,7 @@ class TestRoutePacket:
         domains = pn.candidate_domain(dense_net, frame, params)
         rng = np.random.default_rng(5)
         chosen = {pn.route_packet(dense_net, frame, params, rng,
-                                  domains=domains).choice.chosen
+                                  domains=domains).phantom
                   for _ in range(500)}
         need = 0.5 * pn.phantom_count_psspr(4, 6, 1)
         assert len(chosen) >= need
