@@ -17,9 +17,8 @@ from .harness import AggregateRow, emit_csv, pick_source, run_experiment
 from .net import SINK, UNREACHABLE, Network, deploy
 from .protocols import PROTOCOLS, make_router
 from .psspr import (PhantomChoice, SectorParams, SourceFrame, build_frame,
-                    candidate_domain, directed_route, route_packet,
-                    same_hop_count, same_hop_route, select_phantom,
-                    variable_angle_route)
+                    candidate_domain, route_packet, same_hop_count,
+                    select_phantom)
 from .trace import RouteTrace, enters_visible_area, phantom_onset, stitch
 
 __version__ = "0.1.0"

@@ -63,10 +63,9 @@ def hbdrw_route(network: Network, source: int, params: BaselineParams,
         prev, cur = cur, int(cands[int(rng.integers(len(cands)))])
         walk.append(cur)
 
-    tail = shortest_path_route(network, cur) if cur != network.sink else None
-    legs = [(walk, PHASE_WALK)]
-    if tail is not None:
-        legs.append((tail.hops, PHASE_SHORTEST))
+    legs = [(walk, PHASE_WALK),
+            (_descend(network, network.hops, cur, network.sink_pos),
+             PHASE_SHORTEST)]
     out = stitch(legs, delivered=True, annotations=annotations)
     out.phantom = cur if cur != source else None
     return out
@@ -95,21 +94,11 @@ def pusbrf_route(network: Network, source: int, params: BaselineParams,
     phantom = int(ring[int(rng.integers(len(ring)))])
 
     # Walk the source-rooted hop field down from the phantom, then flip.
-    pos = network.positions
-    descend = [phantom]
-    cur = phantom
-    while source_hops[cur] > 0:
-        nbrs = network.neighbors(cur)
-        down = nbrs[source_hops[nbrs] == source_hops[cur] - 1]
-        d = np.linalg.norm(pos[down] - pos[source], axis=1)
-        cur = int(down[int(np.argmin(d))])
-        descend.append(cur)
-    to_phantom = descend[::-1]
-
-    legs = [(to_phantom, PHASE_PHANTOM_PATH)]
-    if phantom != network.sink:
-        tail = shortest_path_route(network, phantom)
-        legs.append((tail.hops, PHASE_SHORTEST))
+    to_phantom = _descend(network, source_hops, phantom,
+                          network.positions[source])[::-1]
+    legs = [(to_phantom, PHASE_PHANTOM_PATH),
+            (_descend(network, network.hops, phantom, network.sink_pos),
+             PHASE_SHORTEST)]
     out = stitch(legs, delivered=True)
     out.phantom = phantom
     return out
@@ -123,18 +112,28 @@ def shortest_path_route(network: Network, source: int) -> RouteTrace:
     the source's hop count exactly.
     """
     _check_source(network, source, allow_sink=True)
-    pos = network.positions
-    hops = network.hops
-    nodes = [source]
-    cur = source
-    while hops[cur] > 0:
-        nbrs = network.neighbors(cur)
-        down = nbrs[hops[nbrs] == hops[cur] - 1]
-        d = np.linalg.norm(pos[down] - network.sink_pos, axis=1)
-        cur = int(down[int(np.argmin(d))])
-        nodes.append(cur)
+    nodes = _descend(network, network.hops, source, network.sink_pos)
     return RouteTrace(hops=nodes, phases=[PHASE_SHORTEST] * len(nodes),
                       delivered=True)
+
+
+def _descend(network: Network, field: np.ndarray, start: int,
+             toward: np.ndarray) -> list[int]:
+    """Minimum-hop path from ``start`` down a hop field to its root.
+
+    Each relay forwards to a neighbor one hop lower in ``field``, ties
+    broken by Euclidean distance to the point ``toward``.
+    """
+    pos = network.positions
+    nodes = [start]
+    cur = start
+    while field[cur] > 0:
+        nbrs = network.neighbors(cur)
+        down = nbrs[field[nbrs] == field[cur] - 1]
+        d = np.linalg.norm(pos[down] - toward, axis=1)
+        cur = int(down[int(np.argmin(d))])
+        nodes.append(cur)
+    return nodes
 
 
 def _check_source(network: Network, source: int, allow_sink: bool = False):

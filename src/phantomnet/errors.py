@@ -29,28 +29,6 @@ class EmptyRing(PhantomNetError):
     """No node sits at exactly the requested flooding distance."""
 
 
-class RoutingStuck(PhantomNetError):
-    """Greedy forwarding hit a local minimum even after one fallback step.
-
-    Carries the partial trace walked so far in ``partial``.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
-class HopBudgetExceeded(PhantomNetError):
-    """A routing phase ran out of hop budget before terminating.
-
-    Carries the partial trace walked so far in ``partial``.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
 class DomainError(PhantomNetError):
     """An analytic formula was evaluated outside its geometric domain."""
 

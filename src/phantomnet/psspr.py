@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import (EmptyDomain, HopBudgetExceeded, InvalidParameter,
-                     RoutingStuck, SourceIsSink)
+from .errors import EmptyDomain, InvalidParameter, SourceIsSink
 from .net import UNREACHABLE, Network
 from .trace import (PHASE_DIRECT, PHASE_DIRECTED, PHASE_SAME_HOP,
                     PHASE_VAR_ANGLE, RouteTrace, stitch)
@@ -189,12 +189,11 @@ def select_phantom(network: Network, frame: SourceFrame, params: SectorParams,
     # Exit anchors may fall outside the monitored area when the outer
     # radius is large; forwarding can only ever stop at the field edge,
     # so the aiming points are clamped to it.
-    a_point = _clamp_to_field(
+    a_point = np.clip(
         frame.source_pos
         + params.r_max * network.r * _unit(p1_pos - frame.source_pos),
-        network.field_side)
-    a_mirror = _clamp_to_field(2.0 * frame.center_v - a_point,
-                               network.field_side)
+        0.0, network.field_side)
+    a_mirror = np.clip(2.0 * frame.center_v - a_point, 0.0, network.field_side)
 
     # The two anchored angle forms are equal by the point symmetry
     # through V; each is the non-degenerate triangle for one member of
@@ -222,71 +221,6 @@ def same_hop_count(beta: float, params: SectorParams) -> int:
     if not 0.0 <= beta <= 180.0:
         raise InvalidParameter(f"beta must be in [0, 180], got {beta}")
     return max(0, int(math.floor(beta / 180.0 * params.r_max + 0.5)))
-
-
-def directed_route(network: Network, start: int, target: np.ndarray,
-                   max_hops: int, prev: int | None = None) -> RouteTrace:
-    """Greedy geographic forwarding toward a target point.
-
-    Each hop moves to the not-yet-visited neighbor closest to the
-    target, so the walk never bounces straight back and can skirt small
-    routing voids. Stops on reaching a node within r of the target or
-    after ``max_hops``. Raises RoutingStuck (carrying the partial trace)
-    when every neighbor of the current node has been visited already.
-    """
-    if max_hops < 1:
-        raise InvalidParameter(f"max_hops must be >= 1, got {max_hops}")
-    network.check_node(start)
-    nodes, reached, stuck = _directed_leg(network, start, np.asarray(target, float),
-                                          max_hops, prev=prev)
-    trace = RouteTrace(hops=nodes, phases=[PHASE_DIRECTED] * len(nodes),
-                       delivered=False)
-    if stuck:
-        raise RoutingStuck(f"greedy forwarding stuck at node {nodes[-1]}",
-                           partial=trace)
-    return trace
-
-
-def same_hop_route(network: Network, start: int, h_m: int, frame: SourceFrame,
-                   toward_x_axis: bool = True,
-                   anchor: np.ndarray | None = None) -> RouteTrace:
-    """Walk ``h_m`` hops along the ring of constant hop count.
-
-    Relays keep the current node's hop count; among same-ring neighbors
-    the walk picks the one closest to the source frame's x-axis (or to
-    ``anchor`` when the mirrored flow hands one in and
-    ``toward_x_axis`` is False). When no same-ring neighbor exists the
-    ring constraint is relaxed once to +-1 hop with a trace annotation;
-    a second dead end aborts the phase early.
-    """
-    network.check_node(start)
-    if h_m < 0:
-        raise InvalidParameter(f"h_m must be >= 0, got {h_m}")
-    nodes, annotations = _same_hop_leg(network, start, h_m, frame,
-                                       None if toward_x_axis else anchor)
-    return RouteTrace(hops=nodes, phases=[PHASE_SAME_HOP] * len(nodes),
-                      delivered=False, annotations=annotations)
-
-
-def variable_angle_route(network: Network, start: int,
-                         frame: SourceFrame) -> RouteTrace:
-    """Forward along the smallest angle to the sink until it is reached.
-
-    Each hop computes, for every candidate neighbor, the angle between
-    the hop vector and the direction to the sink, and forwards along the
-    smallest one. The hop budget is 4x the source's hop distance; running
-    out raises HopBudgetExceeded carrying the partial trace.
-    """
-    network.check_node(start)
-    budget = 4 * frame.h_distance
-    nodes, reached = _var_angle_leg(network, start, frame, budget)
-    trace = RouteTrace(hops=nodes, phases=[PHASE_VAR_ANGLE] * len(nodes),
-                       delivered=reached and nodes[-1] == network.sink)
-    if not reached:
-        raise HopBudgetExceeded(
-            f"variable-angle phase spent {budget} hops without reaching the sink",
-            partial=trace)
-    return trace
 
 
 def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
@@ -343,16 +277,16 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
         # Phantom on the source side of V: directed first. A packet that
         # cannot reach its phantom is abandoned undelivered.
         cap = 4 * params.r_max
-        nodes, reached, _ = _directed_leg(network, source, chosen_pos, cap)
+        nodes, reached = _directed_leg(network, source, chosen_pos, cap)
         legs.append((nodes, PHASE_DIRECTED))
         if not reached:
             return finish()
         cur, prev = nodes[-1], (nodes[-2] if len(nodes) > 1 else None)
 
-        away_anchor = _clamp_to_field(
+        away_anchor = np.clip(
             frame.source_pos + away_radius * _unit(chosen_pos - frame.source_pos),
-            network.field_side)
-        nodes, _, _ = _directed_leg(
+            0.0, network.field_side)
+        nodes, _ = _directed_leg(
             network, cur, away_anchor, cap, prev=prev,
             min_dist_from=(frame.source_pos, away_radius), avoid_near=keep_out)
         legs.append((nodes, PHASE_DIRECTED))
@@ -413,8 +347,8 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
     cap = 4 * params.r_max
     for target, stop_node in targets:
         hop_cap = 4 * frame.h_distance if stop_node == network.sink else cap
-        nodes, reached, _ = _directed_leg(network, cur, target, hop_cap,
-                                          prev=prev, stop_node=stop_node)
+        nodes, reached = _directed_leg(network, cur, target, hop_cap,
+                                       prev=prev, stop_node=stop_node)
         legs.append((nodes, PHASE_DIRECTED))
         cur, prev = nodes[-1], (nodes[-2] if len(nodes) > 1 else prev)
         if stop_node == network.sink:
@@ -427,10 +361,6 @@ def _unit(v: np.ndarray) -> np.ndarray:
     if n == 0.0:
         raise InvalidParameter("zero-length direction vector")
     return v / n
-
-
-def _clamp_to_field(point: np.ndarray, side: float) -> np.ndarray:
-    return np.clip(point, 0.0, side)
 
 
 def _avoid_filter(network: Network, cands: np.ndarray,
@@ -463,21 +393,75 @@ def _angle_deg(a: np.ndarray, b: np.ndarray) -> float:
     return math.degrees(math.acos(max(-1.0, min(1.0, c))))
 
 
+def _walk(network: Network, start: int, budget: int,
+          pick: Callable[[int, np.ndarray], int],
+          done: Callable[[int], bool], prev: int | None = None,
+          avoid_near: tuple[np.ndarray, float] | None = None
+          ) -> tuple[list[int], bool]:
+    """Backtracking greedy walk. Returns (nodes, reached).
+
+    Each step hands the current node and its unvisited neighbors to
+    ``pick``, which names the next relay; the walk ends once ``done``
+    holds for the node it stands on or ``budget`` hops are spent.
+    Remembering visited nodes lets the walk skirt routing voids instead of
+    oscillating at a local minimum. A dead end physically carries the
+    packet back one hop and resumes from there, which is this
+    simulator's hop-level stand-in for the perimeter mode of GPSR (Karp &
+    Kung, MobiCom 2000). The walk gives up, unreached, once it has
+    retreated all the way to its start with nothing left to try.
+    """
+    nodes = [start]
+    if done(start):
+        return nodes, True
+    cur = start
+    seen = {start}
+    stack = [start]
+    while len(nodes) - 1 < budget:
+        nbrs = network.neighbors(cur)
+        cands = nbrs[[n not in seen for n in nbrs]]
+        cands = _avoid_filter(network, cands, avoid_near, cur)
+        if prev is not None and len(cands) > 1:
+            # On the first step, avoid an immediate bounce back onto the
+            # previous phase's relay unless it is the only way out.
+            trimmed = cands[cands != prev]
+            if len(trimmed):
+                cands = trimmed
+        prev = None
+        if len(cands) == 0:
+            stack.pop()
+            if not stack:
+                return nodes, False
+            cur = stack[-1]
+            nodes.append(cur)
+            continue
+        cur = pick(cur, cands)
+        seen.add(cur)
+        stack.append(cur)
+        nodes.append(cur)
+        if done(cur):
+            return nodes, True
+    return nodes, False
+
+
 def _directed_leg(network: Network, start: int, target: np.ndarray,
                   max_hops: int, prev: int | None = None,
                   stop_node: int | None = None,
                   min_dist_from: tuple[np.ndarray, float] | None = None,
                   avoid_near: tuple[np.ndarray, float] | None = None
-                  ) -> tuple[list[int], bool, bool]:
-    """Greedy geographic walk. Returns (nodes, reached, stuck).
+                  ) -> tuple[list[int], bool]:
+    """Greedy geographic walk toward ``target``. Returns (nodes, reached).
 
-    Each step moves to the unvisited neighbor closest to the target;
-    remembering visited nodes lets the walk skirt routing voids instead
-    of oscillating at a local minimum. Stuck means every neighbor has
-    already been visited this leg.
+    Each step moves to the unvisited neighbor closest to the target. The
+    leg ends at ``stop_node`` when one is given; otherwise on reaching a
+    node within r of the target or, with ``min_dist_from``, at least the
+    given distance from its origin.
     """
     pos = network.positions
     r = network.r
+
+    def pick(cur: int, cands: np.ndarray) -> int:
+        d = np.linalg.norm(pos[cands] - target, axis=1)
+        return int(cands[int(np.argmin(d))])
 
     def done(node: int) -> bool:
         if stop_node is not None:
@@ -488,42 +472,8 @@ def _directed_leg(network: Network, start: int, target: np.ndarray,
                 return True
         return bool(np.linalg.norm(pos[node] - target) <= r)
 
-    nodes = [start]
-    if done(start):
-        return nodes, True, False
-    cur = start
-    seen = {start}
-    stack = [start]
-    first_step = True
-    while len(nodes) - 1 < max_hops:
-        nbrs = network.neighbors(cur)
-        cands = nbrs[[n not in seen for n in nbrs]]
-        cands = _avoid_filter(network, cands, avoid_near, cur)
-        if first_step and prev is not None and len(cands) > 1:
-            # Avoid an immediate bounce back onto the previous phase's
-            # relay unless it is the only way out.
-            trimmed = cands[cands != prev]
-            if len(trimmed):
-                cands = trimmed
-        first_step = False
-        if len(cands) == 0:
-            # Dead end: physically carry the packet back one hop and
-            # resume from there. Stuck only when the walk has retreated
-            # all the way to its start with nothing left to try.
-            stack.pop()
-            if not stack:
-                return nodes, False, True
-            cur = stack[-1]
-            nodes.append(cur)
-            continue
-        d = np.linalg.norm(pos[cands] - target, axis=1)
-        cur = int(cands[int(np.argmin(d))])
-        seen.add(cur)
-        stack.append(cur)
-        nodes.append(cur)
-        if done(cur):
-            return nodes, True, False
-    return nodes, False, False
+    return _walk(network, start, max_hops, pick, done, prev=prev,
+                 avoid_near=avoid_near)
 
 
 def _var_angle_leg(network: Network, start: int, frame: SourceFrame,
@@ -532,55 +482,32 @@ def _var_angle_leg(network: Network, start: int, frame: SourceFrame,
                    ) -> tuple[list[int], bool]:
     """Smallest-angle forwarding toward the sink. Returns (nodes, reached).
 
-    Relays are not revisited, which breaks the orbit cycles a memoryless
-    angle-greedy walk falls into around routing voids; dead ends carry
-    the packet back one hop and resume, exactly as the directed phase
-    does.
+    Each step computes, for every candidate neighbor, the angle between
+    the hop vector and the direction to the sink, and forwards along the
+    smallest one. The leg ends at the sink or where ``stop_fn`` holds.
+    Not revisiting relays breaks the orbit cycles a memoryless
+    angle-greedy walk falls into around routing voids.
     """
     pos = network.positions
     sink = network.sink
 
-    nodes = [start]
-    cur = start
-    if cur == sink or (stop_fn is not None and stop_fn(cur)):
-        return nodes, True
-    seen = {start}
-    stack = [start]
-    first_step = True
-    while len(nodes) - 1 < budget:
-        nbrs = network.neighbors(cur)
-        cands = nbrs[[n not in seen for n in nbrs]]
-        cands = _avoid_filter(network, cands, avoid_near, cur)
-        if first_step and prev is not None and len(cands) > 1:
-            trimmed = cands[cands != prev]
-            if len(trimmed):
-                cands = trimmed
-        first_step = False
-        if len(cands) == 0:
-            stack.pop()
-            if not stack:
-                return nodes, False
-            cur = stack[-1]
-            nodes.append(cur)
-            continue
+    def pick(cur: int, cands: np.ndarray) -> int:
         if sink in cands:
             # The destination itself is in range; its angle is zero by
             # definition and no tie tolerance may displace it.
-            cur = sink
-            nodes.append(cur)
-            return nodes, True
+            return sink
         vecs = pos[cands] - pos[cur]
         norms = np.linalg.norm(vecs, axis=1)
         to_sink = frame.sink_pos - pos[cur]
         to_sink /= np.linalg.norm(to_sink)
         phi = np.arccos(np.clip(vecs @ to_sink / norms, -1.0, 1.0))
-        cur = int(cands[int(np.argmin(phi))])
-        seen.add(cur)
-        stack.append(cur)
-        nodes.append(cur)
-        if cur == sink or (stop_fn is not None and stop_fn(cur)):
-            return nodes, True
-    return nodes, False
+        return int(cands[int(np.argmin(phi))])
+
+    def done(node: int) -> bool:
+        return node == sink or (stop_fn is not None and stop_fn(node))
+
+    return _walk(network, start, budget, pick, done, prev=prev,
+                 avoid_near=avoid_near)
 
 
 def _same_hop_leg(network: Network, start: int, h_m: int, frame: SourceFrame,

@@ -57,3 +57,12 @@ def bfs_oracle(adjacency, root):
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
+
+
+def validate_trace(network, trace, source):
+    """Invariants every protocol's packet trace must satisfy."""
+    assert trace.hops[0] == source
+    assert len(trace.phases) == len(trace.hops)
+    for a, b in zip(trace.hops, trace.hops[1:]):
+        assert b in network.neighbors(a), f"hop {a}->{b} is not a radio link"
+    assert trace.delivered == (trace.hops[-1] == network.sink)

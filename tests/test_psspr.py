@@ -5,7 +5,7 @@ import pytest
 
 import phantomnet as pn
 from phantomnet.errors import EmptyDomain, InvalidParameter, SourceIsSink
-from phantomnet.psspr import _directed_leg
+from phantomnet.psspr import _directed_leg, _same_hop_leg, _var_angle_leg
 from phantomnet.trace import PHASE_DIRECT
 
 
@@ -154,8 +154,10 @@ class TestSameHopCount:
 class TestDirectedRoute:
     def test_zero_hops_at_target(self, dense_net):
         node = int(dense_net.reachable_sensor_ids()[0])
-        t = pn.directed_route(dense_net, node, dense_net.positions[node], 5)
-        assert t.hops == [node]
+        nodes, reached = _directed_leg(dense_net, node,
+                                       dense_net.positions[node], 5)
+        assert nodes == [node]
+        assert reached
 
     def test_reaches_point_500m_east(self, dense_net):
         rng = np.random.default_rng(1)
@@ -165,8 +167,8 @@ class TestDirectedRoute:
         for k in range(20):
             node = int(near_center[rng.integers(len(near_center))])
             target = dense_net.positions[node] + [500.0, 0.0]
-            t = pn.directed_route(dense_net, node, target, 30)
-            final = dense_net.positions[t.hops[-1]]
+            nodes, _ = _directed_leg(dense_net, node, target, 30)
+            final = dense_net.positions[nodes[-1]]
             assert np.linalg.norm(final - target) <= dense_net.r
 
     def test_away_leg_exits_the_ring(self, dense_net):
@@ -174,10 +176,22 @@ class TestDirectedRoute:
         spos = dense_net.positions[src]
         ring = 600.0  # 6 hops
         target = spos + [0.0, ring]
-        nodes, reached, _ = _directed_leg(dense_net, src, target, 40,
-                                          min_dist_from=(spos, ring))
+        nodes, reached = _directed_leg(dense_net, src, target, 40,
+                                       min_dist_from=(spos, ring))
         assert reached
         assert np.linalg.norm(dense_net.positions[nodes[-1]] - spos) >= ring - dense_net.r
+
+    def test_dead_ends_retreat_then_give_up(self):
+        # Node 2 is a dead end east of node 1 and 3->4 one to the north;
+        # the walk carries the packet back out of each and gives up,
+        # unreached, once it has retreated to its start.
+        net = make_line_network(
+            [[0, 5000], [1000, 1000], [1090, 1000], [1000, 1090],
+             [1000, 1180]],
+            r=100.0)
+        nodes, reached = _directed_leg(net, 1, np.array([2000.0, 1000.0]), 50)
+        assert nodes == [1, 2, 1, 3, 4, 3, 1]
+        assert not reached
 
 
 class TestVariableAngle:
@@ -189,7 +203,7 @@ class TestVariableAngle:
              [2900, 1000]],
             r=200.0, field_side=4000.0)
         frame = pn.build_frame(net, 4)  # any valid frame toward the sink
-        nodes, _ = pn.psspr._var_angle_leg(net, 1, frame, budget=1)
+        nodes, _ = _var_angle_leg(net, 1, frame, budget=1)
         assert nodes[1] == 2
 
     def test_delivers_near_shortest(self, dense_net):
@@ -200,8 +214,11 @@ class TestVariableAngle:
         for _ in range(100):
             s = int(pool[rng.integers(len(pool))])
             frame = pn.build_frame(dense_net, s)
-            t = pn.variable_angle_route(dense_net, s, frame)
-            if t.delivered and frame.h_distance <= t.transmissions <= 1.5 * frame.h_distance:
+            nodes, reached = _var_angle_leg(dense_net, s, frame,
+                                            4 * frame.h_distance)
+            assert reached
+            if (nodes[-1] == pn.SINK
+                    and frame.h_distance <= len(nodes) - 1 <= 1.5 * frame.h_distance):
                 ok += 1
         assert ok >= 90
 
@@ -211,8 +228,9 @@ class TestSameHopRoute:
         node = int(dense_net.reachable_sensor_ids()[5])
         src = pn.pick_source(dense_net, 10, 11)
         frame = pn.build_frame(dense_net, src)
-        t = pn.same_hop_route(dense_net, node, 0, frame)
-        assert t.hops == [node]
+        nodes, annotations = _same_hop_leg(dense_net, node, 0, frame, None)
+        assert nodes == [node]
+        assert annotations == []
 
     def test_constant_ring_when_unrelaxed(self, dense_net):
         src = pn.pick_source(dense_net, 10, 11)
@@ -222,9 +240,9 @@ class TestSameHopRoute:
         pool = ids[dense_net.hops[ids] >= 4]
         for _ in range(60):
             start = int(pool[rng.integers(len(pool))])
-            t = pn.same_hop_route(dense_net, start, 8, frame)
-            if not t.annotations:
-                ring = {int(dense_net.hops[n]) for n in t.hops}
+            nodes, annotations = _same_hop_leg(dense_net, start, 8, frame, None)
+            if not annotations:
+                ring = {int(dense_net.hops[n]) for n in nodes}
                 assert len(ring) == 1
 
     def test_walks_toward_axis(self, dense_net):
@@ -237,9 +255,9 @@ class TestSameHopRoute:
         ok = 0
         for _ in range(100):
             start = int(pool[rng.integers(len(pool))])
-            t = pn.same_hop_route(dense_net, start, 12, frame)
-            fy0 = abs(frame.frame_y(dense_net.positions[t.hops[0]]))
-            fy1 = abs(frame.frame_y(dense_net.positions[t.hops[-1]]))
+            nodes, _ = _same_hop_leg(dense_net, start, 12, frame, None)
+            fy0 = abs(frame.frame_y(dense_net.positions[nodes[0]]))
+            fy1 = abs(frame.frame_y(dense_net.positions[nodes[-1]]))
             ok += fy1 <= fy0
         assert ok >= 95
 
