@@ -19,6 +19,6 @@ from .protocols import PROTOCOLS, make_router
 from .psspr import (PhantomChoice, SectorParams, SourceFrame, build_frame,
                     candidate_domain, route_packet, same_hop_count,
                     select_phantom)
-from .trace import RouteTrace, enters_visible_area, phantom_onset, stitch
+from .trace import RouteTrace, enters_visible_area, stitch
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .net import Network
+from .net import Network, norm, row_dot_norms
 from .protocols import make_router
 from .trace import RouteTrace
 
@@ -61,18 +61,16 @@ def observe_packet(network: Network, state: AdversaryState,
         source = trace.hops[0]
 
     pos = network.positions
-    at_pos = pos[state.at]
-
-    for sender in trace.hops[:-1]:
-        if sender == state.at:
-            continue
-        if np.linalg.norm(pos[sender] - at_pos) <= network.r:
-            captured = (sender == source
-                        or np.linalg.norm(pos[sender] - pos[source])
-                        <= network.r0)
-            return AdversaryState(at=sender, moves=state.moves + 1,
-                                  captured=captured)
-    return state
+    senders = np.array(trace.hops[:-1])
+    heard = np.flatnonzero(
+        (senders != state.at)
+        & (row_dot_norms(pos[senders] - pos[state.at]) <= network.r))
+    if len(heard) == 0:
+        return state
+    sender = int(senders[heard[0]])
+    captured = (sender == source
+                or norm(pos[sender] - pos[source]) <= network.r0)
+    return AdversaryState(at=sender, moves=state.moves + 1, captured=captured)
 
 
 def run_session(network: Network, protocol: str, source: int,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyRing, InvalidParameter
-from .net import UNREACHABLE, Network
+from .net import UNREACHABLE, Network, row_norms
 from .trace import (PHASE_PHANTOM_PATH, PHASE_SHORTEST, PHASE_WALK,
                     RouteTrace, stitch)
 
@@ -64,8 +64,7 @@ def hbdrw_route(network: Network, source: int, params: BaselineParams,
         walk.append(cur)
 
     legs = [(walk, PHASE_WALK),
-            (_descend(network, network.hops, cur, network.sink_pos),
-             PHASE_SHORTEST)]
+            (_descend_to_sink(network, cur), PHASE_SHORTEST)]
     out = stitch(legs, delivered=True, annotations=annotations)
     out.phantom = cur if cur != source else None
     return out
@@ -73,18 +72,22 @@ def hbdrw_route(network: Network, source: int, params: BaselineParams,
 
 def pusbrf_route(network: Network, source: int, params: BaselineParams,
                  rng: np.random.Generator,
-                 source_hops: np.ndarray | None = None) -> RouteTrace:
+                 source_hops: np.ndarray | None = None,
+                 source_next_hop: np.ndarray | None = None) -> RouteTrace:
     """Phantom drawn uniformly from the ring exactly h source-hops away.
 
-    ``source_hops`` is the source-rooted flooding result; pass it in when
-    routing many packets from one source to avoid recomputing the flood.
-    The source-to-phantom leg descends that hop field, giving a minimum
-    hop path of exactly h hops, and the phantom forwards to the sink on a
-    shortest path.
+    ``source_hops`` is the source-rooted flooding result and
+    ``source_next_hop`` the memo of its descent (see ``_descend``); pass
+    both in when routing many packets from one source, so the flood and
+    the descent are not recomputed. The source-to-phantom leg descends
+    that hop field, giving a minimum hop path of exactly h hops, and the
+    phantom forwards to the sink on a shortest path.
     """
     _check_source(network, source)
     if source_hops is None:
         source_hops = network.hops_from(source)
+    if source_next_hop is None:
+        source_next_hop = np.full(len(network), -1, dtype=np.int64)
 
     ring = np.flatnonzero(source_hops == params.walk_hops)
     ring = ring[ring != network.sink]
@@ -95,10 +98,9 @@ def pusbrf_route(network: Network, source: int, params: BaselineParams,
 
     # Walk the source-rooted hop field down from the phantom, then flip.
     to_phantom = _descend(network, source_hops, phantom,
-                          network.positions[source])[::-1]
+                          network.positions[source], source_next_hop)[::-1]
     legs = [(to_phantom, PHASE_PHANTOM_PATH),
-            (_descend(network, network.hops, phantom, network.sink_pos),
-             PHASE_SHORTEST)]
+            (_descend_to_sink(network, phantom), PHASE_SHORTEST)]
     out = stitch(legs, delivered=True)
     out.phantom = phantom
     return out
@@ -112,28 +114,40 @@ def shortest_path_route(network: Network, source: int) -> RouteTrace:
     the source's hop count exactly.
     """
     _check_source(network, source, allow_sink=True)
-    nodes = _descend(network, network.hops, source, network.sink_pos)
+    nodes = _descend_to_sink(network, source)
     return RouteTrace(hops=nodes, phases=[PHASE_SHORTEST] * len(nodes),
                       delivered=True)
 
 
 def _descend(network: Network, field: np.ndarray, start: int,
-             toward: np.ndarray) -> list[int]:
+             toward: np.ndarray, next_hop: np.ndarray) -> list[int]:
     """Minimum-hop path from ``start`` down a hop field to its root.
 
     Each relay forwards to a neighbor one hop lower in ``field``, ties
-    broken by Euclidean distance to the point ``toward``.
+    broken by Euclidean distance to the point ``toward``. That choice
+    depends on nothing but the field, ``toward`` and the relay, so it is
+    made once per relay and kept in ``next_hop``, one entry per node, -1
+    until known; pass the same array for every descent of one field.
     """
     pos = network.positions
     nodes = [start]
     cur = start
     while field[cur] > 0:
-        nbrs = network.neighbors(cur)
-        down = nbrs[field[nbrs] == field[cur] - 1]
-        d = np.linalg.norm(pos[down] - toward, axis=1)
-        cur = int(down[int(np.argmin(d))])
+        nxt = next_hop[cur]
+        if nxt < 0:
+            nbrs = network.neighbors(cur)
+            down = nbrs[field[nbrs] == field[cur] - 1]
+            d = row_norms(pos[down] - toward)
+            nxt = next_hop[cur] = down[d.argmin()]
+        cur = int(nxt)
         nodes.append(cur)
     return nodes
+
+
+def _descend_to_sink(network: Network, start: int) -> list[int]:
+    """Shortest path from ``start`` to the sink, memoised on the network."""
+    return _descend(network, network.hops, start, network.sink_pos,
+                    network.sink_next_hop)
 
 
 def _check_source(network: Network, source: int, allow_sink: bool = False):

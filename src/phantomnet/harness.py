@@ -22,7 +22,7 @@ from .baselines import BaselineParams
 from .config import ExperimentConfig
 from .errors import HarnessError, InvalidParameter
 from .net import deploy
-from .protocols import PROTOCOLS
+from .protocols import PROTOCOLS, SHORTEST_PATH
 from .psspr import SectorParams
 from .trace import enters_visible_area
 
@@ -133,23 +133,32 @@ def run_experiment(config: ExperimentConfig,
         for seed in config.seeds
     ]
 
+    # Run seed-major (seeds loop innermost in specs), so each field is
+    # deployed once and stays in the network cache while every run on it
+    # executes. Runs with equal keys execute once and share the result.
+    n_seeds = len(config.seeds)
+    todo: dict = {}
+    for i in sorted(range(len(specs)), key=lambda i: i % n_seeds):
+        todo.setdefault(_run_key(specs[i]), specs[i])
+
     if max_workers is None:
         max_workers = int(os.environ.get("PHANTOMNET_THREADS", "1"))
-    results: list[RunResult | Exception] = []
+    done: dict = {}
     if max_workers > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(run_one, s) for s in specs]
-            for fut in futures:
+            futures = {key: pool.submit(run_one, s) for key, s in todo.items()}
+            for key, fut in futures.items():
                 try:
-                    results.append(fut.result())
+                    done[key] = fut.result()
                 except Exception as exc:  # noqa: BLE001 - recorded per run
-                    results.append(exc)
+                    done[key] = exc
     else:
-        for s in specs:
+        for key, s in todo.items():
             try:
-                results.append(run_one(s))
+                done[key] = run_one(s)
             except Exception as exc:  # noqa: BLE001 - recorded per run
-                results.append(exc)
+                done[key] = exc
+    results = [done[_run_key(s)] for s in specs]
 
     failed = [(spec, res) for spec, res in zip(specs, results)
               if isinstance(res, Exception)]
@@ -163,7 +172,6 @@ def run_experiment(config: ExperimentConfig,
                            f"first error: {failed[0][1]}")
 
     rows: list[AggregateRow] = []
-    n_seeds = len(config.seeds)
     idx = 0
     for p in config.protocols:
         for (h, H) in config.sweep_points:
@@ -183,6 +191,17 @@ def run_experiment(config: ExperimentConfig,
                 n_runs=len(ok),
             ))
     return rows
+
+
+def _run_key(spec: RunSpec):
+    """Identity of a run's result.
+
+    Shortest-path routing takes no walk or sector parameters and its
+    rng stream goes unused, so its runs differ only in (H, seed).
+    """
+    if spec.protocol == SHORTEST_PATH:
+        return (spec.protocol, spec.H, spec.seed)
+    return spec
 
 
 def emit_csv(rows: list[AggregateRow], path: str) -> None:

@@ -8,6 +8,8 @@ deployment would run at startup.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
@@ -22,13 +24,16 @@ UNREACHABLE = -1
 
 
 class Network:
-    """Immutable deployed field.
+    """Deployed field.
 
     Holds node positions, the k-d tree over them, the radius-r neighbor
     graph (a symmetric CSR matrix with sorted rows, built from the tree's
-    pair query), and the flooded minimum hop counts. Instances must not
-    be mutated after construction and can be shared read-only across
-    concurrently executing runs.
+    pair query), and the flooded minimum hop counts. Its only mutable
+    part is ``sink_next_hop``: the relay each node forwards to on the
+    shortest-path descent to the sink, filled in lazily by
+    ``baselines`` (-1 while not yet known). That next hop is a fixed
+    function of the field, so every run writes the same values and an
+    instance can still be shared across concurrently executing runs.
     """
 
     def __init__(self, positions: np.ndarray, r: float, r0: float,
@@ -44,6 +49,7 @@ class Network:
         self.graph = _radius_graph(self.kdtree, self.r)
         self.hops = _flood(self.graph, SINK)
         self.hops.setflags(write=False)
+        self.sink_next_hop = np.full(len(self.positions), -1, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -89,6 +95,30 @@ class Network:
                 x, y = self.positions[i]
                 fh.write(f"{i},{x:.6f},{y:.6f},{int(self.hops[i])},"
                          f"{degree[i]}\n")
+
+
+# Distances, bit for bit as the numpy forms the simulator's results were
+# first computed with; any other form moves output bytes. A 1-D
+# np.linalg.norm(v) is sqrt(v.dot(v)), a BLAS dot, which fuses multiply
+# and add where the CPU has FMA: norm() makes that call, and
+# row_dot_norms() reaches the same dot once per row through a stacked
+# matmul. x*x + y*y, math.hypot and einsum round differently.
+# np.linalg.norm(d, axis=1) sums plain squares, which row_norms()
+# reproduces. Keep the sqrt before any argmin: squared distances can
+# reorder near-ties.
+def norm(v: np.ndarray) -> float:
+    """Length of one vector, equal to ``np.linalg.norm(v)``."""
+    return math.sqrt(v.dot(v))
+
+
+def row_norms(d: np.ndarray) -> np.ndarray:
+    """Length of each row, equal to ``np.linalg.norm(d, axis=1)``."""
+    return np.sqrt((d * d).sum(axis=1))
+
+
+def row_dot_norms(d: np.ndarray) -> np.ndarray:
+    """Length of each row, equal to ``np.linalg.norm`` of that row alone."""
+    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
 
 
 def deploy(n_nodes: int, field_side: float, r: float, r0: float,

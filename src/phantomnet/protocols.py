@@ -28,7 +28,7 @@ def make_router(network: Network, protocol: str, source: int,
 
     The sector-phantom router reuses the source frame and candidate
     domains for the whole session; the restricted-flooding router reuses
-    the source-rooted hop field.
+    the source-rooted hop field and the memo of its descent.
     """
     if protocol == PSSPR:
         if sector_params is None:
@@ -56,10 +56,12 @@ def make_router(network: Network, protocol: str, source: int,
         if walk_params is None:
             raise InvalidParameter("pusbrf requires walk_params")
         source_hops = network.hops_from(source)
+        source_next_hop = np.full(len(network), -1, dtype=np.int64)
 
         def route(rng: np.random.Generator) -> RouteTrace:
             return baselines.pusbrf_route(network, source, walk_params, rng,
-                                          source_hops=source_hops)
+                                          source_hops=source_hops,
+                                          source_next_hop=source_next_hop)
         return route
 
     if protocol == SHORTEST_PATH:

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EmptyDomain, InvalidParameter, SourceIsSink
-from .net import UNREACHABLE, Network
+from .net import UNREACHABLE, Network, norm, row_norms
 from .trace import (PHASE_DIRECT, PHASE_DIRECTED, PHASE_SAME_HOP,
                     PHASE_VAR_ANGLE, RouteTrace, stitch)
 
@@ -69,7 +69,7 @@ class SourceFrame:
 
     @property
     def source_sink_distance(self) -> float:
-        return float(np.linalg.norm(self.source_pos - self.sink_pos))
+        return norm(self.source_pos - self.sink_pos)
 
     def frame_x(self, pos: np.ndarray) -> float:
         return float(np.dot(pos - self.sink_pos, self.x_axis))
@@ -103,7 +103,7 @@ def build_frame(network: Network, source: int) -> SourceFrame:
         raise InvalidParameter(f"source {source} is unreachable from the sink")
     spos = network.positions[source]
     bpos = network.sink_pos
-    d = np.linalg.norm(spos - bpos)
+    d = norm(spos - bpos)
     return SourceFrame(
         source=source,
         source_pos=spos,
@@ -124,7 +124,7 @@ def candidate_domain(network: Network, frame: SourceFrame,
     """
     pos = network.positions
     w = pos - frame.source_pos
-    dist = np.linalg.norm(w, axis=1)
+    dist = row_norms(w)
     wx = w @ frame.x_axis
     wy = w @ frame.y_axis
 
@@ -256,7 +256,7 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
                         [network.field_side, 0.0],
                         [network.field_side, network.field_side]])
     away_radius = min(ring_radius,
-                      np.linalg.norm(corners - frame.source_pos, axis=1).max() - r)
+                      row_norms(corners - frame.source_pos).max() - r)
     annotations: list[str] = []
 
     legs: list[tuple[list[int], str]] = []
@@ -313,8 +313,7 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
     # does not bind them; the phantom-to-sink tail near the sink cannot
     # reach the source's disc in the first place.
     def entered_ring(node: int) -> bool:
-        return (np.linalg.norm(network.positions[node] - frame.sink_pos)
-                <= ring_radius)
+        return norm(network.positions[node] - frame.sink_pos) <= ring_radius
 
     nodes, reached = _var_angle_leg(network, source, frame,
                                     4 * frame.h_distance, stop_fn=entered_ring)
@@ -357,7 +356,7 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
+    n = norm(v)
     if n == 0.0:
         raise InvalidParameter("zero-length direction vector")
     return v / n
@@ -376,17 +375,15 @@ def _avoid_filter(network: Network, cands: np.ndarray,
     if avoid_near is None or len(cands) == 0:
         return cands
     center, radius = avoid_near
-    if np.linalg.norm(network.positions[cur] - center) <= radius:
+    if norm(network.positions[cur] - center) <= radius:
         return cands
-    outside = cands[np.linalg.norm(network.positions[cands] - center, axis=1)
-                    > radius]
-    return outside
+    return cands[row_norms(network.positions[cands] - center) > radius]
 
 
 def _angle_deg(a: np.ndarray, b: np.ndarray) -> float:
     """Unsigned angle between two vectors, degrees in [0, 180]."""
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
+    na = norm(a)
+    nb = norm(b)
     if na == 0.0 or nb == 0.0:
         return 0.0
     c = float(np.dot(a, b) / (na * nb))
@@ -414,11 +411,12 @@ def _walk(network: Network, start: int, budget: int,
     if done(start):
         return nodes, True
     cur = start
-    seen = {start}
+    seen = np.zeros(len(network), dtype=bool)
+    seen[start] = True
     stack = [start]
     while len(nodes) - 1 < budget:
         nbrs = network.neighbors(cur)
-        cands = nbrs[[n not in seen for n in nbrs]]
+        cands = nbrs[~seen[nbrs]]
         cands = _avoid_filter(network, cands, avoid_near, cur)
         if prev is not None and len(cands) > 1:
             # On the first step, avoid an immediate bounce back onto the
@@ -435,7 +433,7 @@ def _walk(network: Network, start: int, budget: int,
             nodes.append(cur)
             continue
         cur = pick(cur, cands)
-        seen.add(cur)
+        seen[cur] = True
         stack.append(cur)
         nodes.append(cur)
         if done(cur):
@@ -460,17 +458,16 @@ def _directed_leg(network: Network, start: int, target: np.ndarray,
     r = network.r
 
     def pick(cur: int, cands: np.ndarray) -> int:
-        d = np.linalg.norm(pos[cands] - target, axis=1)
-        return int(cands[int(np.argmin(d))])
+        return int(cands[row_norms(pos[cands] - target).argmin()])
 
     def done(node: int) -> bool:
         if stop_node is not None:
             return node == stop_node
         if min_dist_from is not None:
             origin, dist = min_dist_from
-            if np.linalg.norm(pos[node] - origin) >= dist:
+            if norm(pos[node] - origin) >= dist:
                 return True
-        return bool(np.linalg.norm(pos[node] - target) <= r)
+        return norm(pos[node] - target) <= r
 
     return _walk(network, start, max_hops, pick, done, prev=prev,
                  avoid_near=avoid_near)
@@ -497,11 +494,10 @@ def _var_angle_leg(network: Network, start: int, frame: SourceFrame,
             # definition and no tie tolerance may displace it.
             return sink
         vecs = pos[cands] - pos[cur]
-        norms = np.linalg.norm(vecs, axis=1)
         to_sink = frame.sink_pos - pos[cur]
-        to_sink /= np.linalg.norm(to_sink)
-        phi = np.arccos(np.clip(vecs @ to_sink / norms, -1.0, 1.0))
-        return int(cands[int(np.argmin(phi))])
+        to_sink /= norm(to_sink)
+        phi = np.arccos(np.clip(vecs @ to_sink / row_norms(vecs), -1.0, 1.0))
+        return int(cands[phi.argmin()])
 
     def done(node: int) -> bool:
         return node == sink or (stop_fn is not None and stop_fn(node))
@@ -521,8 +517,8 @@ def _same_hop_leg(network: Network, start: int, h_m: int, frame: SourceFrame,
     def score(ids: np.ndarray) -> int:
         if anchor is None:
             fy = np.abs((pos[ids] - frame.sink_pos) @ frame.y_axis)
-            return int(np.argmin(fy))
-        return int(np.argmin(np.linalg.norm(pos[ids] - anchor, axis=1)))
+            return int(fy.argmin())
+        return int(row_norms(pos[ids] - anchor).argmin())
 
     nodes = [start]
     annotations: list[str] = []

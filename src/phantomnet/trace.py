@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .net import row_norms
+
 # Phase tags of the sector-phantom pipeline.
 PHASE_DIRECT = "direct-to-sink"
 PHASE_DIRECTED = "directed"
@@ -69,36 +71,24 @@ def stitch(legs: list[tuple[list[int], str]], delivered: bool,
                       annotations=list(annotations or []))
 
 
-def phantom_onset(trace: RouteTrace, network) -> int | None:
-    """Index where the phantom-to-sink leg of a trace starts.
-
-    The leg begins the first time the packet comes within one
-    communication radius of its phantom. A packet that never got there
-    has no phantom leg (None); one without a phantom at all (plain
-    shortest path) forwards sink-ward from the source itself.
-    """
-    if not trace.hops:
-        return None
-    if trace.phantom is None:
-        return 0
-    ppos = network.positions[trace.phantom]
-    d = np.linalg.norm(network.positions[np.array(trace.hops)] - ppos, axis=1)
-    near = np.flatnonzero(d <= network.r)
-    return int(near[0]) if len(near) else None
-
-
 def enters_visible_area(trace: RouteTrace, network, source: int) -> bool:
     """True when the phantom-to-sink leg passes within r0 of the source.
 
     A failure path is a phantom-to-sink transmission path crossing the
-    source's visible area; packets whose phantom leg never materialized
-    cannot produce one.
+    source's visible area. The leg begins the first time the packet
+    comes within one communication radius of its phantom; packets that
+    never got there cannot produce one, and one without a phantom at all
+    (plain shortest path) forwards sink-ward from the source itself.
     """
-    start = phantom_onset(trace, network)
-    if start is None:
+    if not trace.hops:
         return False
-    seg = np.array(trace.hops[start:], dtype=np.int64)
-    if len(seg) == 0:
-        return False
-    d = np.linalg.norm(network.positions[seg] - network.positions[source], axis=1)
+    pts = network.positions[trace.hops]
+    start = 0
+    if trace.phantom is not None:
+        near = np.flatnonzero(
+            row_norms(pts - network.positions[trace.phantom]) <= network.r)
+        if len(near) == 0:
+            return False
+        start = near[0]
+    d = row_norms(pts[start:] - network.positions[source])
     return bool(np.any(d <= network.r0))

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -160,3 +163,108 @@ def test_metrics_bookkeeping(desk_net):
     assert len(seen) == metrics.safety_time if metrics.captured else 30
     assert metrics.total_hops == sum(t.transmissions for t in seen)
     assert metrics.delivered == sum(t.delivered for t in seen)
+
+
+def observe_packet_loop(network, state, trace, source=None):
+    """The per-sender loop observe_packet replaced, kept as its oracle."""
+    if state.captured or len(trace.hops) < 2:
+        return state
+    if source is None:
+        source = trace.hops[0]
+    pos = network.positions
+    for sender in trace.hops[:-1]:
+        if sender == state.at:
+            continue
+        if np.linalg.norm(pos[sender] - pos[state.at]) <= network.r:
+            captured = (sender == source
+                        or np.linalg.norm(pos[sender] - pos[source])
+                        <= network.r0)
+            return pn.AdversaryState(at=sender, moves=state.moves + 1,
+                                     captured=bool(captured))
+    return state
+
+
+def enters_visible_area_by_onset(trace, network, source):
+    """Failure-path test through the phantom onset index, kept as oracle."""
+    if not trace.hops:
+        return False
+    start = 0
+    if trace.phantom is not None:
+        ppos = network.positions[trace.phantom]
+        d = np.linalg.norm(network.positions[np.array(trace.hops)] - ppos,
+                           axis=1)
+        near = np.flatnonzero(d <= network.r)
+        if not len(near):
+            return False
+        start = int(near[0])
+    seg = np.array(trace.hops[start:], dtype=np.int64)
+    d = np.linalg.norm(network.positions[seg] - network.positions[source],
+                       axis=1)
+    return bool(np.any(d <= network.r0))
+
+
+def routed_traces(network, n_packets):
+    """(source, trace) pairs from every protocol on a few sources."""
+    out = []
+    for k, H in enumerate((6, 12, 18)):
+        src = pn.pick_source(network, H, 2)
+        for p in pn.PROTOCOLS:
+            router = pn.make_router(network, p, src,
+                                    sector_params=pn.SectorParams(4, 6, 6),
+                                    walk_params=pn.BaselineParams(5))
+            rng = np.random.default_rng([k, pn.PROTOCOLS.index(p)])
+            out += [(src, router(rng)) for _ in range(n_packets)]
+    return out
+
+
+def test_observe_packet_matches_per_sender_loop(desk_net):
+    rng = np.random.default_rng(9)
+    moved = 0
+    for src, trace in routed_traces(desk_net, 15):
+        perches = [pn.SINK, *rng.choice(trace.hops, 3),
+                   *rng.integers(len(desk_net), size=2)]
+        for at in perches:
+            state = pn.AdversaryState(at=int(at), moves=int(at) % 7)
+            for source in (src, None):
+                new = pn.observe_packet(desk_net, state, trace, source=source)
+                assert new == observe_packet_loop(desk_net, state, trace,
+                                                  source=source)
+                moved += new.moves > state.moves
+    assert moved > 100
+
+
+def test_enters_visible_area_matches_onset_reference(desk_net):
+    rng = np.random.default_rng(10)
+    outcomes = set()
+    for src, trace in routed_traces(desk_net, 15):
+        # A phantom far off the path stands for one the packet never
+        # reached.
+        far = replace(trace, phantom=int(rng.integers(len(desk_net))))
+        for t, source in product((trace, far),
+                                 (src, *rng.integers(len(desk_net), size=2))):
+            got = pn.enters_visible_area(t, desk_net, int(source))
+            assert got == enters_visible_area_by_onset(t, desk_net,
+                                                       int(source))
+            outcomes.add(got)
+    assert outcomes == {True, False}
+    empty = RouteTrace(hops=[], phases=[], delivered=False)
+    assert not pn.enters_visible_area(empty, desk_net, 1)
+
+
+def test_replays_follow_the_reference_norms_at_the_radius():
+    # Both sensors sit at distance 100 from the sink up to the last bit,
+    # where the two numpy norm forms can fall on opposite sides of r.
+    net = pn.Network(np.array([[0.0, 0.0],
+                               [38.715009983841995, 92.2016702774468],
+                               [12.748076127660413, 99.18410434663095]]),
+                     r=100.0, r0=100.0, field_side=200.0, rng_seed=0)
+    for sender in (1, 2):
+        trace = RouteTrace(hops=[sender, pn.SINK],
+                           phases=[PHASE_SHORTEST] * 2, delivered=True)
+        state = initial_state(net)
+        assert (pn.observe_packet(net, state, trace)
+                == observe_packet_loop(net, state, trace))
+        for phantom, source in product((None, pn.SINK), (1, 2)):
+            t = replace(trace, phantom=phantom)
+            assert (pn.enters_visible_area(t, net, source)
+                    == enters_visible_area_by_onset(t, net, source))

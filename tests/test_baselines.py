@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import phantomnet as pn
+from phantomnet.baselines import _descend
 from phantomnet.errors import EmptyRing, InvalidParameter
 
 from conftest import bfs_oracle
@@ -139,3 +140,42 @@ class TestShortestPath:
             assert t.transmissions == dense_net.hops[src] == oracle[src]
             assert t.hops[-1] == pn.SINK
             assert t.delivered
+
+
+def descend_fresh(network, field, start, toward):
+    """Hop-field descent without a memo, kept as the oracle of _descend."""
+    nodes = [start]
+    cur = start
+    while field[cur] > 0:
+        nbrs = network.neighbors(cur)
+        down = nbrs[field[nbrs] == field[cur] - 1]
+        d = np.linalg.norm(network.positions[down] - toward, axis=1)
+        cur = int(down[int(np.argmin(d))])
+        nodes.append(cur)
+    return nodes
+
+
+class TestMemoisedDescent:
+    @pytest.mark.parametrize("root", ["sink", "source"])
+    def test_equals_fresh_descent_from_every_node(self, desk_net, root):
+        if root == "sink":
+            field, toward = desk_net.hops, desk_net.sink_pos
+        else:
+            src = pn.pick_source(desk_net, 15, 2)
+            field = desk_net.hops_from(src)
+            toward = desk_net.positions[src]
+        memo = np.full(len(desk_net), -1, dtype=np.int64)
+        # A random order meets the memo both empty and partly filled.
+        order = np.random.default_rng(3).permutation(len(desk_net))
+        reachable = [int(n) for n in order if field[n] != pn.UNREACHABLE]
+        for node in reachable:
+            assert (_descend(desk_net, field, node, toward, memo)
+                    == descend_fresh(desk_net, field, node, toward))
+        # Every relay's next hop is now known and nothing else is.
+        assert np.array_equal(memo >= 0, field > 0)
+
+    def test_shortest_path_follows_the_network_memo(self, desk_net):
+        for src in desk_net.reachable_sensor_ids()[::7]:
+            t = pn.shortest_path_route(desk_net, int(src))
+            assert t.hops == descend_fresh(desk_net, desk_net.hops, int(src),
+                                           desk_net.sink_pos)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,35 @@ class TestRunExperiment:
         assert [(r.protocol, r.h) for r in rows] == [
             ("pusbrf", 3), ("pusbrf", 5),
             ("shortest-path", 3), ("shortest-path", 5)]
+
+    def test_each_field_deployed_once_shortest_path_routed_once(
+            self, monkeypatch):
+        from phantomnet import harness
+        ran, deployed = [], []
+        real_run_one, real_deploy = harness.run_one, harness.deploy
+
+        def run_one(spec):
+            ran.append((spec.protocol, spec.seed))
+            return real_run_one(spec)
+
+        def deploy(*args):
+            deployed.append(args[-1])
+            return real_deploy(*args)
+
+        monkeypatch.setattr(harness, "run_one", run_one)
+        monkeypatch.setattr(harness, "deploy", deploy)
+        harness._network.cache_clear()
+        cfg = tiny_config(protocols=["pusbrf", "shortest-path"], h=[3, 5],
+                          packets_per_run=20, seeds=[1, 2, 3, 4, 5])
+        rows = run_experiment(cfg)
+        # Seed-major, with the two h values of shortest-path sharing one
+        # run; five fields, more than the network cache holds.
+        assert ran == [(p, seed) for seed in cfg.seeds
+                       for p in ("pusbrf", "pusbrf", "shortest-path")]
+        assert deployed == cfg.seeds
+        sp3, sp5 = rows[2], rows[3]
+        assert (sp3.protocol, sp3.h, sp5.h) == ("shortest-path", 3, 5)
+        assert replace(sp3, h=5) == sp5
 
     def test_deterministic_repeat(self, tmp_path):
         cfg = tiny_config(protocols=["pusbrf"], packets_per_run=30)

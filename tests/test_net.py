@@ -3,6 +3,7 @@ import pytest
 
 import phantomnet as pn
 from phantomnet.errors import ConnectivityError, InvalidParameter, UnknownNode
+from phantomnet.net import norm, row_dot_norms, row_norms
 
 from conftest import bfs_oracle, brute_force_adjacency
 
@@ -114,3 +115,34 @@ def test_network_dump_csv(small_net, tmp_path):
     assert len(lines) == len(small_net) + 1
     first = lines[1].split(",")
     assert first[0] == "0" and first[3] == "0"
+
+
+# Offsets of length exactly r = 100 (60-80-100 triangles and the axes),
+# in every sign combination.
+EXACT_R_OFFSETS = [(sx * a, sy * b) for a, b in
+                   [(60.0, 80.0), (80.0, 60.0), (28.0, 96.0), (100.0, 0.0)]
+                   for sx in (1.0, -1.0) for sy in (1.0, -1.0)]
+
+
+def test_distance_helpers_match_linalg_norm():
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(0.0, 3000.0, size=(10_000, 2))
+    vecs = [pts[1:] - pts[:-1],                             # hop-like
+            pts[1:] - pts[0],                               # to one point
+            rng.normal(0.0, 1.0, size=(10_000, 2)),         # tiny
+            rng.uniform(-1e4, 1e4, size=(10_000, 2))]
+    base = pts[:1000]
+    vecs += [(base + off) - base for off in EXACT_R_OFFSETS]
+    for d in vecs:
+        one_by_one = np.array([np.linalg.norm(v) for v in d])
+        assert [norm(v) for v in d] == one_by_one.tolist()
+        assert np.array_equal(row_dot_norms(d), one_by_one)
+        assert np.array_equal(row_norms(d), np.linalg.norm(d, axis=1))
+
+
+def test_distance_helpers_keep_exact_r_inclusive():
+    for off in EXACT_R_OFFSETS:
+        v = np.array(off)
+        assert norm(v) == 100.0
+        assert row_norms(v[None, :])[0] == 100.0
+        assert row_dot_norms(v[None, :])[0] == 100.0
