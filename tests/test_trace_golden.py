@@ -1,0 +1,68 @@
+"""Pinned packet traces and adversary replays of two small sweeps.
+
+``golden_small.csv`` holds means, so per-packet drift that averages out
+does not show there. This test hashes every packet itself: its hops,
+phases, delivery, annotations and phantom, then where the adversary
+perches after replaying it and whether it is a failure path. It covers
+all four protocols on the ``golden_small`` shape and on one desk field.
+The hash was recorded before the per-hop kernels moved from numpy
+arrays to scalar Python loops. Re-pin it only for a change that means
+to alter routes, and say so in CHANGES.md.
+"""
+
+import hashlib
+
+import numpy as np
+
+import phantomnet as pn
+from phantomnet.adversary import initial_state
+
+TRACE_SHA256 = "549bc9e73211e42c6d4b48b3caecbc413a78e78b04f5180e82c42099854a505e"
+
+# (n_nodes, field_side, seeds, h values, H, packets per session)
+SHAPES = [
+    (800, 1500.0, (1, 2, 3), (4, 6), 8, 40),     # golden_small
+    (2400, 2700.0, (1,), (15,), 20, 40),         # desk field
+]
+
+
+def packet_records():
+    """One line per packet of every session of both shapes."""
+    for n_nodes, side, seeds, hs, H, packets in SHAPES:
+        for seed in seeds:
+            network = pn.deploy(n_nodes, side, 100.0, 300.0, seed)
+            source = pn.pick_source(network, H, seed)
+            for h in hs:
+                for p in pn.PROTOCOLS:
+                    router = pn.make_router(
+                        network, p, source,
+                        sector_params=pn.SectorParams(*pn.rmin_rmax_for(h),
+                                                      omega=6),
+                        walk_params=pn.BaselineParams(walk_hops=h))
+                    rng = np.random.default_rng(
+                        [seed, H, h, pn.PROTOCOLS.index(p)])
+                    state = initial_state(network)
+                    for k in range(packets):
+                        t = router(rng)
+                        state = pn.observe_packet(network, state, t,
+                                                  source=source)
+                        failure = pn.enters_visible_area(t, network, source)
+                        phantom = None if t.phantom is None else int(t.phantom)
+                        yield repr((p, h, seed, k, [int(n) for n in t.hops],
+                                    t.phases, bool(t.delivered),
+                                    t.annotations, phantom, int(state.at),
+                                    bool(state.captured), bool(failure)))
+                        if state.captured:
+                            # Start over, so every packet is replayed
+                            # against a moving adversary.
+                            state = initial_state(network)
+
+
+def test_packet_traces_match_the_recorded_hash():
+    digest = hashlib.sha256()
+    count = 0
+    for line in packet_records():
+        digest.update(line.encode() + b"\n")
+        count += 1
+    assert count == 4 * (3 * 2 + 1) * 40
+    assert digest.hexdigest() == TRACE_SHA256
