@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .net import Network, norm, row_dot_norms
+from .net import Network
 from .protocols import make_router
 from .trace import RouteTrace
 
@@ -60,17 +60,15 @@ def observe_packet(network: Network, state: AdversaryState,
     if source is None:
         source = trace.hops[0]
 
-    pos = network.positions
-    senders = np.array(trace.hops[:-1])
-    heard = np.flatnonzero(
-        (senders != state.at)
-        & (row_dot_norms(pos[senders] - pos[state.at]) <= network.r))
-    if len(heard) == 0:
-        return state
-    sender = int(senders[heard[0]])
-    captured = (sender == source
-                or norm(pos[sender] - pos[source]) <= network.r0)
-    return AdversaryState(at=sender, moves=state.moves + 1, captured=captured)
+    xs, ys = network.xs, network.ys
+    ax, ay = xs[state.at], ys[state.at]
+    for sender in trace.hops[:-1]:
+        if sender != state.at and network.dist(sender, ax, ay) <= network.r:
+            captured = (sender == source or network.dist(
+                sender, xs[source], ys[source]) <= network.r0)
+            return AdversaryState(at=sender, moves=state.moves + 1,
+                                  captured=captured)
+    return state
 
 
 def run_session(network: Network, protocol: str, source: int,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyRing, InvalidParameter
-from .net import UNREACHABLE, Network, row_norms
+from .net import UNREACHABLE, Network
 from .trace import (PHASE_PHANTOM_PATH, PHASE_SHORTEST, PHASE_WALK,
                     RouteTrace, stitch)
 
@@ -38,7 +38,7 @@ def hbdrw_route(network: Network, source: int, params: BaselineParams,
     that step; if both are empty the walk ends early.
     """
     _check_source(network, source)
-    hops = network.hops
+    hop = network.hop_list
 
     committed_parent = bool(rng.integers(2) == 0)
     walk = [source]
@@ -46,21 +46,20 @@ def hbdrw_route(network: Network, source: int, params: BaselineParams,
     cur, prev = source, None
     for step in range(params.walk_hops):
         nbrs = network.neighbors(cur)
-        parents = nbrs[hops[nbrs] < hops[cur]]
-        children = nbrs[hops[nbrs] > hops[cur]]
+        level = hop[cur]
+        parents = [n for n in nbrs if hop[n] < level]
+        children = [n for n in nbrs if hop[n] > level]
         primary, other = ((parents, children) if committed_parent
                           else (children, parents))
         cands = primary
-        if len(cands) == 0:
+        if not cands:
             cands = other
-            if len(cands) == 0:
+            if not cands:
                 break
             annotations.append(f"walk-fallback@{step}")
         if prev is not None and len(cands) > 1:
-            trimmed = cands[cands != prev]
-            if len(trimmed):
-                cands = trimmed
-        prev, cur = cur, int(cands[int(rng.integers(len(cands)))])
+            cands = [n for n in cands if n != prev]
+        prev, cur = cur, cands[int(rng.integers(len(cands)))]
         walk.append(cur)
 
     legs = [(walk, PHASE_WALK),
@@ -73,7 +72,7 @@ def hbdrw_route(network: Network, source: int, params: BaselineParams,
 def pusbrf_route(network: Network, source: int, params: BaselineParams,
                  rng: np.random.Generator,
                  source_hops: np.ndarray | None = None,
-                 source_next_hop: np.ndarray | None = None) -> RouteTrace:
+                 source_next_hop: list[int] | None = None) -> RouteTrace:
     """Phantom drawn uniformly from the ring exactly h source-hops away.
 
     ``source_hops`` is the source-rooted flooding result and
@@ -87,7 +86,7 @@ def pusbrf_route(network: Network, source: int, params: BaselineParams,
     if source_hops is None:
         source_hops = network.hops_from(source)
     if source_next_hop is None:
-        source_next_hop = np.full(len(network), -1, dtype=np.int64)
+        source_next_hop = [-1] * len(network)
 
     ring = np.flatnonzero(source_hops == params.walk_hops)
     ring = ring[ring != network.sink]
@@ -98,7 +97,8 @@ def pusbrf_route(network: Network, source: int, params: BaselineParams,
 
     # Walk the source-rooted hop field down from the phantom, then flip.
     to_phantom = _descend(network, source_hops, phantom,
-                          network.positions[source], source_next_hop)[::-1]
+                          (network.xs[source], network.ys[source]),
+                          source_next_hop)[::-1]
     legs = [(to_phantom, PHASE_PHANTOM_PATH),
             (_descend_to_sink(network, phantom), PHASE_SHORTEST)]
     out = stitch(legs, delivered=True)
@@ -119,34 +119,34 @@ def shortest_path_route(network: Network, source: int) -> RouteTrace:
                       delivered=True)
 
 
-def _descend(network: Network, field: np.ndarray, start: int,
-             toward: np.ndarray, next_hop: np.ndarray) -> list[int]:
+def _descend(network: Network, field, start: int, toward,
+             next_hop: list[int]) -> list[int]:
     """Minimum-hop path from ``start`` down a hop field to its root.
 
-    Each relay forwards to a neighbor one hop lower in ``field``, ties
-    broken by Euclidean distance to the point ``toward``. That choice
+    Each relay forwards to a neighbor one hop lower in ``field`` (hop
+    counts indexable per node), ties broken by Euclidean distance to the
+    point ``toward``, the first of equals in neighbor order. That choice
     depends on nothing but the field, ``toward`` and the relay, so it is
     made once per relay and kept in ``next_hop``, one entry per node, -1
-    until known; pass the same array for every descent of one field.
+    until known; pass the same list for every descent of one field.
     """
-    pos = network.positions
     nodes = [start]
     cur = start
     while field[cur] > 0:
         nxt = next_hop[cur]
         if nxt < 0:
-            nbrs = network.neighbors(cur)
-            down = nbrs[field[nbrs] == field[cur] - 1]
-            d = row_norms(pos[down] - toward)
-            nxt = next_hop[cur] = down[d.argmin()]
-        cur = int(nxt)
+            below = field[cur] - 1
+            nxt = next_hop[cur] = network.nearest(
+                [n for n in network.neighbors(cur) if field[n] == below],
+                *toward)
+        cur = nxt
         nodes.append(cur)
     return nodes
 
 
 def _descend_to_sink(network: Network, start: int) -> list[int]:
     """Shortest path from ``start`` to the sink, memoised on the network."""
-    return _descend(network, network.hops, start, network.sink_pos,
+    return _descend(network, network.hop_list, start, network.sink_pos,
                     network.sink_next_hop)
 
 

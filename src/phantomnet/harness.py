@@ -1,9 +1,10 @@
 """Experiment orchestration: seed sweeps, aggregation, and CSV emission.
 
 Runs are independent (protocol x sweep point x seed) and may execute in
-parallel; aggregation is a deterministic fold in config order, so the
-output bytes never depend on scheduling. Set PHANTOMNET_THREADS to cap
-the worker count (1 disables the process pool).
+parallel, each worker process taking every run of the seeds dealt to
+it; aggregation is a deterministic fold in config order, so the output
+bytes never depend on scheduling. Set PHANTOMNET_THREADS to cap the
+worker count (1 disables the process pool).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import functools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,8 +147,13 @@ def run_experiment(config: ExperimentConfig,
         max_workers = int(os.environ.get("PHANTOMNET_THREADS", "1"))
     done: dict = {}
     if max_workers > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = {key: pool.submit(run_one, s) for key, s in todo.items()}
+        # Whole seeds are dealt in turn to single-process pools (lanes),
+        # so each field is deployed and cached in one process only.
+        with ExitStack() as stack:
+            lanes = [stack.enter_context(ProcessPoolExecutor(max_workers=1))
+                     for _ in range(min(max_workers, n_seeds))]
+            futures = {key: lanes[config.seeds.index(s.seed) % len(lanes)]
+                       .submit(run_one, s) for key, s in todo.items()}
             for key, fut in futures.items():
                 try:
                     done[key] = fut.result()

@@ -9,6 +9,7 @@ deployment would run at startup.
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -28,18 +29,22 @@ class Network:
 
     Holds node positions, the k-d tree over them, the radius-r neighbor
     graph (a symmetric CSR matrix with sorted rows, built from the tree's
-    pair query), and the flooded minimum hop counts. Its only mutable
-    part is ``sink_next_hop``: the relay each node forwards to on the
-    shortest-path descent to the sink, filled in lazily by
-    ``baselines`` (-1 while not yet known). That next hop is a fixed
-    function of the field, so every run writes the same values and an
-    instance can still be shared across concurrently executing runs.
+    pair query), and the flooded minimum hop counts, with Python copies
+    for the per-hop kernels: ``xs``/``ys`` (``array('d')`` columns) and
+    ``hop_list``. Its only mutable parts are the neighbor tuples, built
+    the first time a walk reaches a node, and ``sink_next_hop``, each
+    node's relay on the shortest-path descent to the sink (-1 until
+    known, see ``baselines``). Both are fixed functions of the field, so
+    every run writes the same values and an instance can still be shared
+    across concurrently executing runs.
     """
 
     def __init__(self, positions: np.ndarray, r: float, r0: float,
                  field_side: float, rng_seed: int):
         self.positions = np.asarray(positions, dtype=np.float64)
         self.positions.setflags(write=False)
+        self.xs = array("d", self.positions[:, 0].tolist())
+        self.ys = array("d", self.positions[:, 1].tolist())
         self.r = float(r)
         self.r0 = float(r0)
         self.field_side = float(field_side)
@@ -49,7 +54,9 @@ class Network:
         self.graph = _radius_graph(self.kdtree, self.r)
         self.hops = _flood(self.graph, SINK)
         self.hops.setflags(write=False)
-        self.sink_next_hop = np.full(len(self.positions), -1, dtype=np.int64)
+        self.hop_list = self.hops.tolist()
+        self.sink_next_hop = [-1] * len(self.positions)
+        self._neighbors: list[tuple[int, ...] | None] = [None] * len(self)
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -62,14 +69,34 @@ class Network:
         if not 0 <= node < len(self.positions):
             raise UnknownNode(f"node id {node} not in network of {len(self)} nodes")
 
-    def neighbors(self, node: int) -> np.ndarray:
-        """Sorted ids of the nodes within radius r of ``node``.
+    def neighbors(self, node: int) -> tuple[int, ...]:
+        """Ascending ids of the nodes within r of ``node``, a tuple built on
+        first use; ``node`` is not range-checked (every hop calls this)."""
+        nbrs = self._neighbors[node]
+        if nbrs is None:
+            indptr = self.graph.indptr
+            nbrs = self._neighbors[node] = tuple(
+                self.graph.indices[indptr[node]:indptr[node + 1]].tolist())
+        return nbrs
 
-        A read-only view into the graph's index array; ``node`` is not
-        range-checked, since this sits on every routing hop.
-        """
-        indptr = self.graph.indptr
-        return self.graph.indices[indptr[node]:indptr[node + 1]]
+    def dist(self, node: int, x: float, y: float) -> float:
+        """Distance from ``node`` to the point (x, y)."""
+        dx = self.xs[node] - x
+        dy = self.ys[node] - y
+        return math.sqrt(dx * dx + dy * dy)
+
+    def nearest(self, nodes, x: float, y: float) -> int:
+        """The first of ``nodes`` closest to (x, y), -1 if none; like an
+        argmin over ``row_norms``, it compares after the sqrt."""
+        xs, ys = self.xs, self.ys
+        best, best_d = -1, math.inf
+        for n in nodes:
+            dx = xs[n] - x
+            dy = ys[n] - y
+            d = math.sqrt(dx * dx + dy * dy)
+            if d < best_d:
+                best, best_d = n, d
+        return best
 
     def hops_from(self, node: int) -> np.ndarray:
         """Minimum hop counts of every node measured from ``node``.
@@ -97,28 +124,25 @@ class Network:
                          f"{degree[i]}\n")
 
 
-# Distances, bit for bit as the numpy forms the simulator's results were
-# first computed with; any other form moves output bytes. A 1-D
-# np.linalg.norm(v) is sqrt(v.dot(v)), a BLAS dot, which fuses multiply
-# and add where the CPU has FMA: norm() makes that call, and
-# row_dot_norms() reaches the same dot once per row through a stacked
-# matmul. x*x + y*y, math.hypot and einsum round differently.
-# np.linalg.norm(d, axis=1) sums plain squares, which row_norms()
-# reproduces. Keep the sqrt before any argmin: squared distances can
-# reorder near-ties.
-def norm(v: np.ndarray) -> float:
-    """Length of one vector, equal to ``np.linalg.norm(v)``."""
-    return math.sqrt(v.dot(v))
+# Distances are sqrt(x*x + y*y) and projections x*ux + y*uy, each product
+# and sum rounded on its own: Python floats and numpy's elementwise ufuncs
+# agree on that on any host. BLAS (`@`, np.dot, a 1-D np.linalg.norm) may
+# fuse multiply and add, so no routing or replay code calls it. Keep the
+# sqrt before any comparison: squared distances can reorder near-ties.
+def norm(v) -> float:
+    """Length of one 2-vector."""
+    x, y = v
+    return math.sqrt(x * x + y * y)
 
 
 def row_norms(d: np.ndarray) -> np.ndarray:
-    """Length of each row, equal to ``np.linalg.norm(d, axis=1)``."""
-    return np.sqrt((d * d).sum(axis=1))
+    """Length of each row of an (n, 2) array."""
+    return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
 
 
-def row_dot_norms(d: np.ndarray) -> np.ndarray:
-    """Length of each row, equal to ``np.linalg.norm`` of that row alone."""
-    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+def project(d: np.ndarray, u) -> np.ndarray:
+    """``x*ux + y*uy`` of each row of an (n, 2) array, or of one vector."""
+    return d[..., 0] * u[0] + d[..., 1] * u[1]
 
 
 def deploy(n_nodes: int, field_side: float, r: float, r0: float,

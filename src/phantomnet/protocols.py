@@ -56,7 +56,7 @@ def make_router(network: Network, protocol: str, source: int,
         if walk_params is None:
             raise InvalidParameter("pusbrf requires walk_params")
         source_hops = network.hops_from(source)
-        source_next_hop = np.full(len(network), -1, dtype=np.int64)
+        source_next_hop = [-1] * len(network)
 
         def route(rng: np.random.Generator) -> RouteTrace:
             return baselines.pusbrf_route(network, source, walk_params, rng,

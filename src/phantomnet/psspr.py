@@ -23,9 +23,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import EmptyDomain, InvalidParameter, SourceIsSink
-from .net import UNREACHABLE, Network, norm, row_norms
+from .net import UNREACHABLE, Network, norm, project, row_norms
 from .trace import (PHASE_DIRECT, PHASE_DIRECTED, PHASE_SAME_HOP,
                     PHASE_VAR_ANGLE, RouteTrace, stitch)
+
+Point = tuple[float, float]     # (x, y); numpy 2-vectors work too
 
 
 @dataclass(frozen=True)
@@ -54,28 +56,20 @@ class SectorParams:
 
 @dataclass(frozen=True)
 class SourceFrame:
-    """Coordinate frame a source sets up before sending packets."""
+    """Coordinate frame a source sets up before sending packets, with the
+    geometry every packet of its session reuses."""
 
     source: int
     source_pos: np.ndarray
     sink_pos: np.ndarray
     center_v: np.ndarray     # midpoint of source and sink
     x_axis: np.ndarray       # unit vector, sink toward source
+    y_axis: np.ndarray       # x_axis turned a quarter counterclockwise
     h_distance: int          # minimum hop count source <-> sink
-
-    @property
-    def y_axis(self) -> np.ndarray:
-        return np.array([-self.x_axis[1], self.x_axis[0]])
-
-    @property
-    def source_sink_distance(self) -> float:
-        return norm(self.source_pos - self.sink_pos)
-
-    def frame_x(self, pos: np.ndarray) -> float:
-        return float(np.dot(pos - self.sink_pos, self.x_axis))
-
-    def frame_y(self, pos: np.ndarray) -> float:
-        return float(np.dot(pos - self.sink_pos, self.y_axis))
+    source_sink_distance: float
+    v_x: float               # frame-x of V
+    corner_reach: float      # source to the farthest field corner
+    visible: frozenset[int]  # nodes within r0 of the source
 
 
 @dataclass(frozen=True)
@@ -89,13 +83,13 @@ class PhantomChoice:
     beta: float              # degrees, drives the same-hop hop count
     mirror_found: bool       # False when no node sat within r of the
                              # reflected point and p1 was forced
-    a_point: np.ndarray      # directed-phase exit anchor, r_max*r from
+    a_point: Point           # directed-phase exit anchor, r_max*r from
                              # the source along the ray source->p1
-    a_mirror: np.ndarray     # point reflection of a_point through V
+    a_mirror: Point          # point reflection of a_point through V
 
 
 def build_frame(network: Network, source: int) -> SourceFrame:
-    """Coordinate frame for a source: V, the x-axis, and the hop distance."""
+    """Coordinate frame for a source: V, the axes, and the hop distance."""
     network.check_node(source)
     if source == network.sink:
         raise SourceIsSink("cannot build a routing frame for the sink")
@@ -104,13 +98,23 @@ def build_frame(network: Network, source: int) -> SourceFrame:
     spos = network.positions[source]
     bpos = network.sink_pos
     d = norm(spos - bpos)
+    center_v = (spos + bpos) / 2.0
+    x_axis = (spos - bpos) / d
+    side = network.field_side
+    corners = np.array([(0, 0), (0, side), (side, 0), (side, side)], float)
     return SourceFrame(
         source=source,
         source_pos=spos,
         sink_pos=bpos,
-        center_v=(spos + bpos) / 2.0,
-        x_axis=(spos - bpos) / d,
+        center_v=center_v,
+        x_axis=x_axis,
+        y_axis=np.array([-x_axis[1], x_axis[0]]),
         h_distance=int(network.hops[source]),
+        source_sink_distance=d,
+        v_x=float(project(center_v - bpos, x_axis)),
+        corner_reach=float(row_norms(corners - spos).max()),
+        visible=frozenset(np.flatnonzero(
+            row_norms(network.positions - spos) <= network.r0).tolist()),
     )
 
 
@@ -125,8 +129,8 @@ def candidate_domain(network: Network, frame: SourceFrame,
     pos = network.positions
     w = pos - frame.source_pos
     dist = row_norms(w)
-    wx = w @ frame.x_axis
-    wy = w @ frame.y_axis
+    wx = project(w, frame.x_axis)
+    wy = project(w, frame.y_axis)
 
     mask = (dist >= params.r_min * network.r) & (dist <= params.r_max * network.r)
     mask &= wx <= 0.0
@@ -168,17 +172,19 @@ def select_phantom(network: Network, frame: SourceFrame, params: SectorParams,
     sector = nonempty[int(rng.integers(len(nonempty)))]
     dom = domains[sector]
     p1 = int(dom[int(rng.integers(len(dom)))])
-    p1_pos = network.positions[p1]
+    xs, ys = network.xs, network.ys
+    px, py = xs[p1], ys[p1]
+    sx, sy = xs[frame.source], ys[frame.source]
+    vx, vy = frame.center_v.tolist()
 
-    mirror_target = 2.0 * frame.center_v - p1_pos
-    dists, ids = network.kdtree.query(mirror_target, k=3)
+    dists, ids = network.kdtree.query((2.0 * vx - px, 2.0 * vy - py), k=3)
     p2 = p1
     mirror_found = False
-    for dist, cand in zip(np.atleast_1d(dists), np.atleast_1d(ids)):
+    for dist, cand in zip(dists.tolist(), ids.tolist()):
         if cand in (network.sink, frame.source):
             continue
         if dist <= network.r:
-            p2 = int(cand)
+            p2 = cand
             mirror_found = True
         break
 
@@ -189,27 +195,23 @@ def select_phantom(network: Network, frame: SourceFrame, params: SectorParams,
     # Exit anchors may fall outside the monitored area when the outer
     # radius is large; forwarding can only ever stop at the field edge,
     # so the aiming points are clamped to it.
-    a_point = np.clip(
-        frame.source_pos
-        + params.r_max * network.r * _unit(p1_pos - frame.source_pos),
-        0.0, network.field_side)
-    a_mirror = np.clip(2.0 * frame.center_v - a_point, 0.0, network.field_side)
+    ax, ay = _toward(network, (sx, sy), (px, py), params.r_max * network.r)
+    mx, my = _clamp(network, 2.0 * vx - ax, 2.0 * vy - ay)
 
     # The two anchored angle forms are equal by the point symmetry
     # through V; each is the non-degenerate triangle for one member of
     # the pair (anchoring the chosen phantom at its own ray's vertex
     # would collapse the angle to zero).
-    chosen_pos = network.positions[chosen]
+    cx, cy = xs[chosen], ys[chosen]
     if mirror_found and chosen == p2:
-        beta = _angle_deg(a_point - frame.source_pos,
-                          chosen_pos - frame.source_pos)
+        beta = _angle_deg(ax - sx, ay - sy, cx - sx, cy - sy)
     else:
-        beta = _angle_deg(a_mirror - frame.sink_pos,
-                          chosen_pos - frame.sink_pos)
+        bx, by = xs[network.sink], ys[network.sink]
+        beta = _angle_deg(mx - bx, my - by, cx - bx, cy - by)
 
     return PhantomChoice(domain_index=sector + 1, p1=p1, p2=p2, chosen=chosen,
                          beta=beta, mirror_found=mirror_found,
-                         a_point=a_point, a_mirror=a_mirror)
+                         a_point=(ax, ay), a_mirror=(mx, my))
 
 
 def same_hop_count(beta: float, params: SectorParams) -> int:
@@ -239,24 +241,19 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
     trace; they never drop the packet record.
     """
     source = frame.source
+    sink = network.sink
     r = network.r
     if frame.source_sink_distance <= r:
-        return RouteTrace(hops=[source, network.sink],
+        return RouteTrace(hops=[source, sink],
                           phases=[PHASE_DIRECT, PHASE_DIRECT], delivered=True)
 
     choice = select_phantom(network, frame, params, rng, domains=domains)
     h_m = same_hop_count(choice.beta, params)
-    v_x = frame.frame_x(frame.center_v)
-    chosen_pos = network.positions[choice.chosen]
+    xs, ys = network.xs, network.ys
+    sx, sy = xs[source], ys[source]
+    bx, by = xs[sink], ys[sink]
+    chosen_pos = (xs[choice.chosen], ys[choice.chosen])
     ring_radius = params.r_max * r
-    # The r_max ring may poke out of the monitored area; the directed
-    # phase can only move away from the source as far as the field holds
-    # nodes.
-    corners = np.array([[0.0, 0.0], [0.0, network.field_side],
-                        [network.field_side, 0.0],
-                        [network.field_side, network.field_side]])
-    away_radius = min(ring_radius,
-                      row_norms(corners - frame.source_pos).max() - r)
     annotations: list[str] = []
 
     legs: list[tuple[list[int], str]] = []
@@ -267,42 +264,45 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
         t.phantom = choice.chosen
         return t
 
+    def push(nodes: list[int], phase: str, prev: int | None):
+        """Record a leg; return its last node and the one before (or prev)."""
+        legs.append((nodes, phase))
+        return nodes[-1], (nodes[-2] if len(nodes) > 1 else prev)
+
     # Phases that fail to reach their geometric anchor hand the packet to
     # the next phase from wherever they stopped; only the final leg into
     # the sink decides delivery. Every phase from the phantom onward
     # steers around the source's visible area.
-    keep_out = (frame.source_pos, network.r0)
-
-    if frame.frame_x(chosen_pos) > v_x:
+    fx, fy = frame.x_axis.tolist()
+    if (chosen_pos[0] - bx) * fx + (chosen_pos[1] - by) * fy > frame.v_x:
         # Phantom on the source side of V: directed first. A packet that
         # cannot reach its phantom is abandoned undelivered.
         cap = 4 * params.r_max
         nodes, reached = _directed_leg(network, source, chosen_pos, cap)
-        legs.append((nodes, PHASE_DIRECTED))
+        cur, prev = push(nodes, PHASE_DIRECTED, None)
         if not reached:
             return finish()
-        cur, prev = nodes[-1], (nodes[-2] if len(nodes) > 1 else None)
 
-        away_anchor = np.clip(
-            frame.source_pos + away_radius * _unit(chosen_pos - frame.source_pos),
-            0.0, network.field_side)
+        # The r_max ring may poke out of the monitored area; the directed
+        # phase can only move away from the source as far as the field
+        # holds nodes.
+        away_radius = min(ring_radius, frame.corner_reach - r)
+        away_anchor = _toward(network, (sx, sy), chosen_pos, away_radius)
         nodes, _ = _directed_leg(
             network, cur, away_anchor, cap, prev=prev,
-            min_dist_from=(frame.source_pos, away_radius), avoid_near=keep_out)
-        legs.append((nodes, PHASE_DIRECTED))
-        cur, prev = nodes[-1], (nodes[-2] if len(nodes) > 1 else cur)
+            min_dist_from=((sx, sy), away_radius), keep_out=frame.visible)
+        cur, prev = push(nodes, PHASE_DIRECTED, cur)
 
         nodes, ann = _same_hop_leg(network, cur, h_m, frame, None, prev=prev,
-                                   avoid_near=keep_out)
-        legs.append((nodes, PHASE_SAME_HOP))
+                                   keep_out=frame.visible)
         annotations.extend(ann)
-        cur, prev = nodes[-1], (nodes[-2] if len(nodes) > 1 else prev)
+        cur, prev = push(nodes, PHASE_SAME_HOP, prev)
 
         nodes, reached = _var_angle_leg(network, cur, frame,
                                         4 * frame.h_distance, prev=prev,
-                                        avoid_near=keep_out)
-        legs.append((nodes, PHASE_VAR_ANGLE))
-        delivered = reached and nodes[-1] == network.sink
+                                        keep_out=frame.visible)
+        cur, _ = push(nodes, PHASE_VAR_ANGLE, prev)
+        delivered = reached and cur == sink
         return finish()
 
     # Phantom on the sink side of V: mirrored phase order. Variable-angle
@@ -313,87 +313,92 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
     # does not bind them; the phantom-to-sink tail near the sink cannot
     # reach the source's disc in the first place.
     def entered_ring(node: int) -> bool:
-        return norm(network.positions[node] - frame.sink_pos) <= ring_radius
+        return network.dist(node, bx, by) <= ring_radius
 
     nodes, reached = _var_angle_leg(network, source, frame,
                                     4 * frame.h_distance, stop_fn=entered_ring)
-    legs.append((nodes, PHASE_VAR_ANGLE))
-    cur, prev = nodes[-1], (nodes[-2] if len(nodes) > 1 else None)
+    cur, prev = push(nodes, PHASE_VAR_ANGLE, None)
     if not reached:
         return finish()
-    if cur == network.sink:
+    if cur == sink:
         delivered = True
         return finish()
 
     nodes, ann = _same_hop_leg(network, cur, h_m, frame, choice.a_mirror,
                                prev=prev)
-    legs.append((nodes, PHASE_SAME_HOP))
     annotations.extend(ann)
-    cur, prev = nodes[-1], (nodes[-2] if len(nodes) > 1 else prev)
+    cur, prev = push(nodes, PHASE_SAME_HOP, prev)
 
     # Visit the mirror anchor only when it physically exists in the
     # field; a mirrored ring wider than the field has no node near it.
-    a_mirror_raw = (2.0 * frame.center_v - frame.source_pos
-                    - ring_radius * _unit(network.positions[choice.p1]
-                                          - frame.source_pos))
-    targets: list[tuple[np.ndarray, int | None]] = []
-    if (np.all(a_mirror_raw >= 0.0)
-            and np.all(a_mirror_raw <= network.field_side)):
+    vx, vy = frame.center_v.tolist()
+    ux, uy = _unit(xs[choice.p1] - sx, ys[choice.p1] - sy)
+    raw = (2.0 * vx - sx - ring_radius * ux, 2.0 * vy - sy - ring_radius * uy)
+    targets: list[tuple[Point, int | None]] = []
+    if _clamp(network, *raw) == raw:    # inside the field
         targets.append((choice.a_mirror, None))
     targets.append((chosen_pos, choice.chosen))
-    targets.append((frame.sink_pos, network.sink))
+    targets.append(((bx, by), sink))
 
     cap = 4 * params.r_max
     for target, stop_node in targets:
-        hop_cap = 4 * frame.h_distance if stop_node == network.sink else cap
+        hop_cap = 4 * frame.h_distance if stop_node == sink else cap
         nodes, reached = _directed_leg(network, cur, target, hop_cap,
                                        prev=prev, stop_node=stop_node)
-        legs.append((nodes, PHASE_DIRECTED))
-        cur, prev = nodes[-1], (nodes[-2] if len(nodes) > 1 else prev)
-        if stop_node == network.sink:
-            delivered = reached and cur == network.sink
+        cur, prev = push(nodes, PHASE_DIRECTED, prev)
+        if stop_node == sink:
+            delivered = reached and cur == sink
     return finish()
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = norm(v)
+def _unit(x: float, y: float) -> tuple[float, float]:
+    n = math.sqrt(x * x + y * y)
     if n == 0.0:
         raise InvalidParameter("zero-length direction vector")
-    return v / n
+    return x / n, y / n
 
 
-def _avoid_filter(network: Network, cands: np.ndarray,
-                  avoid_near: tuple[np.ndarray, float] | None,
-                  cur: int) -> np.ndarray:
-    """Drop candidates inside a keep-out disc.
-
-    The phases that carry a packet from the phantom to the sink steer
-    around the source's visible area hop by hop. The filter binds only
-    while the walk itself is outside the disc, so a phase that starts
-    inside (the mirrored flow leaves from the source) can still get out.
-    """
-    if avoid_near is None or len(cands) == 0:
-        return cands
-    center, radius = avoid_near
-    if norm(network.positions[cur] - center) <= radius:
-        return cands
-    return cands[row_norms(network.positions[cands] - center) > radius]
+def _clamp(network: Network, x: float, y: float) -> Point:
+    """The point clipped to the field's extent [0, side]^2."""
+    side = network.field_side
+    return min(max(x, 0.0), side), min(max(y, 0.0), side)
 
 
-def _angle_deg(a: np.ndarray, b: np.ndarray) -> float:
+def _toward(network: Network, origin: Point, through: Point,
+            dist: float) -> Point:
+    """``dist`` from ``origin`` toward ``through``, clamped to the field."""
+    ux, uy = _unit(through[0] - origin[0], through[1] - origin[1])
+    return _clamp(network, origin[0] + dist * ux, origin[1] + dist * uy)
+
+
+def _angle_deg(ax: float, ay: float, bx: float, by: float) -> float:
     """Unsigned angle between two vectors, degrees in [0, 180]."""
-    na = norm(a)
-    nb = norm(b)
+    na = math.sqrt(ax * ax + ay * ay)
+    nb = math.sqrt(bx * bx + by * by)
     if na == 0.0 or nb == 0.0:
         return 0.0
-    c = float(np.dot(a, b) / (na * nb))
+    c = (ax * bx + ay * by) / (na * nb)
     return math.degrees(math.acos(max(-1.0, min(1.0, c))))
 
 
+def _keep_out(cands: list[int], inside: frozenset[int] | None,
+              cur: int) -> list[int]:
+    """Drop the candidates inside a keep-out area, given as its node ids.
+
+    The phases that carry a packet from the phantom to the sink steer
+    around the source's visible area hop by hop. The filter binds only
+    while the walk itself is outside the area, so a phase that starts
+    inside (the mirrored flow leaves from the source) can still get out.
+    """
+    if inside is None or cur in inside:
+        return cands
+    return [n for n in cands if n not in inside]
+
+
 def _walk(network: Network, start: int, budget: int,
-          pick: Callable[[int, np.ndarray], int],
+          pick: Callable[[int, list[int]], int],
           done: Callable[[int], bool], prev: int | None = None,
-          avoid_near: tuple[np.ndarray, float] | None = None
+          keep_out: frozenset[int] | None = None
           ) -> tuple[list[int], bool]:
     """Backtracking greedy walk. Returns (nodes, reached).
 
@@ -411,21 +416,17 @@ def _walk(network: Network, start: int, budget: int,
     if done(start):
         return nodes, True
     cur = start
-    seen = np.zeros(len(network), dtype=bool)
-    seen[start] = True
+    seen = {start}
     stack = [start]
     while len(nodes) - 1 < budget:
-        nbrs = network.neighbors(cur)
-        cands = nbrs[~seen[nbrs]]
-        cands = _avoid_filter(network, cands, avoid_near, cur)
+        cands = _keep_out([n for n in network.neighbors(cur) if n not in seen],
+                          keep_out, cur)
         if prev is not None and len(cands) > 1:
             # On the first step, avoid an immediate bounce back onto the
             # previous phase's relay unless it is the only way out.
-            trimmed = cands[cands != prev]
-            if len(trimmed):
-                cands = trimmed
+            cands = [n for n in cands if n != prev]
         prev = None
-        if len(cands) == 0:
+        if not cands:
             stack.pop()
             if not stack:
                 return nodes, False
@@ -433,7 +434,7 @@ def _walk(network: Network, start: int, budget: int,
             nodes.append(cur)
             continue
         cur = pick(cur, cands)
-        seen[cur] = True
+        seen.add(cur)
         stack.append(cur)
         nodes.append(cur)
         if done(cur):
@@ -441,11 +442,11 @@ def _walk(network: Network, start: int, budget: int,
     return nodes, False
 
 
-def _directed_leg(network: Network, start: int, target: np.ndarray,
+def _directed_leg(network: Network, start: int, target: Point,
                   max_hops: int, prev: int | None = None,
                   stop_node: int | None = None,
-                  min_dist_from: tuple[np.ndarray, float] | None = None,
-                  avoid_near: tuple[np.ndarray, float] | None = None
+                  min_dist_from: tuple[Point, float] | None = None,
+                  keep_out: frozenset[int] | None = None
                   ) -> tuple[list[int], bool]:
     """Greedy geographic walk toward ``target``. Returns (nodes, reached).
 
@@ -454,71 +455,80 @@ def _directed_leg(network: Network, start: int, target: np.ndarray,
     node within r of the target or, with ``min_dist_from``, at least the
     given distance from its origin.
     """
-    pos = network.positions
-    r = network.r
+    tx, ty = target
+    if min_dist_from is not None:
+        (ox, oy), away = min_dist_from
 
-    def pick(cur: int, cands: np.ndarray) -> int:
-        return int(cands[row_norms(pos[cands] - target).argmin()])
+    def pick(cur: int, cands: list[int]) -> int:
+        return network.nearest(cands, tx, ty)
 
     def done(node: int) -> bool:
         if stop_node is not None:
             return node == stop_node
-        if min_dist_from is not None:
-            origin, dist = min_dist_from
-            if norm(pos[node] - origin) >= dist:
-                return True
-        return norm(pos[node] - target) <= r
+        if min_dist_from is not None and network.dist(node, ox, oy) >= away:
+            return True
+        return network.dist(node, tx, ty) <= network.r
 
     return _walk(network, start, max_hops, pick, done, prev=prev,
-                 avoid_near=avoid_near)
+                 keep_out=keep_out)
 
 
 def _var_angle_leg(network: Network, start: int, frame: SourceFrame,
                    budget: int, prev: int | None = None, stop_fn=None,
-                   avoid_near: tuple[np.ndarray, float] | None = None
-                   ) -> tuple[list[int], bool]:
+                   keep_out: frozenset[int] | None = None
+                  ) -> tuple[list[int], bool]:
     """Smallest-angle forwarding toward the sink. Returns (nodes, reached).
 
-    Each step computes, for every candidate neighbor, the angle between
-    the hop vector and the direction to the sink, and forwards along the
-    smallest one. The leg ends at the sink or where ``stop_fn`` holds.
-    Not revisiting relays breaks the orbit cycles a memoryless
-    angle-greedy walk falls into around routing voids.
+    Each step forwards along the candidate hop with the smallest angle
+    to the direction of the sink, the first of equals: the largest
+    cosine, clipped to [-1, 1] as arccos would need. The leg ends at the
+    sink or where ``stop_fn`` holds. Not revisiting relays breaks the
+    orbit cycles a memoryless angle-greedy walk falls into around
+    routing voids.
     """
-    pos = network.positions
+    xs, ys = network.xs, network.ys
     sink = network.sink
+    bx, by = xs[sink], ys[sink]
 
-    def pick(cur: int, cands: np.ndarray) -> int:
+    def pick(cur: int, cands: list[int]) -> int:
         if sink in cands:
             # The destination itself is in range; its angle is zero by
             # definition and no tie tolerance may displace it.
             return sink
-        vecs = pos[cands] - pos[cur]
-        to_sink = frame.sink_pos - pos[cur]
-        to_sink /= norm(to_sink)
-        phi = np.arccos(np.clip(vecs @ to_sink / row_norms(vecs), -1.0, 1.0))
-        return int(cands[phi.argmin()])
+        cx, cy = xs[cur], ys[cur]
+        tx, ty = _unit(bx - cx, by - cy)
+        best, best_cos = -1, -math.inf
+        for n in cands:
+            vx = xs[n] - cx
+            vy = ys[n] - cy
+            cos = min(1.0, max(-1.0, (vx * tx + vy * ty)
+                               / math.sqrt(vx * vx + vy * vy)))
+            if cos > best_cos:
+                best, best_cos = n, cos
+        return best
 
     def done(node: int) -> bool:
         return node == sink or (stop_fn is not None and stop_fn(node))
 
     return _walk(network, start, budget, pick, done, prev=prev,
-                 avoid_near=avoid_near)
+                 keep_out=keep_out)
 
 
 def _same_hop_leg(network: Network, start: int, h_m: int, frame: SourceFrame,
-                  anchor: np.ndarray | None, prev: int | None = None,
-                  avoid_near: tuple[np.ndarray, float] | None = None
+                  anchor: Point | None, prev: int | None = None,
+                  keep_out: frozenset[int] | None = None
                   ) -> tuple[list[int], list[str]]:
     """Constant-hop-count walk. Returns (nodes, annotations)."""
-    pos = network.positions
-    hops = network.hops
+    hop = network.hop_list
+    xs, ys = network.xs, network.ys
+    bx, by = frame.sink_pos.tolist()
+    yx, yy = frame.y_axis.tolist()
 
-    def score(ids: np.ndarray) -> int:
-        if anchor is None:
-            fy = np.abs((pos[ids] - frame.sink_pos) @ frame.y_axis)
-            return int(fy.argmin())
-        return int(row_norms(pos[ids] - anchor).argmin())
+    def pick(cands: list[int]) -> int:
+        if anchor is not None:
+            return network.nearest(cands, *anchor)
+        fy = [abs((xs[n] - bx) * yx + (ys[n] - by) * yy) for n in cands]
+        return cands[fy.index(min(fy))]
 
     nodes = [start]
     annotations: list[str] = []
@@ -526,24 +536,21 @@ def _same_hop_leg(network: Network, start: int, h_m: int, frame: SourceFrame,
     relaxed = False
     for _ in range(h_m):
         nbrs = network.neighbors(cur)
-        ring = _avoid_filter(network, nbrs[hops[nbrs] == hops[cur]],
-                             avoid_near, cur)
+        level = hop[cur]
+        ring = _keep_out([n for n in nbrs if hop[n] == level], keep_out, cur)
         # Never bounce straight back unless the ring offers nothing else.
-        cands = ring[ring != prev] if prev is not None else ring
-        if len(cands) == 0:
-            cands = ring
-        if len(cands) == 0:
+        cands = [n for n in ring if n != prev] or ring
+        if not cands:
             if relaxed:
                 annotations.append(f"same-hop-aborted@{len(nodes) - 1}")
                 break
-            cands = _avoid_filter(network,
-                                  nbrs[np.abs(hops[nbrs] - hops[cur]) == 1],
-                                  avoid_near, cur)
-            if len(cands) == 0:
+            cands = _keep_out([n for n in nbrs if abs(hop[n] - level) == 1],
+                              keep_out, cur)
+            if not cands:
                 annotations.append(f"same-hop-aborted@{len(nodes) - 1}")
                 break
             relaxed = True
             annotations.append(f"same-hop-relaxed@{len(nodes)}")
-        prev, cur = cur, int(cands[score(cands)])
+        prev, cur = cur, pick(cands)
         nodes.append(cur)
     return nodes, annotations

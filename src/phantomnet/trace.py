@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
-
-from .net import row_norms
 
 # Phase tags of the sector-phantom pipeline.
 PHASE_DIRECT = "direct-to-sink"
@@ -80,15 +77,19 @@ def enters_visible_area(trace: RouteTrace, network, source: int) -> bool:
     never got there cannot produce one, and one without a phantom at all
     (plain shortest path) forwards sink-ward from the source itself.
     """
-    if not trace.hops:
-        return False
-    pts = network.positions[trace.hops]
+    xs, ys = network.xs, network.ys
     start = 0
     if trace.phantom is not None:
-        near = np.flatnonzero(
-            row_norms(pts - network.positions[trace.phantom]) <= network.r)
-        if len(near) == 0:
+        px, py = xs[trace.phantom], ys[trace.phantom]
+        for start, node in enumerate(trace.hops):
+            if network.dist(node, px, py) <= network.r:
+                break
+        else:
             return False
-        start = near[0]
-    d = row_norms(pts[start:] - network.positions[source])
-    return bool(np.any(d <= network.r0))
+    sx, sy = xs[source], ys[source]
+    for node in trace.hops[start:]:
+        dx = xs[node] - sx
+        dy = ys[node] - sy
+        if math.sqrt(dx * dx + dy * dy) <= network.r0:
+            return True
+    return False

@@ -165,8 +165,14 @@ def test_metrics_bookkeeping(desk_net):
     assert metrics.delivered == sum(t.delivered for t in seen)
 
 
+def plain_distance(a, b):
+    """sqrt(dx*dx + dy*dy) through numpy's row-wise sum of squares."""
+    return float(np.linalg.norm((a - b)[None, :], axis=1)[0])
+
+
 def observe_packet_loop(network, state, trace, source=None):
-    """The per-sender loop observe_packet replaced, kept as its oracle."""
+    """A per-sender loop over numpy positions, kept as observe_packet's
+    oracle."""
     if state.captured or len(trace.hops) < 2:
         return state
     if source is None:
@@ -175,9 +181,9 @@ def observe_packet_loop(network, state, trace, source=None):
     for sender in trace.hops[:-1]:
         if sender == state.at:
             continue
-        if np.linalg.norm(pos[sender] - pos[state.at]) <= network.r:
+        if plain_distance(pos[sender], pos[state.at]) <= network.r:
             captured = (sender == source
-                        or np.linalg.norm(pos[sender] - pos[source])
+                        or plain_distance(pos[sender], pos[source])
                         <= network.r0)
             return pn.AdversaryState(at=sender, moves=state.moves + 1,
                                      captured=bool(captured))
@@ -252,19 +258,27 @@ def test_enters_visible_area_matches_onset_reference(desk_net):
 
 
 def test_replays_follow_the_reference_norms_at_the_radius():
-    # Both sensors sit at distance 100 from the sink up to the last bit,
-    # where the two numpy norm forms can fall on opposite sides of r.
+    # Both sensors sit at distance 100 from the sink up to the last bit.
+    # In plain float arithmetic sensor 1 is 100.00000000000001 away and
+    # sensor 2 exactly 100.0; a fused multiply-add (a BLAS dot) rounds
+    # them the other way round.
     net = pn.Network(np.array([[0.0, 0.0],
                                [38.715009983841995, 92.2016702774468],
                                [12.748076127660413, 99.18410434663095]]),
                      r=100.0, r0=100.0, field_side=200.0, rng_seed=0)
+    pos = net.positions
+    assert plain_distance(pos[1], pos[pn.SINK]) > net.r
+    assert plain_distance(pos[2], pos[pn.SINK]) == net.r
+    heard = {}
     for sender in (1, 2):
         trace = RouteTrace(hops=[sender, pn.SINK],
                            phases=[PHASE_SHORTEST] * 2, delivered=True)
         state = initial_state(net)
-        assert (pn.observe_packet(net, state, trace)
-                == observe_packet_loop(net, state, trace))
+        new = pn.observe_packet(net, state, trace)
+        assert new == observe_packet_loop(net, state, trace)
+        heard[sender] = new.at == sender
         for phantom, source in product((None, pn.SINK), (1, 2)):
             t = replace(trace, phantom=phantom)
             assert (pn.enters_visible_area(t, net, source)
                     == enters_visible_area_by_onset(t, net, source))
+    assert heard == {1: False, 2: True}

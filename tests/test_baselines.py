@@ -147,7 +147,7 @@ def descend_fresh(network, field, start, toward):
     nodes = [start]
     cur = start
     while field[cur] > 0:
-        nbrs = network.neighbors(cur)
+        nbrs = np.asarray(network.neighbors(cur))
         down = nbrs[field[nbrs] == field[cur] - 1]
         d = np.linalg.norm(network.positions[down] - toward, axis=1)
         cur = int(down[int(np.argmin(d))])
@@ -164,7 +164,7 @@ class TestMemoisedDescent:
             src = pn.pick_source(desk_net, 15, 2)
             field = desk_net.hops_from(src)
             toward = desk_net.positions[src]
-        memo = np.full(len(desk_net), -1, dtype=np.int64)
+        memo = [-1] * len(desk_net)
         # A random order meets the memo both empty and partly filled.
         order = np.random.default_rng(3).permutation(len(desk_net))
         reachable = [int(n) for n in order if field[n] != pn.UNREACHABLE]
@@ -172,7 +172,7 @@ class TestMemoisedDescent:
             assert (_descend(desk_net, field, node, toward, memo)
                     == descend_fresh(desk_net, field, node, toward))
         # Every relay's next hop is now known and nothing else is.
-        assert np.array_equal(memo >= 0, field > 0)
+        assert np.array_equal(np.asarray(memo) >= 0, field > 0)
 
     def test_shortest_path_follows_the_network_memo(self, desk_net):
         for src in desk_net.reachable_sensor_ids()[::7]:

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -151,6 +152,28 @@ class TestRunExperiment:
         sp3, sp5 = rows[2], rows[3]
         assert (sp3.protocol, sp3.h, sp5.h) == ("shortest-path", 3, 5)
         assert replace(sp3, h=5) == sp5
+
+    def test_pool_deploys_each_field_in_one_process(self, monkeypatch,
+                                                    tmp_path):
+        # Forked workers inherit the patched deploy, which leaves one
+        # file per (process, seed) it builds.
+        from phantomnet import harness
+        real_deploy = harness.deploy
+
+        def deploy(*args):
+            (tmp_path / f"{os.getpid()}-{args[-1]}").touch()
+            return real_deploy(*args)
+
+        monkeypatch.setattr(harness, "deploy", deploy)
+        harness._network.cache_clear()
+        cfg = tiny_config(protocols=["hbdrw", "pusbrf"], h=[3, 5],
+                          packets_per_run=10, seeds=[1, 2, 3, 4, 5])
+        parallel = run_experiment(cfg, max_workers=2)
+        builds = [p.name.split("-") for p in tmp_path.iterdir()]
+        assert sorted(int(seed) for _, seed in builds) == cfg.seeds
+        assert len({pid for pid, _ in builds}) == 2
+        assert str(os.getpid()) not in {pid for pid, _ in builds}
+        assert parallel == run_experiment(cfg, max_workers=1)
 
     def test_deterministic_repeat(self, tmp_path):
         cfg = tiny_config(protocols=["pusbrf"], packets_per_run=30)

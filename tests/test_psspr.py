@@ -5,6 +5,7 @@ import pytest
 
 import phantomnet as pn
 from phantomnet.errors import EmptyDomain, InvalidParameter, SourceIsSink
+from phantomnet.net import project
 from phantomnet.psspr import _directed_leg, _same_hop_leg, _var_angle_leg
 from phantomnet.trace import PHASE_DIRECT
 
@@ -223,6 +224,11 @@ class TestVariableAngle:
         assert ok >= 90
 
 
+def frame_y(frame, pos):
+    """Signed distance of ``pos`` from the source-sink axis."""
+    return float(project(pos - frame.sink_pos, frame.y_axis))
+
+
 class TestSameHopRoute:
     def test_zero_length(self, dense_net):
         node = int(dense_net.reachable_sensor_ids()[5])
@@ -250,14 +256,14 @@ class TestSameHopRoute:
         frame = pn.build_frame(dense_net, src)
         rng = np.random.default_rng(17)
         ids = dense_net.reachable_sensor_ids()
-        fy = np.abs([frame.frame_y(dense_net.positions[i]) for i in ids])
+        fy = np.abs([frame_y(frame, dense_net.positions[i]) for i in ids])
         pool = ids[(dense_net.hops[ids] >= 4) & (fy >= 300.0)]
         ok = 0
         for _ in range(100):
             start = int(pool[rng.integers(len(pool))])
             nodes, _ = _same_hop_leg(dense_net, start, 12, frame, None)
-            fy0 = abs(frame.frame_y(dense_net.positions[nodes[0]]))
-            fy1 = abs(frame.frame_y(dense_net.positions[nodes[-1]]))
+            fy0 = abs(frame_y(frame, dense_net.positions[nodes[0]]))
+            fy1 = abs(frame_y(frame, dense_net.positions[nodes[-1]]))
             ok += fy1 <= fy0
         assert ok >= 95
 
