@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, InvalidParameter, QuadratureFailure
 
@@ -144,6 +143,8 @@ def psspr_distance_printed(r_min: int, r_max: int, H: int,
     published distance column, hence the Monte-Carlo estimate is the
     value to trust.
     """
+    from scipy import integrate   # imported here: the simulator never needs it
+
     c = r_min + r_max
 
     def integrand(alpha: float) -> float:
@@ -185,6 +186,8 @@ def comm_overhead(protocol: str, params: AnalysisInput,
     walk of r_max/2, and the sector-boundary average of the straight
     exit-to-sink chords.
     """
+    from scipy import integrate   # imported here: the simulator never needs it
+
     R = params.r_min + params.hx
     H = params.H
 

@@ -75,16 +75,16 @@ def pusbrf_route(network: Network, source: int, params: BaselineParams,
                  source_next_hop: list[int] | None = None) -> RouteTrace:
     """Phantom drawn uniformly from the ring exactly h source-hops away.
 
-    ``source_hops`` is the source-rooted flooding result and
-    ``source_next_hop`` the memo of its descent (see ``_descend``); pass
-    both in when routing many packets from one source, so the flood and
-    the descent are not recomputed. The source-to-phantom leg descends
+    ``source_hops`` is the source-rooted flooding result, h hops out or
+    more, and ``source_next_hop`` the memo of its descent (see
+    ``_descend``); pass both in when routing many packets from one
+    source, so the flood and the descent are not recomputed. The source-to-phantom leg descends
     that hop field, giving a minimum hop path of exactly h hops, and the
     phantom forwards to the sink on a shortest path.
     """
     _check_source(network, source)
     if source_hops is None:
-        source_hops = network.hops_from(source)
+        source_hops = network.hops_from(source, params.walk_hops)
     if source_next_hop is None:
         source_next_hop = [-1] * len(network)
 

@@ -3,7 +3,9 @@
 The sink always gets node id 0 and sits at the exact field center; sensor
 nodes get ids 1..n. Hop counts are assigned by breadth-first flooding from
 the sink, which is exactly the minimum-hop-count beacon exchange a real
-deployment would run at startup.
+deployment would run at startup. Adjacency and the mirror lookup come
+from binning the nodes into a grid of cells at least r wide; the module
+needs numpy only.
 """
 
 from __future__ import annotations
@@ -12,9 +14,6 @@ import math
 from array import array
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
-from scipy.spatial import cKDTree
 
 from .errors import ConnectivityError, InvalidParameter, UnknownNode
 
@@ -23,24 +22,32 @@ SINK = 0
 # Hop sentinel for nodes the sink flood never reached.
 UNREACHABLE = -1
 
+# Grid cells are this much wider than r, so that rounding in the cell
+# index can never put two nodes at exactly r in cells two apart.
+CELL_MARGIN = 1e-6
+
+# Cell offsets (di, dj) that meet every neighboring cell pair once.
+HALF_NEIGHBORHOOD = ((0, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
+
 
 class Network:
     """Deployed field.
 
-    Holds node positions, the k-d tree over them, the radius-r neighbor
-    graph (a symmetric CSR matrix with sorted rows, built from the tree's
-    pair query), and the flooded minimum hop counts, with Python copies
-    for the per-hop kernels: ``xs``/``ys`` (``array('d')`` columns) and
-    ``hop_list``. Its only mutable parts are the neighbor tuples, built
-    the first time a walk reaches a node, and ``sink_next_hop``, each
-    node's relay on the shortest-path descent to the sink (-1 until
-    known, see ``baselines``). Both are fixed functions of the field, so
-    every run writes the same values and an instance can still be shared
-    across concurrently executing runs.
+    Holds node positions, a uniform grid of cells at least r wide with
+    the nodes binned into it, the radius-r neighbor graph built from
+    that grid (CSR arrays ``indptr``/``indices``, each row sorted), and
+    the flooded minimum hop counts, with Python copies for the per-hop
+    kernels: ``xs``/``ys`` (``array('d')`` columns) and ``hop_list``.
+    Its only mutable parts are the neighbor tuples, built the first time
+    a walk reaches a node, and ``sink_next_hop``, each node's relay on
+    the shortest-path descent to the sink (-1 until known, see
+    ``baselines``). Both are fixed functions of the field, so every run
+    writes the same values and an instance can still be shared across
+    concurrently executing runs.
     """
 
     def __init__(self, positions: np.ndarray, r: float, r0: float,
-                 field_side: float, rng_seed: int):
+                 field_side: float):
         self.positions = np.asarray(positions, dtype=np.float64)
         self.positions.setflags(write=False)
         self.xs = array("d", self.positions[:, 0].tolist())
@@ -48,11 +55,31 @@ class Network:
         self.r = float(r)
         self.r0 = float(r0)
         self.field_side = float(field_side)
-        self.rng_seed = rng_seed
         self.sink = SINK
-        self.kdtree = cKDTree(self.positions)
-        self.graph = _radius_graph(self.kdtree, self.r)
-        self.hops = _flood(self.graph, SINK)
+
+        # Cell (i, j) of the grid holds the nodes
+        # cell_nodes[cell_start[k]:cell_start[k + 1]], k = j * nx + i, in
+        # ascending id order. Sparse fields get cells wider than r, so that
+        # there are no more cells than about one per node.
+        lo, hi = self.positions.min(axis=0), self.positions.max(axis=0)
+        self.origin = lo.tolist()
+        self.cell = max(self.r * (1.0 + CELL_MARGIN),
+                        float((hi - lo).max()) / math.sqrt(len(self)))
+        cell_ij = np.floor((self.positions - self.origin)
+                           / self.cell).astype(np.int64)
+        self.nx, self.ny = (cell_ij.max(axis=0) + 1).tolist()
+        keys = cell_ij[:, 1] * self.nx + cell_ij[:, 0]
+        order = np.argsort(keys, kind="stable")
+        start = np.zeros(self.nx * self.ny + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys, minlength=self.nx * self.ny),
+                  out=start[1:])
+        self.cell_start = array("q", start.tobytes())
+        self.cell_nodes = array("q", order.tobytes())
+
+        self.indptr, self.indices = _radius_graph(
+            self.positions[order], self.r, cell_ij[order], self.nx, self.ny,
+            start, order)
+        self.hops = self._flood(SINK)
         self.hops.setflags(write=False)
         self.hop_list = self.hops.tolist()
         self.sink_next_hop = [-1] * len(self.positions)
@@ -74,9 +101,9 @@ class Network:
         first use; ``node`` is not range-checked (every hop calls this)."""
         nbrs = self._neighbors[node]
         if nbrs is None:
-            indptr = self.graph.indptr
+            lo, hi = self.indptr[node:node + 2].tolist()
             nbrs = self._neighbors[node] = tuple(
-                self.graph.indices[indptr[node]:indptr[node + 1]].tolist())
+                self.indices[lo:hi].tolist())
         return nbrs
 
     def dist(self, node: int, x: float, y: float) -> float:
@@ -98,15 +125,67 @@ class Network:
                 best, best_d = n, d
         return best
 
-    def hops_from(self, node: int) -> np.ndarray:
+    def nearest_in_range(self, x: float, y: float, skip) -> int:
+        """The node nearest (x, y) apart from those in ``skip``, -1 if it
+        lies farther than r.
+
+        Only the 3 x 3 cells around the point can hold a node within r.
+        Candidates rank by squared distance, the first of equals in cell
+        order; the winner is in range when its sqrt is <= r.
+        """
+        x0, y0 = self.origin
+        ci = math.floor((x - x0) / self.cell)
+        cj = math.floor((y - y0) / self.cell)
+        xs, ys = self.xs, self.ys
+        start, nodes = self.cell_start, self.cell_nodes
+        best, best_d2 = -1, math.inf
+        # The cells of one grid row are consecutive in cell_nodes.
+        i_lo, i_hi = max(ci - 1, 0), min(ci + 2, self.nx)
+        rows = range(max(cj - 1, 0), min(cj + 2, self.ny)) if i_lo < i_hi else ()
+        for j in rows:
+            k = j * self.nx
+            for n in nodes[start[k + i_lo]:start[k + i_hi]]:
+                if n in skip:
+                    continue
+                dx = xs[n] - x
+                dy = ys[n] - y
+                d2 = dx * dx + dy * dy
+                if d2 < best_d2:
+                    best, best_d2 = n, d2
+        if best >= 0 and math.sqrt(best_d2) <= self.r:
+            return best
+        return -1
+
+    def hops_from(self, node: int, max_hops: int | None = None) -> np.ndarray:
         """Minimum hop counts of every node measured from ``node``.
 
-        This is the restricted-flooding view a source builds for itself;
-        it is recomputed on every call, so cache it when routing many
-        packets from the same source.
+        This is the restricted-flooding view a source builds for itself:
+        with ``max_hops`` the flood stops after that many hops, and nodes
+        farther out stay UNREACHABLE. It is recomputed on every call, so
+        cache it when routing many packets from the same source.
         """
         self.check_node(node)
-        return _flood(self.graph, node)
+        return self._flood(node, max_hops)
+
+    def _flood(self, root: int, max_hops: int | None = None) -> np.ndarray:
+        """Level-synchronous BFS from ``root``, UNREACHABLE where it never
+        got to."""
+        hops = np.full(len(self), UNREACHABLE, dtype=np.int64)
+        seen = np.zeros(len(self), dtype=bool)
+        hops[root] = 0
+        seen[root] = True
+        frontier = np.array([root])
+        level = 0
+        while len(frontier) and (max_hops is None or level < max_hops):
+            level += 1
+            lo = self.indptr[frontier]
+            new = np.zeros(len(self), dtype=bool)
+            new[self.indices[_spans(lo, self.indptr[frontier + 1] - lo)]] = True
+            new &= ~seen
+            seen |= new
+            frontier = np.flatnonzero(new)
+            hops[frontier] = level
+        return hops
 
     def reachable_sensor_ids(self) -> np.ndarray:
         """Sensor ids (sink excluded) that the sink flood reached."""
@@ -115,7 +194,7 @@ class Network:
 
     def dump_csv(self, path) -> None:
         """One row per node: id, x, y, hop_to_sink, neighbor_count."""
-        degree = np.diff(self.graph.indptr)
+        degree = np.diff(self.indptr)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("id,x,y,hop_to_sink,neighbor_count\n")
             for i in range(len(self.positions)):
@@ -168,7 +247,7 @@ def deploy(n_nodes: int, field_side: float, r: float, r0: float,
     center = np.array([field_side / 2.0, field_side / 2.0])
     positions = np.vstack([center[None, :], sensor_pos])
 
-    net = Network(positions, r, r0, field_side, seed)
+    net = Network(positions, r, r0, field_side)
     unreachable = int(np.sum(net.hops[1:] == UNREACHABLE))
     if unreachable > 0.01 * n_nodes:
         raise ConnectivityError(
@@ -177,24 +256,48 @@ def deploy(n_nodes: int, field_side: float, r: float, r0: float,
     return net
 
 
-def _radius_graph(tree: cKDTree, r: float) -> csr_matrix:
-    """Symmetric CSR adjacency of every pair at distance <= r.
+def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``range(s, s + c)`` for each pair of the two arrays."""
+    ends = np.cumsum(counts)
+    return (np.arange(ends[-1] if len(ends) else 0)
+            + np.repeat(starts - ends + counts, counts))
 
-    Rows are sorted, so a node's neighbors come out in ascending id
-    order, and the index array is read-only.
+
+def _radius_graph(positions: np.ndarray, r: float, cell_ij: np.ndarray,
+                  nx: int, ny: int, cell_start: np.ndarray,
+                  cell_nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR adjacency (indptr, indices) of every pair with dx*dx + dy*dy
+    <= r*r, rows sorted, so a node's neighbors come out in ascending id
+    order; both arrays are read-only.
+
+    ``positions`` and ``cell_ij`` are in cell order, row p holding node
+    ``cell_nodes[p]``. Cells are at least r wide, so a pair within r sits
+    in the same or in adjacent cells: each node meets the nodes after it
+    in its own cell and those of the cells at the other offsets of
+    HALF_NEIGHBORHOOD, which meets every pair of adjacent cells once.
     """
-    n = tree.n
-    pairs = tree.query_pairs(r, output_type="ndarray")
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    graph = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
-                       shape=(n, n))
-    graph.sort_indices()
-    graph.indices.setflags(write=False)
-    return graph
-
-
-def _flood(graph: csr_matrix, root: int) -> np.ndarray:
-    """Minimum hop count of every node from ``root``, UNREACHABLE if none."""
-    dist = shortest_path(graph, unweighted=True, indices=root)
-    return np.where(np.isinf(dist), UNREACHABLE, dist).astype(np.int64)
+    xs, ys = positions[:, 0], positions[:, 1]
+    r2 = r * r
+    rows, cols = [], []
+    for di, dj in HALF_NEIGHBORHOOD:
+        ti, tj = cell_ij[:, 0] + di, cell_ij[:, 1] + dj
+        p = np.flatnonzero((ti >= 0) & (ti < nx) & (tj < ny))
+        key = tj[p] * nx + ti[p]
+        lo = p + 1 if (di, dj) == (0, 0) else cell_start[key]
+        counts = cell_start[key + 1] - lo
+        pp = np.repeat(p, counts)
+        qq = _spans(lo, counts)
+        dx = xs[pp] - xs[qq]
+        dy = ys[pp] - ys[qq]
+        keep = dx * dx + dy * dy <= r2
+        u, v = cell_nodes[pp[keep]], cell_nodes[qq[keep]]
+        rows += [u, v]
+        cols += [v, u]
+    rows = np.concatenate(rows)
+    n = len(positions)
+    indices = np.sort(rows * n + np.concatenate(cols)) % n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indptr.setflags(write=False)
+    indices.setflags(write=False)
+    return indptr, indices

@@ -28,7 +28,8 @@ def make_router(network: Network, protocol: str, source: int,
 
     The sector-phantom router reuses the source frame and candidate
     domains for the whole session; the restricted-flooding router reuses
-    the source-rooted hop field and the memo of its descent.
+    the source-rooted hop field, flooded h hops out, and the memo of its
+    descent.
     """
     if protocol == PSSPR:
         if sector_params is None:
@@ -55,7 +56,7 @@ def make_router(network: Network, protocol: str, source: int,
     if protocol == PUSBRF:
         if walk_params is None:
             raise InvalidParameter("pusbrf requires walk_params")
-        source_hops = network.hops_from(source)
+        source_hops = network.hops_from(source, walk_params.walk_hops)
         source_next_hop = [-1] * len(network)
 
         def route(rng: np.random.Generator) -> RouteTrace:

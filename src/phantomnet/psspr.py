@@ -177,16 +177,11 @@ def select_phantom(network: Network, frame: SourceFrame, params: SectorParams,
     sx, sy = xs[frame.source], ys[frame.source]
     vx, vy = frame.center_v.tolist()
 
-    dists, ids = network.kdtree.query((2.0 * vx - px, 2.0 * vy - py), k=3)
-    p2 = p1
-    mirror_found = False
-    for dist, cand in zip(dists.tolist(), ids.tolist()):
-        if cand in (network.sink, frame.source):
-            continue
-        if dist <= network.r:
-            p2 = cand
-            mirror_found = True
-        break
+    p2 = network.nearest_in_range(2.0 * vx - px, 2.0 * vy - py,
+                                  (network.sink, frame.source))
+    mirror_found = p2 >= 0
+    if not mirror_found:
+        p2 = p1
 
     chosen = p1
     if mirror_found and int(rng.integers(2)) == 1:

@@ -32,7 +32,7 @@ def sweep_rows():
 
 
 def brute_force_adjacency(positions, r):
-    """Quadratic all-pairs adjacency, the oracle for the k-d tree CSR graph."""
+    """Quadratic all-pairs adjacency, the oracle for the cell-grid CSR graph."""
     n = len(positions)
     diff = positions[:, None, :] - positions[None, :, :]
     d2 = np.sum(diff * diff, axis=2)

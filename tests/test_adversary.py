@@ -13,8 +13,7 @@ from phantomnet.trace import PHASE_SHORTEST, RouteTrace
 def two_node_net():
     """Sink plus one sensor within range of it."""
     positions = np.array([[500.0, 500.0], [560.0, 500.0]])
-    return pn.Network(positions, r=100.0, r0=100.0, field_side=1000.0,
-                      rng_seed=0)
+    return pn.Network(positions, r=100.0, r0=100.0, field_side=1000.0)
 
 
 def test_one_hop_capture():
@@ -265,7 +264,7 @@ def test_replays_follow_the_reference_norms_at_the_radius():
     net = pn.Network(np.array([[0.0, 0.0],
                                [38.715009983841995, 92.2016702774468],
                                [12.748076127660413, 99.18410434663095]]),
-                     r=100.0, r0=100.0, field_side=200.0, rng_seed=0)
+                     r=100.0, r0=100.0, field_side=200.0)
     pos = net.positions
     assert plain_distance(pos[1], pos[pn.SINK]) > net.r
     assert plain_distance(pos[2], pos[pn.SINK]) == net.r

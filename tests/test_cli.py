@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import phantomnet
 from phantomnet.cli import main
 
 
@@ -91,3 +97,41 @@ def test_simulate_bad_config_exits_one(tmp_path, capsys):
 
 def test_simulate_missing_file_exits_two(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+
+# Runs in a fresh interpreter: simulate and trace must not load scipy;
+# analyze and tables import it where they integrate.
+SCIPY_GUARD = """
+import sys
+from phantomnet.cli import main
+cfg, out = sys.argv[1:3]
+assert main(["simulate", "--config", cfg, "--out", out]) == 0
+assert main(["trace", "--protocol", "psspr", "--seed", "7", "--h", "4",
+             "--H", "8", "--n-nodes", "800", "--field-side", "1500"]) == 0
+print("scipy loaded after simulate and trace:", "scipy" in sys.modules)
+assert main(["analyze", "--h", "15", "--H", "60", "--r0", "3"]) == 0
+assert main(["tables"]) == 0
+"""
+
+
+def test_simulate_and_trace_do_not_import_scipy(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "n_nodes = 800\n"
+        "field_side = 1500\n"
+        "protocols = psspr, hbdrw, pusbrf, shortest-path\n"
+        "h = 4\n"
+        "H = 8\n"
+        "packets_per_run = 10\n"
+        "seeds = 1\n")
+    out = tmp_path / "res.csv"
+    src = Path(phantomnet.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_GUARD, str(cfg), str(out)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert "scipy loaded after simulate and trace: False" in proc.stdout
+    assert len(out.read_text().splitlines()) == 5
+    assert "0.0800" in proc.stdout and "comm_overhead" in proc.stdout
+    assert "282.74" in proc.stdout

@@ -1,7 +1,8 @@
 """Pinned output bytes of a small fixed sweep.
 
 ``data/golden_small.csv`` was written by the simulator before the
-network core moved to a k-d tree CSR graph. Any change to deployment,
+network core moved to a k-d tree CSR graph, and has held since, through
+the move to the scipy-free cell grid. Any change to deployment,
 adjacency, flooding, routing, the adversary or aggregation that moves a
 single output byte fails here. Regenerate the file only for a change
 that means to alter results, and say so in CHANGES.md.

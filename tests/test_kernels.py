@@ -220,8 +220,7 @@ def lattice_net():
     xx, yy = np.meshgrid(grid, grid)
     positions = np.vstack([[500.0, 500.0],
                            np.column_stack([xx.ravel(), yy.ravel()])])
-    return pn.Network(positions, r=R, r0=300.0, field_side=1000.0,
-                      rng_seed=0)
+    return pn.Network(positions, r=R, r0=300.0, field_side=1000.0)
 
 
 @pytest.fixture(scope="module", params=["random-1", "random-2", "random-3",
@@ -347,8 +346,7 @@ TIE = [[1105.0, 1060.0],                            # sink, neighbor of all
 
 
 def tie_net():
-    return pn.Network(np.array(TIE), r=R, r0=R, field_side=2000.0,
-                      rng_seed=0)
+    return pn.Network(np.array(TIE), r=R, r0=R, field_side=2000.0)
 
 
 def test_tie_geometry():
@@ -376,7 +374,7 @@ def test_var_angle_pick_keeps_the_first_of_equal_angles():
     # Nodes 2 and 3 both lie exactly on the line from node 1 to the sink.
     net = pn.Network(np.array([[0.0, 0.0], [300.0, 0.0], [220.0, 0.0],
                                [250.0, 0.0], [80.0, 0.0], [160.0, 0.0]]),
-                     r=R, r0=R, field_side=400.0, rng_seed=0)
+                     r=R, r0=R, field_side=400.0)
     frame = pn.build_frame(net, 1)
     nodes, _ = _var_angle_leg(net, 1, frame, 1)
     assert nodes == [1, 2]
@@ -388,7 +386,7 @@ def test_keep_out_filters_before_the_bounce_trim():
     # alone, which the bounce trim then may not remove.
     net = pn.Network(np.array([[0.0, 0.0], [500.0, 500.0], [560.0, 500.0],
                                [440.0, 500.0]]),
-                     r=R, r0=R, field_side=1000.0, rng_seed=0)
+                     r=R, r0=R, field_side=1000.0)
     keep_out = inside(net, ((360.0, 500.0), 100.0))
     assert keep_out == {3}
     nodes, _ = _directed_leg(net, 1, (300.0, 500.0), 1, prev=2,

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import phantomnet as pn
 from phantomnet.errors import ConnectivityError, InvalidParameter, UnknownNode
@@ -48,20 +49,48 @@ def test_deploy_rejects_disconnected_field():
         pn.deploy(40, 5000.0, 100.0, 300.0, seed=1)
 
 
-# Hand-placed fields for the risky inputs of the adjacency build: pairs
-# at exactly distance r (the radius is inclusive; 60-80-100 triangles
-# make the squared distance exact) and a field with no edges at all.
+# Fields for the risky inputs of the adjacency build, each with its r:
+# pairs at exactly distance r (the radius is inclusive; 60-80-100
+# triangles make the squared distance exact), a field with no edges at
+# all, and random fields whose r does not divide the side, with nodes on
+# the field's edges, with r above the side, or with r far below the
+# spacing of the nodes.
 EXACT_R = [[0.0, 0.0], [60.0, 80.0], [60.0, 180.0], [400.0, 400.0]]
 NO_EDGES = [[0.0, 0.0], [500.0, 0.0], [0.0, 500.0]]
+# Every step of this lattice is exactly 100 long, and the steps cross the
+# grid's cell boundaries.
+EXACT_R_LATTICE = [[37.0 + 60.0 * a + 100.0 * b, 11.0 + 80.0 * a]
+                   for a in range(6) for b in range(6)]
 
 
-@pytest.fixture(params=["small_net", "exact_r", "no_edges"])
+def random_field(seed, n, side, on_edges=0):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, side, size=(n, 2))
+    k = on_edges
+    pts[:k, 0], pts[k:2 * k, 0] = 0.0, side
+    pts[2 * k:3 * k, 1], pts[3 * k:4 * k, 1] = 0.0, side
+    return pts
+
+
+ORACLE_FIELDS = {
+    "exact_r": (EXACT_R, 100.0),
+    "no_edges": (NO_EDGES, 100.0),
+    "exact_r_lattice": (EXACT_R_LATTICE, 100.0),
+    "odd_r_on_edges": (random_field(3, 600, 1000.0, on_edges=20), 73.0),
+    "sparse_odd_r": (random_field(4, 300, 1000.0), 31.0),
+    "dense_odd_r": (random_field(5, 400, 1000.0, on_edges=5), 137.5),
+    "r_above_side": (random_field(6, 60, 300.0), 450.0),
+    # Cells r wide would number 10^10 here; the grid widens them.
+    "tiny_r": (random_field(7, 200, 1000.0), 0.01),
+}
+
+
+@pytest.fixture(params=["small_net", *ORACLE_FIELDS])
 def oracle_net(request):
     if request.param == "small_net":
         return request.getfixturevalue("small_net")
-    positions = np.array(EXACT_R if request.param == "exact_r" else NO_EDGES)
-    return pn.Network(positions, r=100.0, r0=300.0, field_side=600.0,
-                      rng_seed=0)
+    positions, r = ORACLE_FIELDS[request.param]
+    return pn.Network(np.array(positions), r=r, r0=r, field_side=1000.0)
 
 
 def test_flood_matches_bfs_oracle(oracle_net):
@@ -78,6 +107,14 @@ def test_flood_is_idempotent(small_net):
         small_net.hops_from(len(small_net))
 
 
+@pytest.mark.parametrize("max_hops", [0, 1, 4, 9, 10_000])
+def test_restricted_flood_stops_at_max_hops(small_net, max_hops):
+    for src in (pn.SINK, 17, 250):
+        full = small_net.hops_from(src)
+        expected = np.where(full <= max_hops, full, pn.UNREACHABLE)
+        assert np.array_equal(small_net.hops_from(src, max_hops), expected)
+
+
 def test_sink_neighbors_have_hop_one(small_net):
     for j in small_net.neighbors(pn.SINK):
         assert small_net.hops[j] == 1
@@ -90,6 +127,70 @@ def test_adjacency_matches_brute_force(oracle_net):
         assert np.array_equal(nbrs, np.sort(adj[i]))
         assert isinstance(nbrs, tuple)      # read-only
         assert nbrs is oracle_net.neighbors(i)
+
+
+def kdtree_adjacency(positions, r):
+    """Sorted neighbor lists from ``cKDTree.query_pairs``."""
+    out = [[] for _ in range(len(positions))]
+    pairs = cKDTree(positions).query_pairs(r, output_type="ndarray")
+    for a, b in pairs.tolist():
+        out[a].append(b)
+        out[b].append(a)
+    return [sorted(nbrs) for nbrs in out]
+
+
+def test_adjacency_matches_kdtree_pairs(oracle_net):
+    expected = kdtree_adjacency(oracle_net.positions, oracle_net.r)
+    assert oracle_net.indptr.tolist() == np.cumsum(
+        [0] + [len(nbrs) for nbrs in expected]).tolist()
+    assert oracle_net.indices.tolist() == sum(expected, [])
+
+
+def kdtree_mirror(tree, r, x, y, skip):
+    """The mirror rule on a k-d tree: of the three nodes nearest (x, y),
+    the first not in ``skip``, if within r."""
+    dists, ids = tree.query((x, y), k=3)
+    for dist, cand in zip(dists.tolist(), ids.tolist()):
+        if cand in skip:
+            continue
+        return cand if dist <= r else -1
+    return -1
+
+
+def test_mirror_lookup_matches_kdtree_query(oracle_net):
+    net, r = oracle_net, oracle_net.r
+    rng = np.random.default_rng(len(net))
+    pos = net.positions
+    lo, hi = pos.min(axis=0) - 2.0 * r, pos.max(axis=0) + 2.0 * r
+    points = rng.uniform(lo, hi, size=(400, 2)).tolist()
+    # Near the sink and the source, which the lookup skips.
+    points += (pos[0] + rng.normal(0.0, r / 4.0, size=(50, 2))).tolist()
+    points += (pos[-1] + rng.normal(0.0, r / 4.0, size=(50, 2))).tolist()
+    # At r from a node, exactly and one ulp either side.
+    for node in rng.integers(len(net), size=100).tolist():
+        x, y = pos[node]
+        for dx, dy in EXACT_R_OFFSETS:
+            points.append((x + dx * r / 100.0, y + dy * r / 100.0))
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        px = x + r * math.cos(t)
+        py = y + r * math.sin(t)
+        points += [(np.nextafter(px, -math.inf), py), (px, py),
+                   (np.nextafter(px, math.inf), py)]
+    tree = cKDTree(pos)
+    skip = (pn.SINK, len(net) - 1)
+    found = 0
+    for x, y in points:
+        got = net.nearest_in_range(x, y, skip)
+        want = kdtree_mirror(tree, r, x, y, skip)
+        if got != want:
+            # Only an exact tie, as on the lattice, may go another way:
+            # the tree breaks it in its own traversal order.
+            assert got >= 0 and want >= 0, (x, y)
+            d2 = [(pos[n, 0] - x) ** 2 + (pos[n, 1] - y) ** 2
+                  for n in (got, want)]
+            assert d2[0] == d2[1], (x, y)
+        found += got >= 0
+    assert found > 0
 
 
 def test_neighbor_symmetry_and_hop_lipschitz(small_net):

@@ -13,7 +13,7 @@ from phantomnet.trace import PHASE_DIRECT
 def make_line_network(points, r, field_side=8000.0):
     """Sink first, then the given sensor positions, custom radius."""
     return pn.Network(np.array(points, dtype=float), r=r, r0=r,
-                      field_side=field_side, rng_seed=0)
+                      field_side=field_side)
 
 
 class TestFrame:
