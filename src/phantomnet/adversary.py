@@ -28,7 +28,6 @@ class AdversaryState:
     """Where the adversary is perched and what it has achieved so far."""
 
     at: int
-    moves: int = 0
     captured: bool = False
 
 
@@ -60,14 +59,11 @@ def observe_packet(network: Network, state: AdversaryState,
     if source is None:
         source = trace.hops[0]
 
-    xs, ys = network.xs, network.ys
-    ax, ay = xs[state.at], ys[state.at]
+    heard = network.disc(state.at, network.r)
     for sender in trace.hops[:-1]:
-        if sender != state.at and network.dist(sender, ax, ay) <= network.r:
-            captured = (sender == source or network.dist(
-                sender, xs[source], ys[source]) <= network.r0)
-            return AdversaryState(at=sender, moves=state.moves + 1,
-                                  captured=captured)
+        if sender != state.at and sender in heard:
+            return AdversaryState(at=sender, captured=sender in network.disc(
+                source, network.r0))
     return state
 
 

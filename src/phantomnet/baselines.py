@@ -38,17 +38,12 @@ def hbdrw_route(network: Network, source: int, params: BaselineParams,
     that step; if both are empty the walk ends early.
     """
     _check_source(network, source)
-    hop = network.hop_list
-
     committed_parent = bool(rng.integers(2) == 0)
     walk = [source]
     annotations: list[str] = []
     cur, prev = source, None
     for step in range(params.walk_hops):
-        nbrs = network.neighbors(cur)
-        level = hop[cur]
-        parents = [n for n in nbrs if hop[n] < level]
-        children = [n for n in nbrs if hop[n] > level]
+        parents, _, children = network.hop_rings(cur)
         primary, other = ((parents, children) if committed_parent
                           else (children, parents))
         cands = primary
@@ -72,24 +67,25 @@ def hbdrw_route(network: Network, source: int, params: BaselineParams,
 def pusbrf_route(network: Network, source: int, params: BaselineParams,
                  rng: np.random.Generator,
                  source_hops: np.ndarray | None = None,
-                 source_next_hop: list[int] | None = None) -> RouteTrace:
+                 source_next_hop: list[int] | None = None,
+                 ring: np.ndarray | None = None) -> RouteTrace:
     """Phantom drawn uniformly from the ring exactly h source-hops away.
 
     ``source_hops`` is the source-rooted flooding result, h hops out or
-    more, and ``source_next_hop`` the memo of its descent (see
-    ``_descend``); pass both in when routing many packets from one
-    source, so the flood and the descent are not recomputed. The source-to-phantom leg descends
-    that hop field, giving a minimum hop path of exactly h hops, and the
-    phantom forwards to the sink on a shortest path.
+    more, ``source_next_hop`` the memo of its descent (see ``_descend``)
+    and ``ring`` its ``phantom_ring``; pass them in when routing many
+    packets from one source, so they are not recomputed. The
+    source-to-phantom leg descends that hop field, giving a minimum hop
+    path of exactly h hops, and the phantom forwards to the sink on a
+    shortest path.
     """
     _check_source(network, source)
     if source_hops is None:
         source_hops = network.hops_from(source, params.walk_hops)
     if source_next_hop is None:
         source_next_hop = [-1] * len(network)
-
-    ring = np.flatnonzero(source_hops == params.walk_hops)
-    ring = ring[ring != network.sink]
+    if ring is None:
+        ring = phantom_ring(network, source_hops, params.walk_hops)
     if len(ring) == 0:
         raise EmptyRing(
             f"no node at exactly {params.walk_hops} hops from source {source}")
@@ -104,6 +100,13 @@ def pusbrf_route(network: Network, source: int, params: BaselineParams,
     out = stitch(legs, delivered=True)
     out.phantom = phantom
     return out
+
+
+def phantom_ring(network: Network, source_hops: np.ndarray,
+                 walk_hops: int) -> np.ndarray:
+    """PUSBRF's phantom candidates: the sensors ``walk_hops`` away."""
+    ring = np.flatnonzero(source_hops == walk_hops)
+    return ring[ring != network.sink]
 
 
 def shortest_path_route(network: Network, source: int) -> RouteTrace:

@@ -69,7 +69,8 @@ class RunResult:
     failure_paths: int
 
 
-@functools.lru_cache(maxsize=4)
+# Runs execute seed-major (per process), so one field at a time is in use.
+@functools.lru_cache(maxsize=1)
 def _network(n_nodes: int, field_side: float, r: float, r0: float, seed: int):
     return deploy(n_nodes, field_side, r, r0, seed)
 

@@ -38,20 +38,21 @@ class Network:
     that grid (CSR arrays ``indptr``/``indices``, each row sorted), and
     the flooded minimum hop counts, with Python copies for the per-hop
     kernels: ``xs``/``ys`` (``array('d')`` columns) and ``hop_list``.
-    Its only mutable parts are the neighbor tuples, built the first time
-    a walk reaches a node, and ``sink_next_hop``, each node's relay on
-    the shortest-path descent to the sink (-1 until known, see
-    ``baselines``). Both are fixed functions of the field, so every run
-    writes the same values and an instance can still be shared across
-    concurrently executing runs.
+    Its only mutable parts are per-node tables, each filled the first
+    time a walk or replay asks for a node: the neighbor tuples, the two
+    sink orderings, the hop rings, the discs, and ``sink_next_hop``, each
+    node's relay on the shortest-path descent to the sink (-1 until
+    known, see ``baselines``). All are fixed functions of the field, so
+    every run writes the same values and an instance can still be shared
+    across concurrently executing runs.
     """
 
     def __init__(self, positions: np.ndarray, r: float, r0: float,
                  field_side: float):
         self.positions = np.asarray(positions, dtype=np.float64)
         self.positions.setflags(write=False)
-        self.xs = array("d", self.positions[:, 0].tolist())
-        self.ys = array("d", self.positions[:, 1].tolist())
+        self.xs = array("d", self.positions[:, 0].tobytes())
+        self.ys = array("d", self.positions[:, 1].tobytes())
         self.r = float(r)
         self.r0 = float(r0)
         self.field_side = float(field_side)
@@ -84,6 +85,10 @@ class Network:
         self.hop_list = self.hops.tolist()
         self.sink_next_hop = [-1] * len(self.positions)
         self._neighbors: list[tuple[int, ...] | None] = [None] * len(self)
+        self._by_sink_distance = self._neighbors.copy()
+        self._by_sink_angle = self._neighbors.copy()
+        self._hop_rings: list = self._neighbors.copy()
+        self._discs: dict[tuple[int, float], frozenset[int]] = {}
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -105,6 +110,74 @@ class Network:
             nbrs = self._neighbors[node] = tuple(
                 self.indices[lo:hi].tolist())
         return nbrs
+
+    # Stable sorts and filters of the neighbor tuple: the first admissible
+    # entry of a ranked table is the first of equals a per-hop pick takes.
+    def by_sink_distance(self, node: int) -> tuple[int, ...]:
+        """Neighbors of ``node``, nearest the sink first."""
+        ranked = self._by_sink_distance[node]
+        if ranked is None:
+            bx, by = self.xs[SINK], self.ys[SINK]
+            ranked = self._by_sink_distance[node] = tuple(sorted(
+                self.neighbors(node), key=lambda n: self.dist(n, bx, by)))
+        return ranked
+
+    def by_sink_angle(self, node: int) -> tuple[int, ...]:
+        """Neighbors of ``node``, the sink first, then the rest by the
+        largest cosine between the hop and the direction to the sink,
+        clipped to [-1, 1] as arccos would need."""
+        ranked = self._by_sink_angle[node]
+        if ranked is None:
+            xs, ys = self.xs, self.ys
+            cx, cy = xs[node], ys[node]
+            tx, ty = unit(xs[SINK] - cx, ys[SINK] - cy)
+
+            def key(n: int) -> float:
+                if n == SINK:
+                    # Its angle is zero by definition; no rounding of its
+                    # cosine may rank another neighbor ahead of it.
+                    return -2.0
+                vx = xs[n] - cx
+                vy = ys[n] - cy
+                return -min(1.0, max(-1.0, (vx * tx + vy * ty)
+                                     / math.sqrt(vx * vx + vy * vy)))
+            ranked = self._by_sink_angle[node] = tuple(
+                sorted(self.neighbors(node), key=key))
+        return ranked
+
+    def hop_rings(self, node: int) -> tuple[tuple[int, ...], ...]:
+        """(lower, same, upper): the neighbors of ``node`` with a smaller,
+        an equal and a larger sink hop count."""
+        rings = self._hop_rings[node]
+        if rings is None:
+            hop, nbrs = self.hop_list, self.neighbors(node)
+            level = hop[node]
+            rings = self._hop_rings[node] = (
+                tuple(n for n in nbrs if hop[n] < level),
+                tuple(n for n in nbrs if hop[n] == level),
+                tuple(n for n in nbrs if hop[n] > level))
+        return rings
+
+    def disc(self, node: int, radius: float) -> frozenset[int]:
+        """Ids of the nodes within ``radius`` of ``node``, itself included,
+        by the sqrt(dx*dx + dy*dy) <= radius test on the cells it spans."""
+        found = self._discs.get((node, radius))
+        if found is None:
+            x, y = self.xs[node], self.ys[node]
+            x0, y0 = self.origin
+            # The margin keeps rounding in a cell index from dropping the
+            # cell of a node at exactly ``radius``.
+            reach = radius * (1.0 + CELL_MARGIN)
+            i_lo = max(math.floor((x - reach - x0) / self.cell), 0)
+            i_hi = min(math.floor((x + reach - x0) / self.cell) + 1, self.nx)
+            j_lo = max(math.floor((y - reach - y0) / self.cell), 0)
+            j_hi = min(math.floor((y + reach - y0) / self.cell) + 1, self.ny)
+            start, nodes = self.cell_start, self.cell_nodes
+            found = self._discs[node, radius] = frozenset(
+                n for k in range(j_lo * self.nx, j_hi * self.nx, self.nx)
+                for n in nodes[start[k + i_lo]:start[k + i_hi]]
+                if self.dist(n, x, y) <= radius)
+        return found
 
     def dist(self, node: int, x: float, y: float) -> float:
         """Distance from ``node`` to the point (x, y)."""
@@ -212,6 +285,14 @@ def norm(v) -> float:
     """Length of one 2-vector."""
     x, y = v
     return math.sqrt(x * x + y * y)
+
+
+def unit(x: float, y: float) -> tuple[float, float]:
+    """The vector (x, y) scaled to length 1."""
+    n = math.sqrt(x * x + y * y)
+    if n == 0.0:
+        raise InvalidParameter("zero-length direction vector")
+    return x / n, y / n
 
 
 def row_norms(d: np.ndarray) -> np.ndarray:

@@ -28,8 +28,8 @@ def make_router(network: Network, protocol: str, source: int,
 
     The sector-phantom router reuses the source frame and candidate
     domains for the whole session; the restricted-flooding router reuses
-    the source-rooted hop field, flooded h hops out, and the memo of its
-    descent.
+    the source-rooted hop field, flooded h hops out, its phantom ring and
+    the memo of its descent.
     """
     if protocol == PSSPR:
         if sector_params is None:
@@ -58,11 +58,14 @@ def make_router(network: Network, protocol: str, source: int,
             raise InvalidParameter("pusbrf requires walk_params")
         source_hops = network.hops_from(source, walk_params.walk_hops)
         source_next_hop = [-1] * len(network)
+        ring = baselines.phantom_ring(network, source_hops,
+                                      walk_params.walk_hops)
 
         def route(rng: np.random.Generator) -> RouteTrace:
             return baselines.pusbrf_route(network, source, walk_params, rng,
                                           source_hops=source_hops,
-                                          source_next_hop=source_next_hop)
+                                          source_next_hop=source_next_hop,
+                                          ring=ring)
         return route
 
     if protocol == SHORTEST_PATH:

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import EmptyDomain, InvalidParameter, SourceIsSink
-from .net import UNREACHABLE, Network, norm, project, row_norms
+from .net import UNREACHABLE, Network, norm, project, row_norms, unit
 from .trace import (PHASE_DIRECT, PHASE_DIRECTED, PHASE_SAME_HOP,
                     PHASE_VAR_ANGLE, RouteTrace, stitch)
 
@@ -113,8 +113,7 @@ def build_frame(network: Network, source: int) -> SourceFrame:
         source_sink_distance=d,
         v_x=float(project(center_v - bpos, x_axis)),
         corner_reach=float(row_norms(corners - spos).max()),
-        visible=frozenset(np.flatnonzero(
-            row_norms(network.positions - spos) <= network.r0).tolist()),
+        visible=network.disc(source, network.r0),
     )
 
 
@@ -327,7 +326,7 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
     # Visit the mirror anchor only when it physically exists in the
     # field; a mirrored ring wider than the field has no node near it.
     vx, vy = frame.center_v.tolist()
-    ux, uy = _unit(xs[choice.p1] - sx, ys[choice.p1] - sy)
+    ux, uy = unit(xs[choice.p1] - sx, ys[choice.p1] - sy)
     raw = (2.0 * vx - sx - ring_radius * ux, 2.0 * vy - sy - ring_radius * uy)
     targets: list[tuple[Point, int | None]] = []
     if _clamp(network, *raw) == raw:    # inside the field
@@ -346,13 +345,6 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
     return finish()
 
 
-def _unit(x: float, y: float) -> tuple[float, float]:
-    n = math.sqrt(x * x + y * y)
-    if n == 0.0:
-        raise InvalidParameter("zero-length direction vector")
-    return x / n, y / n
-
-
 def _clamp(network: Network, x: float, y: float) -> Point:
     """The point clipped to the field's extent [0, side]^2."""
     side = network.field_side
@@ -362,7 +354,7 @@ def _clamp(network: Network, x: float, y: float) -> Point:
 def _toward(network: Network, origin: Point, through: Point,
             dist: float) -> Point:
     """``dist`` from ``origin`` toward ``through``, clamped to the field."""
-    ux, uy = _unit(through[0] - origin[0], through[1] - origin[1])
+    ux, uy = unit(through[0] - origin[0], through[1] - origin[1])
     return _clamp(network, origin[0] + dist * ux, origin[1] + dist * uy)
 
 
@@ -376,8 +368,8 @@ def _angle_deg(ax: float, ay: float, bx: float, by: float) -> float:
     return math.degrees(math.acos(max(-1.0, min(1.0, c))))
 
 
-def _keep_out(cands: list[int], inside: frozenset[int] | None,
-              cur: int) -> list[int]:
+def _keep_out(cands: Sequence[int], inside: frozenset[int] | None,
+              cur: int) -> Sequence[int]:
     """Drop the candidates inside a keep-out area, given as its node ids.
 
     The phases that carry a packet from the phantom to the sink steer
@@ -393,13 +385,16 @@ def _keep_out(cands: list[int], inside: frozenset[int] | None,
 def _walk(network: Network, start: int, budget: int,
           pick: Callable[[int, list[int]], int],
           done: Callable[[int], bool], prev: int | None = None,
-          keep_out: frozenset[int] | None = None
+          keep_out: frozenset[int] | None = None,
+          order: Callable[[int], Sequence[int]] | None = None
           ) -> tuple[list[int], bool]:
     """Backtracking greedy walk. Returns (nodes, reached).
 
-    Each step hands the current node and its unvisited neighbors to
-    ``pick``, which names the next relay; the walk ends once ``done``
-    holds for the node it stands on or ``budget`` hops are spent.
+    Each step hands the current node and its unvisited neighbors, in the
+    sequence ``order`` gives (``network.neighbors`` by default), to
+    ``pick``, which names the next relay; over a ranked table of the
+    network, ``_first`` is that pick. The walk ends once ``done`` holds
+    for the node it stands on or ``budget`` hops are spent.
     Remembering visited nodes lets the walk skirt routing voids instead of
     oscillating at a local minimum. A dead end physically carries the
     packet back one hop and resumes from there, which is this
@@ -407,6 +402,7 @@ def _walk(network: Network, start: int, budget: int,
     Kung, MobiCom 2000). The walk gives up, unreached, once it has
     retreated all the way to its start with nothing left to try.
     """
+    order = order or network.neighbors
     nodes = [start]
     if done(start):
         return nodes, True
@@ -414,7 +410,7 @@ def _walk(network: Network, start: int, budget: int,
     seen = {start}
     stack = [start]
     while len(nodes) - 1 < budget:
-        cands = _keep_out([n for n in network.neighbors(cur) if n not in seen],
+        cands = _keep_out([n for n in order(cur) if n not in seen],
                           keep_out, cur)
         if prev is not None and len(cands) > 1:
             # On the first step, avoid an immediate bounce back onto the
@@ -437,6 +433,11 @@ def _walk(network: Network, start: int, budget: int,
     return nodes, False
 
 
+def _first(cur: int, cands: list[int]) -> int:
+    """The pick of a walk over a ranked table: its first candidate."""
+    return cands[0]
+
+
 def _directed_leg(network: Network, start: int, target: Point,
                   max_hops: int, prev: int | None = None,
                   stop_node: int | None = None,
@@ -454,8 +455,9 @@ def _directed_leg(network: Network, start: int, target: Point,
     if min_dist_from is not None:
         (ox, oy), away = min_dist_from
 
-    def pick(cur: int, cands: list[int]) -> int:
-        return network.nearest(cands, tx, ty)
+    order, pick = None, lambda cur, cands: network.nearest(cands, tx, ty)
+    if (tx, ty) == (network.xs[network.sink], network.ys[network.sink]):
+        order, pick = network.by_sink_distance, _first
 
     def done(node: int) -> bool:
         if stop_node is not None:
@@ -465,7 +467,7 @@ def _directed_leg(network: Network, start: int, target: Point,
         return network.dist(node, tx, ty) <= network.r
 
     return _walk(network, start, max_hops, pick, done, prev=prev,
-                 keep_out=keep_out)
+                 keep_out=keep_out, order=order)
 
 
 def _var_angle_leg(network: Network, start: int, frame: SourceFrame,
@@ -475,38 +477,19 @@ def _var_angle_leg(network: Network, start: int, frame: SourceFrame,
     """Smallest-angle forwarding toward the sink. Returns (nodes, reached).
 
     Each step forwards along the candidate hop with the smallest angle
-    to the direction of the sink, the first of equals: the largest
-    cosine, clipped to [-1, 1] as arccos would need. The leg ends at the
-    sink or where ``stop_fn`` holds. Not revisiting relays breaks the
-    orbit cycles a memoryless angle-greedy walk falls into around
-    routing voids.
+    to the direction of the sink, the first of equals, as ranked by
+    ``Network.by_sink_angle``: the sink itself when it is in range, else
+    the largest cosine. The leg ends at the sink or where ``stop_fn``
+    holds. Not revisiting relays breaks the orbit cycles a memoryless
+    angle-greedy walk falls into around routing voids.
     """
-    xs, ys = network.xs, network.ys
     sink = network.sink
-    bx, by = xs[sink], ys[sink]
-
-    def pick(cur: int, cands: list[int]) -> int:
-        if sink in cands:
-            # The destination itself is in range; its angle is zero by
-            # definition and no tie tolerance may displace it.
-            return sink
-        cx, cy = xs[cur], ys[cur]
-        tx, ty = _unit(bx - cx, by - cy)
-        best, best_cos = -1, -math.inf
-        for n in cands:
-            vx = xs[n] - cx
-            vy = ys[n] - cy
-            cos = min(1.0, max(-1.0, (vx * tx + vy * ty)
-                               / math.sqrt(vx * vx + vy * vy)))
-            if cos > best_cos:
-                best, best_cos = n, cos
-        return best
 
     def done(node: int) -> bool:
         return node == sink or (stop_fn is not None and stop_fn(node))
 
-    return _walk(network, start, budget, pick, done, prev=prev,
-                 keep_out=keep_out)
+    return _walk(network, start, budget, _first, done, prev=prev,
+                 keep_out=keep_out, order=network.by_sink_angle)
 
 
 def _same_hop_leg(network: Network, start: int, h_m: int, frame: SourceFrame,
@@ -530,17 +513,15 @@ def _same_hop_leg(network: Network, start: int, h_m: int, frame: SourceFrame,
     cur = start
     relaxed = False
     for _ in range(h_m):
-        nbrs = network.neighbors(cur)
-        level = hop[cur]
-        ring = _keep_out([n for n in nbrs if hop[n] == level], keep_out, cur)
+        ring = _keep_out(network.hop_rings(cur)[1], keep_out, cur)
         # Never bounce straight back unless the ring offers nothing else.
         cands = [n for n in ring if n != prev] or ring
         if not cands:
             if relaxed:
                 annotations.append(f"same-hop-aborted@{len(nodes) - 1}")
                 break
-            cands = _keep_out([n for n in nbrs if abs(hop[n] - level) == 1],
-                              keep_out, cur)
+            cands = _keep_out([n for n in network.neighbors(cur)
+                               if abs(hop[n] - hop[cur]) == 1], keep_out, cur)
             if not cands:
                 annotations.append(f"same-hop-aborted@{len(nodes) - 1}")
                 break

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 # Phase tags of the sector-phantom pipeline.
@@ -75,21 +74,17 @@ def enters_visible_area(trace: RouteTrace, network, source: int) -> bool:
     source's visible area. The leg begins the first time the packet
     comes within one communication radius of its phantom; packets that
     never got there cannot produce one, and one without a phantom at all
-    (plain shortest path) forwards sink-ward from the source itself.
+    (plain shortest path) forwards sink-ward from the source itself. So
+    the leg must begin by the last hop inside the visible area.
     """
-    xs, ys = network.xs, network.ys
-    start = 0
-    if trace.phantom is not None:
-        px, py = xs[trace.phantom], ys[trace.phantom]
-        for start, node in enumerate(trace.hops):
-            if network.dist(node, px, py) <= network.r:
-                break
-        else:
-            return False
-    sx, sy = xs[source], ys[source]
-    for node in trace.hops[start:]:
-        dx = xs[node] - sx
-        dy = ys[node] - sy
-        if math.sqrt(dx * dx + dy * dy) <= network.r0:
-            return True
-    return False
+    visible = network.disc(source, network.r0)
+    hops = trace.hops
+    entered = not visible.isdisjoint(hops)
+    if not entered or trace.phantom is None:
+        return entered
+    last = len(hops)
+    while hops[last - 1] not in visible:
+        last -= 1
+    px, py = network.xs[trace.phantom], network.ys[trace.phantom]
+    return any(network.dist(node, px, py) <= network.r
+               for node in hops[:last])

@@ -23,7 +23,6 @@ def test_one_hop_capture():
                        delivered=True)
     state = pn.observe_packet(net, state, trace)
     assert state.at == 1
-    assert state.moves == 1
     assert state.captured
 
 
@@ -38,7 +37,7 @@ def test_out_of_range_trace_leaves_state_unchanged(dense_net):
     trace = RouteTrace(hops=[a, b], phases=[PHASE_SHORTEST] * 2,
                        delivered=False)
     new = pn.observe_packet(dense_net, state, trace)
-    assert new.at == state.at and new.moves == 0 and not new.captured
+    assert new == state
 
 
 def test_backtrace_progression_matches_path_oracle():
@@ -64,13 +63,12 @@ def test_adversary_never_teleports(desk_net):
     for _ in range(80):
         trace = router(rng)
         new = pn.observe_packet(desk_net, state, trace, source=src)
-        if new.moves > state.moves:
+        if new.at != state.at:
             jump = np.linalg.norm(desk_net.positions[new.at]
                                   - desk_net.positions[state.at])
             assert jump <= desk_net.r
-            assert new.moves == state.moves + 1
         else:
-            assert new.at == state.at
+            assert new == state
         state = new
         if state.captured:
             break
@@ -184,8 +182,7 @@ def observe_packet_loop(network, state, trace, source=None):
             captured = (sender == source
                         or plain_distance(pos[sender], pos[source])
                         <= network.r0)
-            return pn.AdversaryState(at=sender, moves=state.moves + 1,
-                                     captured=bool(captured))
+            return pn.AdversaryState(at=sender, captured=bool(captured))
     return state
 
 
@@ -229,12 +226,12 @@ def test_observe_packet_matches_per_sender_loop(desk_net):
         perches = [pn.SINK, *rng.choice(trace.hops, 3),
                    *rng.integers(len(desk_net), size=2)]
         for at in perches:
-            state = pn.AdversaryState(at=int(at), moves=int(at) % 7)
+            state = pn.AdversaryState(at=int(at))
             for source in (src, None):
                 new = pn.observe_packet(desk_net, state, trace, source=source)
                 assert new == observe_packet_loop(desk_net, state, trace,
                                                   source=source)
-                moved += new.moves > state.moves
+                moved += new.at != state.at
     assert moved > 100
 
 

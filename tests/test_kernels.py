@@ -13,13 +13,16 @@ trim.
 """
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 import phantomnet as pn
 from phantomnet.baselines import _descend
-from phantomnet.psspr import _directed_leg, _same_hop_leg, _var_angle_leg
+from phantomnet.net import unit
+from phantomnet.psspr import (_directed_leg, _first, _same_hop_leg,
+                              _var_angle_leg, _walk)
 from phantomnet.trace import PHASE_SHORTEST, PHASE_WALK, stitch
 
 R = 100.0
@@ -271,6 +274,13 @@ def test_directed_leg_matches_numpy_reference(field):
                               **kw)
                 == directed_leg_ref(field, start, target, 25,
                                     stop_node=pn.SINK, **ref))
+        # Toward the sink's position the walk scans the ranked table.
+        sink = pos[pn.SINK]
+        for stop in (pn.SINK, None):
+            assert (_directed_leg(field, start, sink, 25, stop_node=stop,
+                                  **kw)
+                    == directed_leg_ref(field, start, sink, 25,
+                                        stop_node=stop, **ref))
 
 
 def test_var_angle_leg_matches_numpy_reference(field):
@@ -392,3 +402,78 @@ def test_keep_out_filters_before_the_bounce_trim():
     nodes, _ = _directed_leg(net, 1, (300.0, 500.0), 1, prev=2,
                              keep_out=keep_out)
     assert nodes == [1, 2]
+
+
+def angle_pick(network):
+    """The variable-angle leg's per-hop pick, before the ranked table."""
+    xs, ys = network.xs, network.ys
+    bx, by = xs[pn.SINK], ys[pn.SINK]
+
+    def pick(cur, cands):
+        if pn.SINK in cands:
+            return pn.SINK
+        cx, cy = xs[cur], ys[cur]
+        tx, ty = unit(bx - cx, by - cy)
+        best, best_cos = -1, -math.inf
+        for n in cands:
+            vx = xs[n] - cx
+            vy = ys[n] - cy
+            cos = min(1.0, max(-1.0, (vx * tx + vy * ty)
+                               / math.sqrt(vx * vx + vy * vy)))
+            if cos > best_cos:
+                best, best_cos = n, cos
+        return best
+    return pick
+
+
+def test_tables_match_their_per_hop_forms(field):
+    pos, hops = field.positions, field.hops
+    d_sink = row_norms_ref(pos - pos[pn.SINK])
+    rng = np.random.default_rng(6)
+    for node in range(1, len(field)):
+        nbrs = nbr_array(field, node)
+        # Stable sorts: equal keys keep neighbor order.
+        want = nbrs[np.argsort(d_sink[nbrs], kind="stable")]
+        assert field.by_sink_distance(node) == tuple(want.tolist())
+        others = nbrs[nbrs != pn.SINK]
+        vecs = pos[others] - pos[node]
+        to_sink = pos[pn.SINK] - pos[node]
+        to_sink = to_sink / row_norms_ref(to_sink[None, :])[0]
+        cos = np.clip((vecs[:, 0] * to_sink[0] + vecs[:, 1] * to_sink[1])
+                      / row_norms_ref(vecs), -1.0, 1.0)
+        want = [pn.SINK] * (len(others) < len(nbrs)) \
+            + others[np.argsort(-cos, kind="stable")].tolist()
+        assert field.by_sink_angle(node) == tuple(want)
+        level = hops[node]
+        assert field.hop_rings(node) == tuple(
+            tuple(nbrs[m].tolist()) for m in (hops[nbrs] < level,
+                                             hops[nbrs] == level,
+                                             hops[nbrs] > level))
+        for radius in (field.r, field.r0):
+            assert field.disc(node, radius) == inside(field,
+                                                      (pos[node], radius))
+        # The first admissible entry of a ranked table is the per-hop pick
+        # over the admissible neighbors.
+        for _ in range(3):
+            cands = [n for n in nbrs.tolist() if rng.random() < 0.6]
+            if not cands:
+                continue
+            assert ([n for n in field.by_sink_distance(node)
+                     if n in cands][0]
+                    == field.nearest(cands, *pos[pn.SINK]))
+            assert ([n for n in field.by_sink_angle(node) if n in cands][0]
+                    == angle_pick(field)(node, cands))
+
+
+def test_ranked_walks_match_the_per_hop_picks(field):
+    bx, by = field.xs[pn.SINK], field.ys[pn.SINK]
+    per_hop = {field.by_sink_distance:
+               lambda cur, cands: field.nearest(cands, bx, by),
+               field.by_sink_angle: angle_pick(field)}
+    stops = (lambda n: n == pn.SINK,
+             lambda n: n == pn.SINK or field.dist(n, bx, by) <= 400.0)
+    for start, prev, _, disc, _ in leg_calls(field, 60, 7):
+        kw = dict(prev=prev, keep_out=inside(field, disc))
+        for (order, pick), stop in product(per_hop.items(), stops):
+            assert (_walk(field, start, 60, _first, stop, order=order, **kw)
+                    == _walk(field, start, 60, pick, stop, **kw))

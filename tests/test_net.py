@@ -6,7 +6,7 @@ from scipy.spatial import cKDTree
 
 import phantomnet as pn
 from phantomnet.errors import ConnectivityError, InvalidParameter, UnknownNode
-from phantomnet.net import norm, project, row_norms
+from phantomnet.net import norm, project, row_norms, unit
 
 from conftest import bfs_oracle, brute_force_adjacency
 
@@ -266,3 +266,76 @@ def test_scalar_columns_mirror_the_arrays(small_net):
     assert list(small_net.xs) == small_net.positions[:, 0].tolist()
     assert list(small_net.ys) == small_net.positions[:, 1].tolist()
     assert small_net.hop_list == small_net.hops.tolist()
+
+
+def disc_oracle(network, node, radius):
+    d = network.positions - network.positions[node]
+    inside = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) <= radius
+    return frozenset(np.flatnonzero(inside).tolist())
+
+
+def test_discs_match_brute_force(oracle_net):
+    for radius in (oracle_net.r, 3.0 * oracle_net.r, 0.5 * oracle_net.r):
+        for node in range(len(oracle_net)):
+            assert (oracle_net.disc(node, radius)
+                    == disc_oracle(oracle_net, node, radius))
+
+
+def test_discs_keep_exact_radii_across_cell_boundaries():
+    # Lattice steps are exactly 100 long, and three steps in one
+    # direction exactly 300 (180-240-300).
+    net = pn.Network(np.array(EXACT_R_LATTICE), r=100.0, r0=300.0,
+                     field_side=1000.0)
+    cells = np.floor((net.positions - net.origin) / net.cell)
+    crossed = {}
+    for radius in (net.r, net.r0):
+        for i in range(len(net)):
+            d = net.positions - net.positions[i]
+            exact = np.flatnonzero(
+                np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) == radius)
+            assert set(exact.tolist()) <= net.disc(i, radius)
+            for j in exact:
+                key = (radius, bool((cells[i] != cells[j]).any()))
+                crossed[key] = crossed.get(key, 0) + 1
+    assert all(crossed.get((radius, True)) for radius in (net.r, net.r0))
+
+    # Sensor 1 is 100.00000000000001 from the sink in plain float
+    # arithmetic, sensor 2 exactly 100.0.
+    net = pn.Network(np.array([[0.0, 0.0],
+                               [38.715009983841995, 92.2016702774468],
+                               [12.748076127660413, 99.18410434663095]]),
+                     r=100.0, r0=100.0, field_side=200.0)
+    assert net.disc(pn.SINK, 100.0) == {pn.SINK, 2}
+    assert pn.SINK not in net.disc(1, 100.0)
+
+
+def test_sink_leads_the_angle_ordering(small_net):
+    # Node 2 is the midpoint of node 1 and the sink. Its cosine toward the
+    # sink rounds to 1.0, while the sink's own rounds below 1.0.
+    pts = [[500.0, 500.0], [426.958, 532.541],
+           [463.47900000000004, 516.2705000000001]]
+    net = pn.Network(np.array(pts), r=100.0, r0=100.0, field_side=1000.0)
+    (bx, by), (cx, cy) = pts[0], pts[1]
+    tx, ty = unit(bx - cx, by - cy)
+    cos = [((x - cx) * tx + (y - cy) * ty)
+           / math.sqrt((x - cx) * (x - cx) + (y - cy) * (y - cy))
+           for x, y in (pts[0], pts[2])]
+    assert cos[0] < min(cos[1], 1.0)
+    assert net.by_sink_angle(1) == (pn.SINK, 2)
+    for node in small_net.neighbors(pn.SINK):
+        assert small_net.by_sink_angle(node)[0] == pn.SINK
+    # A relay at the sink's exact position has no direction to rank by.
+    net = pn.Network(np.array([[500.0, 500.0], [500.0, 500.0],
+                               [550.0, 500.0]]),
+                     r=100.0, r0=100.0, field_side=1000.0)
+    with pytest.raises(InvalidParameter):
+        net.by_sink_angle(1)
+
+
+def test_tables_are_built_once(small_net):
+    node = int(small_net.neighbors(pn.SINK)[0])
+    for table in (small_net.by_sink_distance, small_net.by_sink_angle,
+                  small_net.hop_rings, small_net.neighbors):
+        assert table(node) is table(node)
+    assert small_net.disc(node, small_net.r0) is small_net.disc(node,
+                                                                small_net.r0)
