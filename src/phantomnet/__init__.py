@@ -5,9 +5,8 @@ closed-form analysis metrics.
 
 from .adversary import (AdversaryState, RunMetrics, initial_state,
                         observe_packet, run_session)
-from .analysis import (AnalysisInput, annulus_mean_radius, avg_phantom_distance,
-                       comm_overhead, failure_path_probability, make_tables,
-                       phantom_count_hbdrw, phantom_count_psspr,
+from .analysis import (AnalysisInput, comm_overhead, failure_path_probability,
+                       make_tables, phantom_count_hbdrw, phantom_count_psspr,
                        phantom_count_pusbrf, ratio_hbdrw_over_pusbrf,
                        ratio_pusbrf_over_psspr, rmin_rmax_for)
 from .baselines import (BaselineParams, hbdrw_route, pusbrf_route,

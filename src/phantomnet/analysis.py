@@ -39,7 +39,6 @@ class AnalysisInput:
     r_max: int
     h: int
     H: int
-    r0_hops: float = 3.0
     omega: int = 6
 
     def __post_init__(self):
@@ -111,11 +110,6 @@ def phantom_count_psspr(r_min: int, r_max: int, hx: int) -> float:
     return 2.0 * math.pi * h * sum(range(hx, r_max - r_min + 1)) / hx
 
 
-def annulus_mean_radius(r_min: float, r_max: float) -> float:
-    """Area-weighted mean radius of an annulus: (2/3)(R^3-r^3)/(R^2-r^2)."""
-    return (2.0 / 3.0) * (r_max ** 3 - r_min ** 3) / (r_max ** 2 - r_min ** 2)
-
-
 def psspr_distance_mc(r_min: float, r_max: float, n_samples: int = 200_000,
                       rng: np.random.Generator | None = None,
                       n_batches: int = 100) -> tuple[float, float]:
@@ -155,25 +149,6 @@ def psspr_distance_printed(r_min: int, r_max: int, H: int,
     if err > max(tol, 1e-9 * abs(val)):
         raise QuadratureFailure(f"estimated error {err} above tolerance {tol}")
     return c / 4.0 + val
-
-
-def avg_phantom_distance(protocol: str, params: AnalysisInput,
-                         r: float = 1.0,
-                         n_samples: int = 200_000,
-                         rng: np.random.Generator | None = None) -> float:
-    """Average source-to-phantom distance, scaled by the radius ``r``.
-
-    Both baselines place phantoms at radius h, so their closed form is
-    r*(r_min+hx). The sector scheme's value is the Monte-Carlo annulus
-    mean; see psspr_distance_printed for the broken printed form.
-    """
-    if protocol in ("hbdrw", "pusbrf"):
-        return r * (params.r_min + params.hx)
-    if protocol == "psspr":
-        mean, _ = psspr_distance_mc(params.r_min, params.r_max,
-                                    n_samples=n_samples, rng=rng)
-        return r * mean
-    raise InvalidParameter(f"unknown protocol {protocol!r}")
 
 
 def comm_overhead(protocol: str, params: AnalysisInput,

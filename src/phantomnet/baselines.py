@@ -65,27 +65,18 @@ def hbdrw_route(network: Network, source: int, params: BaselineParams,
 
 
 def pusbrf_route(network: Network, source: int, params: BaselineParams,
-                 rng: np.random.Generator,
-                 source_hops: np.ndarray | None = None,
-                 source_next_hop: list[int] | None = None,
-                 ring: np.ndarray | None = None) -> RouteTrace:
+                 rng: np.random.Generator, source_hops: np.ndarray,
+                 source_next_hop: list[int], ring: np.ndarray) -> RouteTrace:
     """Phantom drawn uniformly from the ring exactly h source-hops away.
 
+    The session state comes from ``protocols.make_router``:
     ``source_hops`` is the source-rooted flooding result, h hops out or
     more, ``source_next_hop`` the memo of its descent (see ``_descend``)
-    and ``ring`` its ``phantom_ring``; pass them in when routing many
-    packets from one source, so they are not recomputed. The
-    source-to-phantom leg descends that hop field, giving a minimum hop
-    path of exactly h hops, and the phantom forwards to the sink on a
-    shortest path.
+    and ``ring`` the sensors exactly h hops out. The source-to-phantom leg
+    descends that hop field, giving a minimum hop path of exactly h
+    hops, and the phantom forwards to the sink on a shortest path.
     """
     _check_source(network, source)
-    if source_hops is None:
-        source_hops = network.hops_from(source, params.walk_hops)
-    if source_next_hop is None:
-        source_next_hop = [-1] * len(network)
-    if ring is None:
-        ring = phantom_ring(network, source_hops, params.walk_hops)
     if len(ring) == 0:
         raise EmptyRing(
             f"no node at exactly {params.walk_hops} hops from source {source}")
@@ -100,13 +91,6 @@ def pusbrf_route(network: Network, source: int, params: BaselineParams,
     out = stitch(legs, delivered=True)
     out.phantom = phantom
     return out
-
-
-def phantom_ring(network: Network, source_hops: np.ndarray,
-                 walk_hops: int) -> np.ndarray:
-    """PUSBRF's phantom candidates: the sensors ``walk_hops`` away."""
-    ring = np.flatnonzero(source_hops == walk_hops)
-    return ring[ring != network.sink]
 
 
 def shortest_path_route(network: Network, source: int) -> RouteTrace:

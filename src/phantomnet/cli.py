@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis
 from .baselines import BaselineParams
-from .config import DEFAULTS, ExperimentConfig, load_config
+from .config import DEFAULTS, load_config
 from .errors import (InvalidParameter, ParseError, PhantomNetError,
                      ValidationError)
 from .harness import emit_csv, pick_source, run_experiment
@@ -130,8 +130,7 @@ def cmd_analyze(args) -> int:
     if r_min is None or r_max is None:
         r_min, r_max = analysis.rmin_rmax_for(args.h)
     params = analysis.AnalysisInput(r_min=r_min, r_max=r_max, h=args.h,
-                                    H=args.H, r0_hops=args.r0,
-                                    omega=args.omega)
+                                    H=args.H, omega=args.omega)
     print(f"parameters: h={args.h} H={args.H} r_min={r_min} r_max={r_max} "
           f"r0={args.r0} omega={args.omega}")
     p_fail = analysis.failure_path_probability(args.r0, args.H, args.h)

@@ -156,16 +156,10 @@ def run_experiment(config: ExperimentConfig,
             futures = {key: lanes[config.seeds.index(s.seed) % len(lanes)]
                        .submit(run_one, s) for key, s in todo.items()}
             for key, fut in futures.items():
-                try:
-                    done[key] = fut.result()
-                except Exception as exc:  # noqa: BLE001 - recorded per run
-                    done[key] = exc
+                done[key] = _attempt(fut.result)
     else:
         for key, s in todo.items():
-            try:
-                done[key] = run_one(s)
-            except Exception as exc:  # noqa: BLE001 - recorded per run
-                done[key] = exc
+            done[key] = _attempt(run_one, s)
     results = [done[_run_key(s)] for s in specs]
 
     failed = [(spec, res) for spec, res in zip(specs, results)
@@ -199,6 +193,14 @@ def run_experiment(config: ExperimentConfig,
                 n_runs=len(ok),
             ))
     return rows
+
+
+def _attempt(fn, *args):
+    """``fn(*args)``, or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - recorded per run
+        return exc
 
 
 def _run_key(spec: RunSpec):

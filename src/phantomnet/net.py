@@ -125,7 +125,8 @@ class Network:
     def by_sink_angle(self, node: int) -> tuple[int, ...]:
         """Neighbors of ``node``, the sink first, then the rest by the
         largest cosine between the hop and the direction to the sink,
-        clipped to [-1, 1] as arccos would need."""
+        clipped to [-1, 1] as arccos would need. A neighbor at the
+        position of ``node`` has no direction and raises InvalidParameter."""
         ranked = self._by_sink_angle[node]
         if ranked is None:
             xs, ys = self.xs, self.ys
@@ -139,8 +140,11 @@ class Network:
                     return -2.0
                 vx = xs[n] - cx
                 vy = ys[n] - cy
-                return -min(1.0, max(-1.0, (vx * tx + vy * ty)
-                                     / math.sqrt(vx * vx + vy * vy)))
+                length = math.sqrt(vx * vx + vy * vy)
+                if length == 0.0:
+                    raise InvalidParameter(
+                        f"nodes {node} and {n} share a position")
+                return -min(1.0, max(-1.0, (vx * tx + vy * ty) / length))
             ranked = self._by_sink_angle[node] = tuple(
                 sorted(self.neighbors(node), key=key))
         return ranked
@@ -164,20 +168,31 @@ class Network:
         found = self._discs.get((node, radius))
         if found is None:
             x, y = self.xs[node], self.ys[node]
-            x0, y0 = self.origin
-            # The margin keeps rounding in a cell index from dropping the
-            # cell of a node at exactly ``radius``.
-            reach = radius * (1.0 + CELL_MARGIN)
-            i_lo = max(math.floor((x - reach - x0) / self.cell), 0)
-            i_hi = min(math.floor((x + reach - x0) / self.cell) + 1, self.nx)
-            j_lo = max(math.floor((y - reach - y0) / self.cell), 0)
-            j_hi = min(math.floor((y + reach - y0) / self.cell) + 1, self.ny)
-            start, nodes = self.cell_start, self.cell_nodes
             found = self._discs[node, radius] = frozenset(
-                n for k in range(j_lo * self.nx, j_hi * self.nx, self.nx)
-                for n in nodes[start[k + i_lo]:start[k + i_hi]]
+                n for n in self._scan(x, y, radius)
                 if self.dist(n, x, y) <= radius)
         return found
+
+    def _scan(self, x: float, y: float, radius: float):
+        """The nodes of the cells within ``radius`` of the point (x, y),
+        cell rows bottom to top, ascending ids within a cell.
+
+        The margin keeps rounding in a cell index from dropping the cell
+        of a node at exactly ``radius``. A point may lie off the grid, and
+        so far past it that no cell is in reach.
+        """
+        x0, y0 = self.origin
+        reach = radius * (1.0 + CELL_MARGIN)
+        i_lo = max(math.floor((x - reach - x0) / self.cell), 0)
+        i_hi = min(math.floor((x + reach - x0) / self.cell) + 1, self.nx)
+        j_lo = max(math.floor((y - reach - y0) / self.cell), 0)
+        j_hi = min(math.floor((y + reach - y0) / self.cell) + 1, self.ny)
+        if i_lo >= i_hi:
+            return
+        start, nodes = self.cell_start, self.cell_nodes
+        # The cells of one grid row are consecutive in cell_nodes.
+        for k in range(j_lo * self.nx, j_hi * self.nx, self.nx):
+            yield from nodes[start[k + i_lo]:start[k + i_hi]]
 
     def dist(self, node: int, x: float, y: float) -> float:
         """Distance from ``node`` to the point (x, y)."""
@@ -202,29 +217,20 @@ class Network:
         """The node nearest (x, y) apart from those in ``skip``, -1 if it
         lies farther than r.
 
-        Only the 3 x 3 cells around the point can hold a node within r.
+        Only the cells within r of the point can hold a node within r.
         Candidates rank by squared distance, the first of equals in cell
         order; the winner is in range when its sqrt is <= r.
         """
-        x0, y0 = self.origin
-        ci = math.floor((x - x0) / self.cell)
-        cj = math.floor((y - y0) / self.cell)
         xs, ys = self.xs, self.ys
-        start, nodes = self.cell_start, self.cell_nodes
         best, best_d2 = -1, math.inf
-        # The cells of one grid row are consecutive in cell_nodes.
-        i_lo, i_hi = max(ci - 1, 0), min(ci + 2, self.nx)
-        rows = range(max(cj - 1, 0), min(cj + 2, self.ny)) if i_lo < i_hi else ()
-        for j in rows:
-            k = j * self.nx
-            for n in nodes[start[k + i_lo]:start[k + i_hi]]:
-                if n in skip:
-                    continue
-                dx = xs[n] - x
-                dy = ys[n] - y
-                d2 = dx * dx + dy * dy
-                if d2 < best_d2:
-                    best, best_d2 = n, d2
+        for n in self._scan(x, y, self.r):
+            if n in skip:
+                continue
+            dx = xs[n] - x
+            dy = ys[n] - y
+            d2 = dx * dx + dy * dy
+            if d2 < best_d2:
+                best, best_d2 = n, d2
         if best >= 0 and math.sqrt(best_d2) <= self.r:
             return best
         return -1

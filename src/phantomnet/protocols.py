@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -24,7 +25,8 @@ Router = Callable[[np.random.Generator], RouteTrace]
 def make_router(network: Network, protocol: str, source: int,
                 sector_params: psspr.SectorParams | None = None,
                 walk_params: baselines.BaselineParams | None = None) -> Router:
-    """Closure routing one packet per call with per-source state prebuilt.
+    """Callable routing one packet per call, with per-source state built
+    here once: the routing functions take it as required arguments.
 
     The sector-phantom router reuses the source frame and candidate
     domains for the whole session; the restricted-flooding router reuses
@@ -39,39 +41,28 @@ def make_router(network: Network, protocol: str, source: int,
             domains = None  # direct sends never consult the domain
         else:
             domains = psspr.candidate_domain(network, frame, sector_params)
-
-        def route(rng: np.random.Generator) -> RouteTrace:
-            return psspr.route_packet(network, frame, sector_params, rng,
-                                      domains=domains)
-        return route
+        return partial(psspr.route_packet, network, frame, sector_params,
+                       domains=domains)
 
     if protocol == HBDRW:
         if walk_params is None:
             raise InvalidParameter("hbdrw requires walk_params")
-
-        def route(rng: np.random.Generator) -> RouteTrace:
-            return baselines.hbdrw_route(network, source, walk_params, rng)
-        return route
+        return partial(baselines.hbdrw_route, network, source, walk_params)
 
     if protocol == PUSBRF:
         if walk_params is None:
             raise InvalidParameter("pusbrf requires walk_params")
         source_hops = network.hops_from(source, walk_params.walk_hops)
         source_next_hop = [-1] * len(network)
-        ring = baselines.phantom_ring(network, source_hops,
-                                      walk_params.walk_hops)
-
-        def route(rng: np.random.Generator) -> RouteTrace:
-            return baselines.pusbrf_route(network, source, walk_params, rng,
-                                          source_hops=source_hops,
-                                          source_next_hop=source_next_hop,
-                                          ring=ring)
-        return route
+        # Its phantom candidates: the sensors exactly h hops out.
+        ring = np.flatnonzero(source_hops == walk_params.walk_hops)
+        ring = ring[ring != network.sink]
+        return partial(baselines.pusbrf_route, network, source, walk_params,
+                       source_hops=source_hops,
+                       source_next_hop=source_next_hop, ring=ring)
 
     if protocol == SHORTEST_PATH:
-        def route(rng: np.random.Generator) -> RouteTrace:
-            return baselines.shortest_path_route(network, source)
-        return route
+        return lambda rng: baselines.shortest_path_route(network, source)
 
     raise InvalidParameter(
         f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")

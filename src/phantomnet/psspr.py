@@ -83,9 +83,8 @@ class PhantomChoice:
     beta: float              # degrees, drives the same-hop hop count
     mirror_found: bool       # False when no node sat within r of the
                              # reflected point and p1 was forced
-    a_point: Point           # directed-phase exit anchor, r_max*r from
-                             # the source along the ray source->p1
-    a_mirror: Point          # point reflection of a_point through V
+    a_mirror: Point          # point reflection through V of the exit
+                             # anchor, r_max*r from the source toward p1
 
 
 def build_frame(network: Network, source: int) -> SourceFrame:
@@ -153,17 +152,16 @@ def candidate_domain(network: Network, frame: SourceFrame,
 
 def select_phantom(network: Network, frame: SourceFrame, params: SectorParams,
                    rng: np.random.Generator,
-                   domains: list[np.ndarray] | None = None) -> PhantomChoice:
+                   domains: list[np.ndarray]) -> PhantomChoice:
     """Draw a pseudo-phantom pair and pick the phantom for one packet.
 
-    The sector is drawn uniformly among non-empty sectors, the first
-    pseudo-phantom uniformly within it; its mirror is the node nearest
-    the point reflection through V. Each of the pair carries the packet
-    with equal probability, except when no node lies within r of the
-    reflected point, in which case the first pseudo-phantom is forced.
+    ``domains`` is the session's ``candidate_domain``. The sector is
+    drawn uniformly among non-empty sectors, the first pseudo-phantom
+    uniformly within it; its mirror is the node nearest the point
+    reflection through V. Each of the pair carries the packet with equal
+    probability, except when no node lies within r of the reflected
+    point, in which case the first pseudo-phantom is forced.
     """
-    if domains is None:
-        domains = candidate_domain(network, frame, params)
     nonempty = [k for k, dom in enumerate(domains) if len(dom)]
     if not nonempty:
         raise EmptyDomain("all phantom sectors are empty")
@@ -205,7 +203,7 @@ def select_phantom(network: Network, frame: SourceFrame, params: SectorParams,
 
     return PhantomChoice(domain_index=sector + 1, p1=p1, p2=p2, chosen=chosen,
                          beta=beta, mirror_found=mirror_found,
-                         a_point=(ax, ay), a_mirror=(mx, my))
+                         a_mirror=(mx, my))
 
 
 def same_hop_count(beta: float, params: SectorParams) -> int:
@@ -221,18 +219,20 @@ def same_hop_count(beta: float, params: SectorParams) -> int:
 
 def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
                  rng: np.random.Generator,
-                 domains: list[np.ndarray] | None = None) -> RouteTrace:
+                 domains: list[np.ndarray] | None) -> RouteTrace:
     """Route one packet source-to-sink through a freshly drawn phantom.
 
-    Sources within one communication radius of the sink send directly.
-    A phantom on the source side of V is reached by directed routing,
-    which then continues away from the source to the r_max ring, hands
-    over to the same-hop walk, and finishes with variable-angle routing
-    to the sink. A phantom on the sink side runs the mirrored order:
-    variable-angle until the packet enters the mirrored ring, the
-    same-hop walk, then directed routing through the mirror anchor and
-    the phantom into the sink. Failed phases leave a partial, undelivered
-    trace; they never drop the packet record.
+    Sources within one communication radius of the sink send directly,
+    and their ``domains`` may be None; every other source passes its
+    session's ``candidate_domain``. A phantom on the source side of V is
+    reached by directed routing, which then continues away from the
+    source to the r_max ring, hands over to the same-hop walk, and
+    finishes with variable-angle routing to the sink. A phantom on the
+    sink side runs the mirrored order: variable-angle until the packet
+    enters the mirrored ring, the same-hop walk, then directed routing
+    through the mirror anchor and the phantom into the sink. Failed
+    phases leave a partial, undelivered trace; they never drop the
+    packet record.
     """
     source = frame.source
     sink = network.sink
@@ -241,108 +241,85 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
         return RouteTrace(hops=[source, sink],
                           phases=[PHASE_DIRECT, PHASE_DIRECT], delivered=True)
 
-    choice = select_phantom(network, frame, params, rng, domains=domains)
+    choice = select_phantom(network, frame, params, rng, domains)
     h_m = same_hop_count(choice.beta, params)
     xs, ys = network.xs, network.ys
     sx, sy = xs[source], ys[source]
     bx, by = xs[sink], ys[sink]
     chosen_pos = (xs[choice.chosen], ys[choice.chosen])
     ring_radius = params.r_max * r
-    annotations: list[str] = []
+    cap = 4 * params.r_max
+    budget = 4 * frame.h_distance
 
-    legs: list[tuple[list[int], str]] = []
-    delivered = False
-
-    def finish() -> RouteTrace:
-        t = stitch(legs, delivered, annotations)
-        t.phantom = choice.chosen
-        return t
-
-    def push(nodes: list[int], phase: str, prev: int | None):
-        """Record a leg; return its last node and the one before (or prev)."""
-        legs.append((nodes, phase))
-        return nodes[-1], (nodes[-2] if len(nodes) > 1 else prev)
-
-    # Phases that fail to reach their geometric anchor hand the packet to
-    # the next phase from wherever they stopped; only the final leg into
-    # the sink decides delivery. Every phase from the phantom onward
-    # steers around the source's visible area.
+    # A plan lists legs as (phase, leg function, its arguments after the
+    # start node, its keyword arguments, restart). Each leg starts where
+    # the one before it stopped and is told the relay the packet came
+    # from, so as not to bounce straight back. A leg that makes no hop
+    # hands that relay on; with restart it hands on its own start, which
+    # the next leg can never step to. Only the away leg restarts, and the
+    # pinned traces depend on it.
     fx, fy = frame.x_axis.tolist()
     if (chosen_pos[0] - bx) * fx + (chosen_pos[1] - by) * fy > frame.v_x:
-        # Phantom on the source side of V: directed first. A packet that
-        # cannot reach its phantom is abandoned undelivered.
-        cap = 4 * params.r_max
-        nodes, reached = _directed_leg(network, source, chosen_pos, cap)
-        cur, prev = push(nodes, PHASE_DIRECTED, None)
-        if not reached:
-            return finish()
-
-        # The r_max ring may poke out of the monitored area; the directed
-        # phase can only move away from the source as far as the field
-        # holds nodes.
+        # Phantom on the source side of V: directed first, then away from
+        # the source; the r_max ring may poke out of the monitored area,
+        # and the walk can only get as far as the field holds nodes. Every
+        # leg from the phantom onward steers around the visible area.
         away_radius = min(ring_radius, frame.corner_reach - r)
-        away_anchor = _toward(network, (sx, sy), chosen_pos, away_radius)
-        nodes, _ = _directed_leg(
-            network, cur, away_anchor, cap, prev=prev,
-            min_dist_from=((sx, sy), away_radius), keep_out=frame.visible)
-        cur, prev = push(nodes, PHASE_DIRECTED, cur)
+        away = _toward(network, (sx, sy), chosen_pos, away_radius)
+        avoid = {"keep_out": frame.visible}
+        plan = [
+            (PHASE_DIRECTED, _directed_leg, (chosen_pos, cap), {}, False),
+            (PHASE_DIRECTED, _directed_leg, (away, cap),
+             {"min_dist_from": ((sx, sy), away_radius), **avoid}, True),
+            (PHASE_SAME_HOP, _same_hop_leg, (h_m, frame, None), avoid, False),
+            (PHASE_VAR_ANGLE, _var_angle_leg, (frame, budget), avoid, False)]
+    else:
+        # Phantom on the sink side of V: mirrored phase order. Variable-
+        # angle routing runs until the packet enters the mirrored ring, the
+        # same-hop walk slides along it toward the mirror anchor, and
+        # directed routing passes the anchor and the phantom into the sink.
+        # These legs run before the phantom, so the visible-area keep-out
+        # does not bind them; the phantom-to-sink tail near the sink cannot
+        # reach the source's disc in the first place.
+        plan = [(PHASE_VAR_ANGLE, _var_angle_leg, (frame, budget),
+                 {"ring": ring_radius}, False),
+                (PHASE_SAME_HOP, _same_hop_leg, (h_m, frame, choice.a_mirror),
+                 {}, False)]
+        # Visit the mirror anchor only when it physically exists in the
+        # field; a mirrored ring wider than the field has no node near it.
+        vx, vy = frame.center_v.tolist()
+        ux, uy = unit(xs[choice.p1] - sx, ys[choice.p1] - sy)
+        raw = (2.0 * vx - sx - ring_radius * ux,
+               2.0 * vy - sy - ring_radius * uy)
+        targets = [(chosen_pos, cap, choice.chosen), ((bx, by), budget, sink)]
+        if _clamp(network, *raw) == raw:    # inside the field
+            targets.insert(0, (choice.a_mirror, cap, None))
+        plan += [(PHASE_DIRECTED, _directed_leg, (target, hops),
+                  {"stop_node": stop}, False) for target, hops, stop in targets]
 
-        nodes, ann = _same_hop_leg(network, cur, h_m, frame, None, prev=prev,
-                                   keep_out=frame.visible)
-        annotations.extend(ann)
-        cur, prev = push(nodes, PHASE_SAME_HOP, prev)
-
-        nodes, reached = _var_angle_leg(network, cur, frame,
-                                        4 * frame.h_distance, prev=prev,
-                                        keep_out=frame.visible)
-        cur, _ = push(nodes, PHASE_VAR_ANGLE, prev)
-        delivered = reached and cur == sink
-        return finish()
-
-    # Phantom on the sink side of V: mirrored phase order. Variable-angle
-    # routing runs until the packet enters the mirrored ring, the
-    # same-hop walk slides along it toward the mirror anchor, and
-    # directed routing passes the anchor and the phantom into the sink.
-    # These legs run before the phantom, so the visible-area keep-out
-    # does not bind them; the phantom-to-sink tail near the sink cannot
-    # reach the source's disc in the first place.
-    def entered_ring(node: int) -> bool:
-        return network.dist(node, bx, by) <= ring_radius
-
-    nodes, reached = _var_angle_leg(network, source, frame,
-                                    4 * frame.h_distance, stop_fn=entered_ring)
-    cur, prev = push(nodes, PHASE_VAR_ANGLE, None)
-    if not reached:
-        return finish()
-    if cur == sink:
-        delivered = True
-        return finish()
-
-    nodes, ann = _same_hop_leg(network, cur, h_m, frame, choice.a_mirror,
-                               prev=prev)
-    annotations.extend(ann)
-    cur, prev = push(nodes, PHASE_SAME_HOP, prev)
-
-    # Visit the mirror anchor only when it physically exists in the
-    # field; a mirrored ring wider than the field has no node near it.
-    vx, vy = frame.center_v.tolist()
-    ux, uy = unit(xs[choice.p1] - sx, ys[choice.p1] - sy)
-    raw = (2.0 * vx - sx - ring_radius * ux, 2.0 * vy - sy - ring_radius * uy)
-    targets: list[tuple[Point, int | None]] = []
-    if _clamp(network, *raw) == raw:    # inside the field
-        targets.append((choice.a_mirror, None))
-    targets.append((chosen_pos, choice.chosen))
-    targets.append(((bx, by), sink))
-
-    cap = 4 * params.r_max
-    for target, stop_node in targets:
-        hop_cap = 4 * frame.h_distance if stop_node == sink else cap
-        nodes, reached = _directed_leg(network, cur, target, hop_cap,
-                                       prev=prev, stop_node=stop_node)
-        cur, prev = push(nodes, PHASE_DIRECTED, prev)
-        if stop_node == sink:
-            delivered = reached and cur == sink
-    return finish()
+    # A first leg that misses its anchor abandons the packet undelivered;
+    # a variable-angle leg that reaches the sink delivers it. Any other
+    # leg that fails hands the packet on from where it stopped, and the
+    # last leg decides delivery.
+    cur, prev = source, None
+    delivered = False
+    legs: list[tuple[list[int], str]] = []
+    annotations: list[str] = []
+    for phase, leg, args, kwargs, restart in plan:
+        nodes, out = leg(network, cur, *args, prev=prev, **kwargs)
+        legs.append((nodes, phase))
+        if phase == PHASE_SAME_HOP:
+            annotations.extend(out)
+        elif len(legs) == 1 and not out:
+            break
+        prev = nodes[-2] if len(nodes) > 1 else (cur if restart else prev)
+        cur = nodes[-1]
+        delivered = cur == sink
+        if delivered and phase == PHASE_VAR_ANGLE:
+            break
+    trace = stitch(legs, delivered, annotations)
+    trace.phantom = choice.chosen
+    return trace
 
 
 def _clamp(network: Network, x: float, y: float) -> Point:
@@ -471,7 +448,8 @@ def _directed_leg(network: Network, start: int, target: Point,
 
 
 def _var_angle_leg(network: Network, start: int, frame: SourceFrame,
-                   budget: int, prev: int | None = None, stop_fn=None,
+                   budget: int, prev: int | None = None,
+                   ring: float | None = None,
                    keep_out: frozenset[int] | None = None
                   ) -> tuple[list[int], bool]:
     """Smallest-angle forwarding toward the sink. Returns (nodes, reached).
@@ -479,14 +457,17 @@ def _var_angle_leg(network: Network, start: int, frame: SourceFrame,
     Each step forwards along the candidate hop with the smallest angle
     to the direction of the sink, the first of equals, as ranked by
     ``Network.by_sink_angle``: the sink itself when it is in range, else
-    the largest cosine. The leg ends at the sink or where ``stop_fn``
-    holds. Not revisiting relays breaks the orbit cycles a memoryless
-    angle-greedy walk falls into around routing voids.
+    the largest cosine. The leg ends at the sink or, with ``ring``, at
+    the first node within that distance of the sink. Not revisiting
+    relays breaks the orbit cycles a memoryless angle-greedy walk falls
+    into around routing voids.
     """
     sink = network.sink
+    bx, by = network.xs[sink], network.ys[sink]
 
     def done(node: int) -> bool:
-        return node == sink or (stop_fn is not None and stop_fn(node))
+        return node == sink or (ring is not None
+                                and network.dist(node, bx, by) <= ring)
 
     return _walk(network, start, budget, _first, done, prev=prev,
                  keep_out=keep_out, order=network.by_sink_angle)

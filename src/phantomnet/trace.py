@@ -49,20 +49,15 @@ class RouteTrace:
 
 def stitch(legs: list[tuple[list[int], str]], delivered: bool,
            annotations: list[str] | None = None) -> RouteTrace:
-    """Concatenate routing legs, dropping each leg's duplicated start node."""
-    hops: list[int] = []
-    phases: list[str] = []
+    """Concatenate routing legs, each starting where the one before ended.
+
+    The first node carries the first leg's phase tag; every later node
+    carries the tag of the leg that delivered the packet to it.
+    """
+    hops, phases = [legs[0][0][0]], [legs[0][1]]
     for nodes, phase in legs:
-        if not nodes:
-            continue
-        if hops and nodes[0] == hops[-1]:
-            nodes = nodes[1:]
-        elif not hops:
-            hops.append(nodes[0])
-            phases.append(phase)
-            nodes = nodes[1:]
-        hops.extend(nodes)
-        phases.extend([phase] * len(nodes))
+        hops += nodes[1:]
+        phases += [phase] * (len(nodes) - 1)
     return RouteTrace(hops=hops, phases=phases, delivered=delivered,
                       annotations=list(annotations or []))
 

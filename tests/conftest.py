@@ -59,6 +59,12 @@ def bfs_oracle(adjacency, root):
     return dist
 
 
+def annulus_mean_radius(r_min, r_max):
+    """Area-weighted mean radius of an annulus: (2/3)(R^3-r^3)/(R^2-r^2),
+    the oracle for the Monte-Carlo phantom distance."""
+    return (2.0 / 3.0) * (r_max ** 3 - r_min ** 3) / (r_max ** 2 - r_min ** 2)
+
+
 def validate_trace(network, trace, source):
     """Invariants every protocol's packet trace must satisfy."""
     assert trace.hops[0] == source

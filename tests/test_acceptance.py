@@ -17,7 +17,7 @@ import phantomnet.analysis as an
 from phantomnet.cli import main as cli_main
 from phantomnet.errors import DomainError
 
-from conftest import bfs_oracle, brute_force_adjacency
+from conftest import annulus_mean_radius, bfs_oracle, brute_force_adjacency
 
 TABLE2 = {
     5: (40.97, 33.33), 10: (28.71, 20.00), 15: (23.38, 14.29),
@@ -227,7 +227,7 @@ def test_phantom_geometry(dense_net):
     c.expect(p > 0.01, f"sector chi-square p={p:.4f}")
     mc, se = an.psspr_distance_mc(8, 12, n_samples=1_000_000,
                                   rng=np.random.default_rng(3))
-    oracle = an.annulus_mean_radius(8, 12)
+    oracle = annulus_mean_radius(8, 12)
     c.expect(abs(mc - oracle) / oracle < 0.005,
              f"mc {mc:.4f} vs oracle {oracle:.4f}")
     c.expect(se / mc < 0.005, f"standard error {se:.5f} too large")

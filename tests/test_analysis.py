@@ -6,7 +6,10 @@ from scipy import integrate
 from scipy.special import ellipe
 
 import phantomnet.analysis as an
+from phantomnet.cli import main
 from phantomnet.errors import DomainError, InvalidParameter, QuadratureFailure
+
+from conftest import annulus_mean_radius
 
 # Published reference rows: h -> (r_min, r_max, hbdrw/pusbrf %, pusbrf/psspr %)
 TABLE2 = {
@@ -87,11 +90,10 @@ class TestPhantomCounts:
 
 
 class TestPhantomDistance:
-    def test_baseline_closed_forms(self):
-        params = an.AnalysisInput(r_min=8, r_max=12, h=10, H=60)
-        assert an.avg_phantom_distance("pusbrf", params) == 10.0
-        assert an.avg_phantom_distance("hbdrw", params) == 10.0
-        assert an.avg_phantom_distance("pusbrf", params, r=100.0) == 1000.0
+    def test_baseline_closed_forms(self, capsys):
+        assert main(["analyze", "--h", "10"]) == 0
+        assert ("avg_phantom_distance hbdrw/pusbrf = 10.00 hops"
+                in capsys.readouterr().out.splitlines())
 
     def test_mc_within_annulus_bounds(self):
         mean, se = an.psspr_distance_mc(4, 6, n_samples=50_000,
@@ -100,7 +102,7 @@ class TestPhantomDistance:
         assert se > 0.0
 
     def test_mc_matches_area_weighted_oracle(self):
-        oracle = an.annulus_mean_radius(8, 12)
+        oracle = annulus_mean_radius(8, 12)
         assert oracle == pytest.approx((2 / 3) * (12 ** 3 - 8 ** 3)
                                        / (12 ** 2 - 8 ** 2))
         mean, se = an.psspr_distance_mc(8, 12, n_samples=1_000_000,
@@ -112,7 +114,7 @@ class TestPhantomDistance:
         # The printed integral cannot reproduce the annulus mean; both
         # values are exposed so the discrepancy stays visible.
         printed = an.psspr_distance_printed(8, 12, 60)
-        assert printed > 2 * an.annulus_mean_radius(8, 12)
+        assert printed > 2 * annulus_mean_radius(8, 12)
 
 
 class TestCommOverhead:

@@ -82,14 +82,14 @@ class TestHbdrw:
 class TestPusbrf:
     def test_ring_membership_exact(self, dense_net):
         src = pn.pick_source(dense_net, 10, 11)
-        source_hops = dense_net.hops_from(src)
         # Independent oracle for the source-rooted distances.
         oracle = bfs_oracle(adjacency_lists(dense_net), src)
         rng = np.random.default_rng(4)
         for h in (1, 5, 9):
+            route = pn.make_router(dense_net, "pusbrf", src,
+                                   walk_params=pn.BaselineParams(h))
             for _ in range(30):
-                t = pn.pusbrf_route(dense_net, src, pn.BaselineParams(h), rng,
-                                    source_hops=source_hops)
+                t = route(rng)
                 assert oracle[t.phantom] == h
                 assert t.delivered and t.hops[-1] == pn.SINK
                 # Source-to-phantom leg is a minimum-hop path.
@@ -99,25 +99,27 @@ class TestPusbrf:
     def test_one_hop_ring_is_neighbors(self, dense_net):
         src = pn.pick_source(dense_net, 10, 11)
         rng = np.random.default_rng(6)
-        seen = {pn.pusbrf_route(dense_net, src, pn.BaselineParams(1), rng).phantom
-                for _ in range(200)}
+        route = pn.make_router(dense_net, "pusbrf", src,
+                               walk_params=pn.BaselineParams(1))
+        seen = {route(rng).phantom for _ in range(200)}
         assert seen <= {int(j) for j in dense_net.neighbors(src)}
 
     def test_empty_ring_raises(self, dense_net):
         src = pn.pick_source(dense_net, 10, 11)
         with pytest.raises(EmptyRing):
-            pn.pusbrf_route(dense_net, src, pn.BaselineParams(10_000),
-                            np.random.default_rng(0))
+            pn.make_router(dense_net, "pusbrf", src,
+                           walk_params=pn.BaselineParams(10_000))(
+                               np.random.default_rng(0))
 
     def test_mean_phantom_distance_near_rh(self, dense_net):
         src = pn.pick_source(dense_net, 10, 11)
-        source_hops = dense_net.hops_from(src)
         rng = np.random.default_rng(6)
         h = 10
+        route = pn.make_router(dense_net, "pusbrf", src,
+                               walk_params=pn.BaselineParams(h))
         d = []
         for _ in range(2000):
-            t = pn.pusbrf_route(dense_net, src, pn.BaselineParams(h), rng,
-                                source_hops=source_hops)
+            t = route(rng)
             d.append(np.linalg.norm(dense_net.positions[t.phantom]
                                     - dense_net.positions[src]))
         mean = float(np.mean(d))

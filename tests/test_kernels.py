@@ -293,8 +293,7 @@ def test_var_angle_leg_matches_numpy_reference(field):
 
         def entered(node):
             return dist_ref(field, node, pos[pn.SINK]) <= 400.0
-        assert (_var_angle_leg(field, start, frame, 60, stop_fn=entered,
-                               **kw)
+        assert (_var_angle_leg(field, start, frame, 60, ring=400.0, **kw)
                 == var_angle_leg_ref(field, start, frame, 60,
                                      stop_fn=entered, **ref))
 

@@ -176,6 +176,15 @@ def test_mirror_lookup_matches_kdtree_query(oracle_net):
         py = y + r * math.sin(t)
         points += [(np.nextafter(px, -math.inf), py), (px, py),
                    (np.nextafter(px, math.inf), py)]
+    # More than r past each edge and corner of the cell grid, where a
+    # reflected point can land with no cell in reach: beside the first
+    # and the last cell of each row and column, and off the corners.
+    x0, y0 = net.origin
+    x1, y1 = x0 + net.nx * net.cell, y0 + net.ny * net.cell
+    for d in (1.5 * r, 2.0 * net.cell + r):
+        for x in (x0 - d, x0 + net.cell / 2, x1 - net.cell / 2, x1 + d):
+            for y in (y0 - d, y0 + net.cell / 2, y1 - net.cell / 2, y1 + d):
+                points.append((x, y))
     tree = cKDTree(pos)
     skip = (pn.SINK, len(net) - 1)
     found = 0
@@ -328,6 +337,16 @@ def test_sink_leads_the_angle_ordering(small_net):
     net = pn.Network(np.array([[500.0, 500.0], [500.0, 500.0],
                                [550.0, 500.0]]),
                      r=100.0, r0=100.0, field_side=1000.0)
+    with pytest.raises(InvalidParameter):
+        net.by_sink_angle(1)
+
+
+def test_co_located_sensors_raise_a_named_error():
+    # Nodes 1 and 2 share a position: the hop between them has no
+    # direction to rank by its angle to the sink.
+    net = pn.Network(np.array([[0.0, 0.0], [150.0, 0.0], [150.0, 0.0],
+                               [80.0, 0.0]]),
+                     r=100.0, r0=100.0, field_side=150.0)
     with pytest.raises(InvalidParameter):
         net.by_sink_angle(1)
 

@@ -100,9 +100,10 @@ class TestSelectPhantom:
             r=2100.0)
         frame = pn.build_frame(net, 1)
         params = pn.SectorParams(1, 2, 2)
+        domains = pn.candidate_domain(net, frame, params)
         rng = np.random.default_rng(0)
         for _ in range(8):
-            choice = pn.select_phantom(net, frame, params, rng)
+            choice = pn.select_phantom(net, frame, params, rng, domains)
             assert choice.p1 == 2
             assert choice.p2 == 3
             assert choice.mirror_found
@@ -132,8 +133,11 @@ class TestSelectPhantom:
         src = pn.pick_source(dense_net, 10, 11)
         frame = pn.build_frame(dense_net, src)
         params = pn.SectorParams(4, 6, 6)
-        a = pn.select_phantom(dense_net, frame, params, np.random.default_rng(9))
-        b = pn.select_phantom(dense_net, frame, params, np.random.default_rng(9))
+        domains = pn.candidate_domain(dense_net, frame, params)
+        a = pn.select_phantom(dense_net, frame, params,
+                              np.random.default_rng(9), domains)
+        b = pn.select_phantom(dense_net, frame, params,
+                              np.random.default_rng(9), domains)
         assert (a.p1, a.p2, a.chosen, a.beta) == (b.p1, b.p2, b.chosen, b.beta)
 
 
@@ -274,7 +278,7 @@ class TestRoutePacket:
                                 r=100.0, field_side=1000.0)
         frame = pn.build_frame(net, 1)
         t = pn.route_packet(net, frame, pn.SectorParams(1, 2, 2),
-                            np.random.default_rng(0))
+                            np.random.default_rng(0), domains=None)
         assert t.hops == [1, pn.SINK]
         assert t.phases == [PHASE_DIRECT, PHASE_DIRECT]
         assert t.delivered
@@ -321,10 +325,11 @@ class TestRoutePacket:
         src = pn.pick_source(dense_net, 10, 11)
         frame = pn.build_frame(dense_net, src)
         params = pn.SectorParams(4, 6, 6)
+        domains = pn.candidate_domain(dense_net, frame, params)
         a = [pn.route_packet(dense_net, frame, params,
-                             np.random.default_rng(77)).hops
+                             np.random.default_rng(77), domains).hops
              for _ in range(3)]
         b = [pn.route_packet(dense_net, frame, params,
-                             np.random.default_rng(77)).hops
+                             np.random.default_rng(77), domains).hops
              for _ in range(3)]
         assert a == b
