@@ -9,8 +9,7 @@ from .analysis import (AnalysisInput, comm_overhead, failure_path_probability,
                        make_tables, phantom_count_hbdrw, phantom_count_psspr,
                        phantom_count_pusbrf, ratio_hbdrw_over_pusbrf,
                        ratio_pusbrf_over_psspr, rmin_rmax_for)
-from .baselines import (BaselineParams, hbdrw_route, pusbrf_route,
-                        shortest_path_route)
+from .baselines import hbdrw_route, pusbrf_route, shortest_path_route
 from .config import ExperimentConfig, load_config, parse_config
 from .harness import AggregateRow, emit_csv, pick_source, run_experiment
 from .net import SINK, UNREACHABLE, Network, deploy

@@ -68,18 +68,18 @@ def observe_packet(network: Network, state: AdversaryState,
 
 
 def run_session(network: Network, protocol: str, source: int,
-                max_packets: int, rng: np.random.Generator,
-                sector_params=None, walk_params=None,
-                on_trace=None) -> RunMetrics:
+                max_packets: int, rng: np.random.Generator, *, h: int,
+                omega: int, on_trace=None) -> RunMetrics:
     """Send packets until the adversary captures the source or the cap hits.
 
-    ``on_trace`` is called with every routed trace (delivered or not) and
-    lets the harness collect per-packet statistics without re-routing.
+    ``make_router`` sets the session up at sweep point (h, omega) and
+    checks the source before the first packet. ``on_trace`` is called
+    with every routed trace (delivered or not) and lets the harness
+    collect per-packet statistics without re-routing.
     """
     if max_packets < 1:
         raise InvalidParameter(f"max_packets must be >= 1, got {max_packets}")
-    router = make_router(network, protocol, source,
-                         sector_params=sector_params, walk_params=walk_params)
+    router = make_router(network, protocol, source, h=h, omega=omega)
     state = initial_state(network)
     total_hops = 0
     delivered = 0

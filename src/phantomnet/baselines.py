@@ -5,31 +5,17 @@ shortest-path control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import EmptyRing, InvalidParameter
-from .net import UNREACHABLE, Network
+from .net import Network
 from .trace import (PHASE_PHANTOM_PATH, PHASE_SHORTEST, PHASE_WALK,
                     RouteTrace, stitch)
 
 
-@dataclass(frozen=True)
-class BaselineParams:
-    """Walk length h shared by both baselines."""
-
-    walk_hops: int
-
-    def __post_init__(self):
-        if self.walk_hops < 1:
-            raise InvalidParameter(
-                f"walk_hops must be >= 1, got {self.walk_hops}")
-
-
-def hbdrw_route(network: Network, source: int, params: BaselineParams,
+def hbdrw_route(network: Network, source: int, walk_hops: int,
                 rng: np.random.Generator) -> RouteTrace:
-    """h-hop directed random walk, then shortest path from the endpoint.
+    """``walk_hops``-hop directed random walk, then shortest path from the
+    endpoint; ``protocols.make_router`` has checked the session.
 
     Each relay splits its neighbors into a parent set (smaller hop count)
     and a child set (larger hop count); the walk commits to one set kind
@@ -37,12 +23,11 @@ def hbdrw_route(network: Network, source: int, params: BaselineParams,
     An empty committed set at some relay falls back to the other set for
     that step; if both are empty the walk ends early.
     """
-    _check_source(network, source)
     committed_parent = bool(rng.integers(2) == 0)
     walk = [source]
     annotations: list[str] = []
     cur, prev = source, None
-    for step in range(params.walk_hops):
+    for step in range(walk_hops):
         parents, _, children = network.hop_rings(cur)
         primary, other = ((parents, children) if committed_parent
                           else (children, parents))
@@ -64,22 +49,19 @@ def hbdrw_route(network: Network, source: int, params: BaselineParams,
     return out
 
 
-def pusbrf_route(network: Network, source: int, params: BaselineParams,
-                 rng: np.random.Generator, source_hops: np.ndarray,
+def pusbrf_route(network: Network, source: int, rng: np.random.Generator,
+                 source_hops: np.ndarray,
                  source_next_hop: list[int], ring: np.ndarray) -> RouteTrace:
     """Phantom drawn uniformly from the ring exactly h source-hops away.
 
-    The session state comes from ``protocols.make_router``:
+    The checked session state comes from ``protocols.make_router``:
     ``source_hops`` is the source-rooted flooding result, h hops out or
     more, ``source_next_hop`` the memo of its descent (see ``_descend``)
-    and ``ring`` the sensors exactly h hops out. The source-to-phantom leg
-    descends that hop field, giving a minimum hop path of exactly h
-    hops, and the phantom forwards to the sink on a shortest path.
+    and ``ring`` the sensors exactly h hops out, never empty. The
+    source-to-phantom leg descends that hop field, giving a minimum hop
+    path of exactly h hops, and the phantom forwards to the sink on a
+    shortest path.
     """
-    _check_source(network, source)
-    if len(ring) == 0:
-        raise EmptyRing(
-            f"no node at exactly {params.walk_hops} hops from source {source}")
     phantom = int(ring[int(rng.integers(len(ring)))])
 
     # Walk the source-rooted hop field down from the phantom, then flip.
@@ -98,9 +80,9 @@ def shortest_path_route(network: Network, source: int) -> RouteTrace:
 
     Each relay forwards to a neighbor one hop closer to the sink, ties
     broken by Euclidean distance to the sink, so the trace length equals
-    the source's hop count exactly.
+    the source's hop count exactly; ``protocols.make_router`` has checked
+    that the sink flood reached the source.
     """
-    _check_source(network, source, allow_sink=True)
     nodes = _descend_to_sink(network, source)
     return RouteTrace(hops=nodes, phases=[PHASE_SHORTEST] * len(nodes),
                       delivered=True)
@@ -136,10 +118,3 @@ def _descend_to_sink(network: Network, start: int) -> list[int]:
     return _descend(network, network.hop_list, start, network.sink_pos,
                     network.sink_next_hop)
 
-
-def _check_source(network: Network, source: int, allow_sink: bool = False):
-    network.check_node(source)
-    if not allow_sink and source == network.sink:
-        raise InvalidParameter("source must not be the sink")
-    if network.hops[source] == UNREACHABLE:
-        raise InvalidParameter(f"source {source} is unreachable from the sink")

@@ -18,14 +18,12 @@ import sys
 import numpy as np
 
 from . import analysis
-from .baselines import BaselineParams
 from .config import DEFAULTS, load_config
 from .errors import (InvalidParameter, ParseError, PhantomNetError,
                      ValidationError)
 from .harness import emit_csv, pick_source, run_experiment
 from .net import deploy
 from .protocols import PROTOCOLS, make_router
-from .psspr import SectorParams
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,10 +156,8 @@ def cmd_trace(args) -> int:
     if args.network_out:
         network.dump_csv(args.network_out)
     source = pick_source(network, args.H, args.seed)
-    sector = SectorParams(*analysis.rmin_rmax_for(args.h), omega=args.omega)
-    walk = BaselineParams(walk_hops=args.h)
-    router = make_router(network, args.protocol, source,
-                         sector_params=sector, walk_params=walk)
+    router = make_router(network, args.protocol, source, h=args.h,
+                         omega=args.omega)
     rng = np.random.default_rng([args.seed, args.H, args.h])
     trace = router(rng)
     print("packet_id,hop_index,node_id,phase")

@@ -28,13 +28,6 @@ DEFAULTS = {
     "output_path": "results.csv",
 }
 
-_INT_KEYS = {"n_nodes", "omega", "packets_per_run"}
-_FLOAT_KEYS = {"field_side", "r", "r0"}
-_INT_LIST_KEYS = {"h", "H", "seeds"}
-_STR_LIST_KEYS = {"protocols"}
-_STR_KEYS = {"output_path"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _INT_LIST_KEYS | _STR_LIST_KEYS | _STR_KEYS
-
 
 @dataclass
 class ExperimentConfig:
@@ -63,6 +56,8 @@ class ExperimentConfig:
             raise ValidationError("packets_per_run must be >= 1")
         if not self.seeds:
             raise ValidationError("seeds must be non-empty")
+        if min(self.seeds) < 0:
+            raise ValidationError(f"seeds must be >= 0, got {min(self.seeds)}")
         if not self.protocols:
             raise ValidationError("protocols must be non-empty")
         for p in self.protocols:
@@ -105,7 +100,7 @@ def parse_config(text: str, origin: str = "<config>") -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in DEFAULTS:
             raise ParseError(f"{origin}:{lineno}: unknown key {key!r}")
         if not value:
             raise ParseError(f"{origin}:{lineno}: empty value for {key!r}")
@@ -117,12 +112,10 @@ def parse_config(text: str, origin: str = "<config>") -> ExperimentConfig:
 
 
 def _convert(key: str, value: str):
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _INT_LIST_KEYS:
-        return [int(v.strip()) for v in value.split(",") if v.strip()]
-    if key in _STR_LIST_KEYS:
-        return [v.strip() for v in value.split(",") if v.strip()]
-    return value
+    """``value`` as the type of the key's default, or for a list default
+    as a comma-separated list of its element type."""
+    default = DEFAULTS[key]
+    if isinstance(default, list):
+        kind = type(default[0])
+        return [kind(v.strip()) for v in value.split(",") if v.strip()]
+    return type(default)(value)

@@ -18,14 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis
 from .adversary import run_session
-from .baselines import BaselineParams
 from .config import ExperimentConfig
 from .errors import HarnessError, InvalidParameter
 from .net import deploy
 from .protocols import PROTOCOLS, SHORTEST_PATH
-from .psspr import SectorParams
 from .trace import enters_visible_area
 
 CSV_HEADER = ("protocol,h,H,mean_safety_time,mean_comm_overhead_hops,"
@@ -95,8 +92,6 @@ def run_one(spec: RunSpec) -> RunResult:
     network = _network(spec.n_nodes, spec.field_side, spec.r, spec.r0,
                        spec.seed)
     source = pick_source(network, spec.H, spec.seed)
-    sector = SectorParams(*analysis.rmin_rmax_for(spec.h), omega=spec.omega)
-    walk = BaselineParams(walk_hops=spec.h)
     rng = np.random.default_rng([spec.seed, spec.H, spec.h,
                                  PROTOCOLS.index(spec.protocol)])
 
@@ -108,8 +103,7 @@ def run_one(spec: RunSpec) -> RunResult:
             stats["failures"] += 1
 
     metrics = run_session(network, spec.protocol, source, spec.packets, rng,
-                          sector_params=sector, walk_params=walk,
-                          on_trace=on_trace)
+                          h=spec.h, omega=spec.omega, on_trace=on_trace)
     return RunResult(safety_time=metrics.safety_time,
                      captured=metrics.captured,
                      packets_sent=stats["packets"],
@@ -145,7 +139,7 @@ def run_experiment(config: ExperimentConfig,
         todo.setdefault(_run_key(specs[i]), specs[i])
 
     if max_workers is None:
-        max_workers = int(os.environ.get("PHANTOMNET_THREADS", "1"))
+        max_workers = _env_workers()
     done: dict = {}
     if max_workers > 1:
         # Whole seeds are dealt in turn to single-process pools (lanes),
@@ -195,6 +189,19 @@ def run_experiment(config: ExperimentConfig,
     return rows
 
 
+def _env_workers() -> int:
+    """The worker count PHANTOMNET_THREADS asks for, 1 when it is unset."""
+    raw = os.environ.get("PHANTOMNET_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise InvalidParameter(
+            f"PHANTOMNET_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
+
+
 def _attempt(fn, *args):
     """``fn(*args)``, or the exception it raised."""
     try:
@@ -206,8 +213,9 @@ def _attempt(fn, *args):
 def _run_key(spec: RunSpec):
     """Identity of a run's result.
 
-    Shortest-path routing takes no walk or sector parameters and its
-    rng stream goes unused, so its runs differ only in (H, seed).
+    Shortest-path routes do not depend on h or omega (valid in every
+    run, as the config is validated) and its rng stream goes unused, so
+    its runs differ only in (H, seed).
     """
     if spec.protocol == SHORTEST_PATH:
         return (spec.protocol, spec.H, spec.seed)

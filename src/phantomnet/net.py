@@ -217,21 +217,12 @@ class Network:
         """The node nearest (x, y) apart from those in ``skip``, -1 if it
         lies farther than r.
 
-        Only the cells within r of the point can hold a node within r.
-        Candidates rank by squared distance, the first of equals in cell
-        order; the winner is in range when its sqrt is <= r.
+        Only the cells within r of the point can hold a node within r;
+        ``nearest`` ranks them, the first of equals in cell order.
         """
-        xs, ys = self.xs, self.ys
-        best, best_d2 = -1, math.inf
-        for n in self._scan(x, y, self.r):
-            if n in skip:
-                continue
-            dx = xs[n] - x
-            dy = ys[n] - y
-            d2 = dx * dx + dy * dy
-            if d2 < best_d2:
-                best, best_d2 = n, d2
-        if best >= 0 and math.sqrt(best_d2) <= self.r:
+        best = self.nearest((n for n in self._scan(x, y, self.r)
+                             if n not in skip), x, y)
+        if best >= 0 and self.dist(best, x, y) <= self.r:
             return best
         return -1
 
@@ -328,6 +319,8 @@ def deploy(n_nodes: int, field_side: float, r: float, r0: float,
         raise InvalidParameter(f"r must be positive, got {r}")
     if r0 < r:
         raise InvalidParameter(f"r0 must be >= r, got r0={r0} r={r}")
+    if seed < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     sensor_pos = rng.uniform(0.0, field_side, size=(n_nodes, 2))

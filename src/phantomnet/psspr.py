@@ -22,10 +22,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EmptyDomain, InvalidParameter, SourceIsSink
+from .errors import EmptyDomain, InvalidParameter
 from .net import UNREACHABLE, Network, norm, project, row_norms, unit
-from .trace import (PHASE_DIRECT, PHASE_DIRECTED, PHASE_SAME_HOP,
-                    PHASE_VAR_ANGLE, RouteTrace, stitch)
+from .trace import (PHASE_DIRECTED, PHASE_SAME_HOP, PHASE_VAR_ANGLE,
+                    RouteTrace, stitch)
 
 Point = tuple[float, float]     # (x, y); numpy 2-vectors work too
 
@@ -74,26 +74,21 @@ class SourceFrame:
 
 @dataclass(frozen=True)
 class PhantomChoice:
-    """One packet's pseudo-phantom pair and the phantom actually used."""
+    """One packet's pseudo-phantom and the phantom actually used."""
 
-    domain_index: int        # selected sector, 1..omega
     p1: int                  # pseudo-phantom drawn from the sector
-    p2: int                  # node nearest the point reflection of p1
-    chosen: int              # phantom carrying this packet
+    chosen: int              # p1 or its mirror, carrying this packet
     beta: float              # degrees, drives the same-hop hop count
-    mirror_found: bool       # False when no node sat within r of the
-                             # reflected point and p1 was forced
     a_mirror: Point          # point reflection through V of the exit
                              # anchor, r_max*r from the source toward p1
 
 
 def build_frame(network: Network, source: int) -> SourceFrame:
-    """Coordinate frame for a source: V, the axes, and the hop distance."""
-    network.check_node(source)
-    if source == network.sink:
-        raise SourceIsSink("cannot build a routing frame for the sink")
-    if network.hops[source] == UNREACHABLE:
-        raise InvalidParameter(f"source {source} is unreachable from the sink")
+    """Coordinate frame for a source: V, the axes, and the hop distance.
+
+    The source must be a sensor the sink flood reached, as
+    ``protocols.make_router`` checks for a session.
+    """
     spos = network.positions[source]
     bpos = network.sink_pos
     d = norm(spos - bpos)
@@ -174,14 +169,12 @@ def select_phantom(network: Network, frame: SourceFrame, params: SectorParams,
     sx, sy = xs[frame.source], ys[frame.source]
     vx, vy = frame.center_v.tolist()
 
+    # The mirror, -1 when no node lies within r of the reflected point;
+    # near V, p1 may be its own mirror.
     p2 = network.nearest_in_range(2.0 * vx - px, 2.0 * vy - py,
                                   (network.sink, frame.source))
-    mirror_found = p2 >= 0
-    if not mirror_found:
-        p2 = p1
-
     chosen = p1
-    if mirror_found and int(rng.integers(2)) == 1:
+    if p2 >= 0 and int(rng.integers(2)) == 1:
         chosen = p2
 
     # Exit anchors may fall outside the monitored area when the outer
@@ -195,15 +188,13 @@ def select_phantom(network: Network, frame: SourceFrame, params: SectorParams,
     # the pair (anchoring the chosen phantom at its own ray's vertex
     # would collapse the angle to zero).
     cx, cy = xs[chosen], ys[chosen]
-    if mirror_found and chosen == p2:
+    if chosen == p2:
         beta = _angle_deg(ax - sx, ay - sy, cx - sx, cy - sy)
     else:
         bx, by = xs[network.sink], ys[network.sink]
         beta = _angle_deg(mx - bx, my - by, cx - bx, cy - by)
 
-    return PhantomChoice(domain_index=sector + 1, p1=p1, p2=p2, chosen=chosen,
-                         beta=beta, mirror_found=mirror_found,
-                         a_mirror=(mx, my))
+    return PhantomChoice(p1=p1, chosen=chosen, beta=beta, a_mirror=(mx, my))
 
 
 def same_hop_count(beta: float, params: SectorParams) -> int:
@@ -219,28 +210,24 @@ def same_hop_count(beta: float, params: SectorParams) -> int:
 
 def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
                  rng: np.random.Generator,
-                 domains: list[np.ndarray] | None) -> RouteTrace:
+                 domains: list[np.ndarray]) -> RouteTrace:
     """Route one packet source-to-sink through a freshly drawn phantom.
 
-    Sources within one communication radius of the sink send directly,
-    and their ``domains`` may be None; every other source passes its
-    session's ``candidate_domain``. A phantom on the source side of V is
-    reached by directed routing, which then continues away from the
-    source to the r_max ring, hands over to the same-hop walk, and
-    finishes with variable-angle routing to the sink. A phantom on the
-    sink side runs the mirrored order: variable-angle until the packet
-    enters the mirrored ring, the same-hop walk, then directed routing
-    through the mirror anchor and the phantom into the sink. Failed
-    phases leave a partial, undelivered trace; they never drop the
+    ``domains`` is the session's ``candidate_domain``; a source within one
+    communication radius of the sink never gets here, as
+    ``protocols.make_router`` has it send directly. A phantom on the
+    source side of V is reached by directed routing, which then continues
+    away from the source to the r_max ring, hands over to the same-hop
+    walk, and finishes with variable-angle routing to the sink. A phantom
+    on the sink side runs the mirrored order: variable-angle until the
+    packet enters the mirrored ring, the same-hop walk, then directed
+    routing through the mirror anchor and the phantom into the sink.
+    Failed phases leave a partial, undelivered trace; they never drop the
     packet record.
     """
     source = frame.source
     sink = network.sink
     r = network.r
-    if frame.source_sink_distance <= r:
-        return RouteTrace(hops=[source, sink],
-                          phases=[PHASE_DIRECT, PHASE_DIRECT], delivered=True)
-
     choice = select_phantom(network, frame, params, rng, domains)
     h_m = same_hop_count(choice.beta, params)
     xs, ys = network.xs, network.ys
@@ -272,7 +259,7 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
             (PHASE_DIRECTED, _directed_leg, (away, cap),
              {"min_dist_from": ((sx, sy), away_radius), **avoid}, True),
             (PHASE_SAME_HOP, _same_hop_leg, (h_m, frame, None), avoid, False),
-            (PHASE_VAR_ANGLE, _var_angle_leg, (frame, budget), avoid, False)]
+            (PHASE_VAR_ANGLE, _var_angle_leg, (budget,), avoid, False)]
     else:
         # Phantom on the sink side of V: mirrored phase order. Variable-
         # angle routing runs until the packet enters the mirrored ring, the
@@ -281,7 +268,7 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
         # These legs run before the phantom, so the visible-area keep-out
         # does not bind them; the phantom-to-sink tail near the sink cannot
         # reach the source's disc in the first place.
-        plan = [(PHASE_VAR_ANGLE, _var_angle_leg, (frame, budget),
+        plan = [(PHASE_VAR_ANGLE, _var_angle_leg, (budget,),
                  {"ring": ring_radius}, False),
                 (PHASE_SAME_HOP, _same_hop_leg, (h_m, frame, choice.a_mirror),
                  {}, False)]
@@ -447,11 +434,10 @@ def _directed_leg(network: Network, start: int, target: Point,
                  keep_out=keep_out, order=order)
 
 
-def _var_angle_leg(network: Network, start: int, frame: SourceFrame,
-                   budget: int, prev: int | None = None,
-                   ring: float | None = None,
+def _var_angle_leg(network: Network, start: int, budget: int,
+                   prev: int | None = None, ring: float | None = None,
                    keep_out: frozenset[int] | None = None
-                  ) -> tuple[list[int], bool]:
+                   ) -> tuple[list[int], bool]:
     """Smallest-angle forwarding toward the sink. Returns (nodes, reached).
 
     Each step forwards along the candidate hop with the smallest angle

@@ -219,7 +219,7 @@ def test_phantom_geometry(dense_net):
     for _ in range(10_000):
         choice = pn.select_phantom(dense_net, frame, params, rng,
                                    domains=domains)
-        counts[choice.domain_index - 1] += 1
+        counts[[choice.p1 in dom for dom in domains].index(True)] += 1
         d = np.linalg.norm(dense_net.positions[choice.p1] - spos)
         annulus_ok &= 400.0 <= d <= 600.0
     c.expect(annulus_ok, "a selected phantom left the annulus")

@@ -49,15 +49,15 @@ def test_backtrace_progression_matches_path_oracle():
     src = int(ids[np.argmax(net.hops[ids])])
     H = int(net.hops[src])
     rng = np.random.default_rng(1)
-    metrics = pn.run_session(net, "shortest-path", src, 200, rng)
+    metrics = pn.run_session(net, "shortest-path", src, 200, rng, h=5,
+                             omega=6)
     assert metrics.captured
     assert abs(metrics.safety_time - H) <= 2
 
 
 def test_adversary_never_teleports(desk_net):
     src = pn.pick_source(desk_net, 15, 2)
-    router = pn.make_router(desk_net, "psspr", src,
-                            sector_params=pn.SectorParams(8, 12, 6))
+    router = pn.make_router(desk_net, "psspr", src, h=10, omega=6)
     rng = np.random.default_rng(4)
     state = initial_state(desk_net)
     for _ in range(80):
@@ -88,7 +88,7 @@ def test_capture_definition_radius(desk_net):
     # Capture fires exactly when the adversary stands within r0 of the
     # source or on it.
     src = pn.pick_source(desk_net, 10, 2)
-    router = pn.make_router(desk_net, "shortest-path", src)
+    router = pn.make_router(desk_net, "shortest-path", src, h=5, omega=6)
     rng = np.random.default_rng(0)
     state = initial_state(desk_net)
     for _ in range(100):
@@ -105,13 +105,13 @@ def test_run_session_rejects_zero_packets(desk_net):
     src = pn.pick_source(desk_net, 10, 2)
     with pytest.raises(InvalidParameter):
         pn.run_session(desk_net, "shortest-path", src, 0,
-                       np.random.default_rng(0))
+                       np.random.default_rng(0), h=5, omega=6)
 
 
 def test_single_packet_adjacent_source():
     net = two_node_net()
     metrics = pn.run_session(net, "shortest-path", 1, 1,
-                             np.random.default_rng(0))
+                             np.random.default_rng(0), h=5, omega=6)
     assert metrics.safety_time == 1
     assert metrics.captured
 
@@ -119,7 +119,7 @@ def test_single_packet_adjacent_source():
 def test_shortest_path_capture_bound(desk_net):
     src = pn.pick_source(desk_net, 20, 2)
     metrics = pn.run_session(desk_net, "shortest-path", src, 400,
-                             np.random.default_rng(0))
+                             np.random.default_rng(0), h=5, omega=6)
     assert metrics.captured
     assert metrics.safety_time <= 25
 
@@ -133,16 +133,16 @@ def test_psspr_beats_shortest_path_paired_seeds():
         src = int(cands[0])
         rng_a = np.random.default_rng([seed, 1])
         rng_b = np.random.default_rng([seed, 1])
-        sp = pn.run_session(net, "shortest-path", src, 300, rng_a)
-        ps = pn.run_session(net, "psspr", src, 300, rng_b,
-                            sector_params=pn.SectorParams(4, 6, 6))
+        sp = pn.run_session(net, "shortest-path", src, 300, rng_a, h=5,
+                            omega=6)
+        ps = pn.run_session(net, "psspr", src, 300, rng_b, h=5, omega=6)
         wins += ps.safety_time > sp.safety_time
     assert wins >= 48  # 95% of 50 seeds
 
 
 def test_session_determinism(desk_net):
     src = pn.pick_source(desk_net, 15, 2)
-    kw = dict(sector_params=pn.SectorParams(8, 12, 6))
+    kw = dict(h=10, omega=6)
     a = pn.run_session(desk_net, "psspr", src, 50,
                        np.random.default_rng(42), **kw)
     b = pn.run_session(desk_net, "psspr", src, 50,
@@ -154,8 +154,7 @@ def test_metrics_bookkeeping(desk_net):
     src = pn.pick_source(desk_net, 10, 2)
     seen = []
     metrics = pn.run_session(desk_net, "pusbrf", src, 30,
-                             np.random.default_rng(3),
-                             walk_params=pn.BaselineParams(5),
+                             np.random.default_rng(3), h=5, omega=6,
                              on_trace=seen.append)
     assert len(seen) == metrics.safety_time if metrics.captured else 30
     assert metrics.total_hops == sum(t.transmissions for t in seen)
@@ -211,9 +210,7 @@ def routed_traces(network, n_packets):
     for k, H in enumerate((6, 12, 18)):
         src = pn.pick_source(network, H, 2)
         for p in pn.PROTOCOLS:
-            router = pn.make_router(network, p, src,
-                                    sector_params=pn.SectorParams(4, 6, 6),
-                                    walk_params=pn.BaselineParams(5))
+            router = pn.make_router(network, p, src, h=5, omega=6)
             rng = np.random.default_rng([k, pn.PROTOCOLS.index(p)])
             out += [(src, router(rng)) for _ in range(n_packets)]
     return out

@@ -4,6 +4,7 @@ import pytest
 import phantomnet as pn
 from phantomnet.baselines import _descend
 from phantomnet.errors import EmptyRing, InvalidParameter
+from phantomnet.protocols import PUSBRF
 
 from conftest import bfs_oracle
 
@@ -12,9 +13,11 @@ def adjacency_lists(net):
     return [net.neighbors(i) for i in range(len(net))]
 
 
-def test_params_validation():
-    with pytest.raises(InvalidParameter):
-        pn.BaselineParams(0)
+def test_params_validation(dense_net):
+    src = pn.pick_source(dense_net, 10, 11)
+    for protocol in ("hbdrw", PUSBRF):
+        with pytest.raises(InvalidParameter):
+            pn.make_router(dense_net, protocol, src, h=0, omega=6)
 
 
 class TestHbdrw:
@@ -22,7 +25,7 @@ class TestHbdrw:
         src = pn.pick_source(dense_net, 10, 11)
         rng = np.random.default_rng(1)
         for _ in range(40):
-            t = pn.hbdrw_route(dense_net, src, pn.BaselineParams(1), rng)
+            t = pn.hbdrw_route(dense_net, src, 1, rng)
             assert t.phantom in dense_net.neighbors(src)
 
     def test_delivers_and_respects_hop_bound(self, dense_net):
@@ -30,7 +33,7 @@ class TestHbdrw:
         h = 6
         rng = np.random.default_rng(2)
         for _ in range(50):
-            t = pn.hbdrw_route(dense_net, src, pn.BaselineParams(h), rng)
+            t = pn.hbdrw_route(dense_net, src, h, rng)
             assert t.delivered and t.hops[-1] == pn.SINK
             assert t.transmissions >= dense_net.hops[src] - h
             assert t.transmissions <= 4 * dense_net.hops[src]
@@ -42,7 +45,7 @@ class TestHbdrw:
         src = pn.pick_source(dense_net, 10, 11)
         rng = np.random.default_rng(3)
         for _ in range(60):
-            t = pn.hbdrw_route(dense_net, src, pn.BaselineParams(5), rng)
+            t = pn.hbdrw_route(dense_net, src, 5, rng)
             walk = [n for n, p in zip(t.hops, t.phases)
                     if p == pn.trace.PHASE_WALK]
             fallback_steps = {int(a.split("@")[1]) for a in t.annotations}
@@ -70,7 +73,7 @@ class TestHbdrw:
         rng = np.random.default_rng(5)
         devs = []
         for _ in range(5000):
-            t = pn.hbdrw_route(dense_net, src, pn.BaselineParams(h), rng)
+            t = pn.hbdrw_route(dense_net, src, h, rng)
             v = dense_net.positions[t.phantom] - frame.source_pos
             ang = np.degrees(np.arctan2(v @ frame.y_axis, v @ axis))
             fold = ang if abs(ang) <= 90 else (180 - abs(ang)) * np.sign(-ang)
@@ -86,8 +89,7 @@ class TestPusbrf:
         oracle = bfs_oracle(adjacency_lists(dense_net), src)
         rng = np.random.default_rng(4)
         for h in (1, 5, 9):
-            route = pn.make_router(dense_net, "pusbrf", src,
-                                   walk_params=pn.BaselineParams(h))
+            route = pn.make_router(dense_net, PUSBRF, src, h=h, omega=6)
             for _ in range(30):
                 t = route(rng)
                 assert oracle[t.phantom] == h
@@ -99,24 +101,21 @@ class TestPusbrf:
     def test_one_hop_ring_is_neighbors(self, dense_net):
         src = pn.pick_source(dense_net, 10, 11)
         rng = np.random.default_rng(6)
-        route = pn.make_router(dense_net, "pusbrf", src,
-                               walk_params=pn.BaselineParams(1))
+        route = pn.make_router(dense_net, PUSBRF, src, h=1, omega=6)
         seen = {route(rng).phantom for _ in range(200)}
         assert seen <= {int(j) for j in dense_net.neighbors(src)}
 
     def test_empty_ring_raises(self, dense_net):
+        # The session set-up finds the empty ring, before any packet.
         src = pn.pick_source(dense_net, 10, 11)
         with pytest.raises(EmptyRing):
-            pn.make_router(dense_net, "pusbrf", src,
-                           walk_params=pn.BaselineParams(10_000))(
-                               np.random.default_rng(0))
+            pn.make_router(dense_net, PUSBRF, src, h=10_000, omega=6)
 
     def test_mean_phantom_distance_near_rh(self, dense_net):
         src = pn.pick_source(dense_net, 10, 11)
         rng = np.random.default_rng(6)
         h = 10
-        route = pn.make_router(dense_net, "pusbrf", src,
-                               walk_params=pn.BaselineParams(h))
+        route = pn.make_router(dense_net, PUSBRF, src, h=h, omega=6)
         d = []
         for _ in range(2000):
             t = route(rng)

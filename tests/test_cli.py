@@ -4,9 +4,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import phantomnet
 from phantomnet.cli import main
+from phantomnet.protocols import PROTOCOLS
+
+SMALL_FIELD = ["--H", "8", "--n-nodes", "800", "--field-side", "1500"]
 
 
 def test_tables_contains_reference_values(capsys):
@@ -69,6 +73,32 @@ def test_trace_network_dump(tmp_path, capsys):
     assert rc == 0
     capsys.readouterr()
     assert out.read_text().startswith("id,x,y,hop_to_sink,neighbor_count")
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("flag", [("--h", "0"), ("--omega", "3")])
+def test_trace_bad_sweep_point_exits_one(protocol, flag, capsys):
+    assert main(["trace", "--protocol", protocol, *flag, *SMALL_FIELD]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_trace_negative_seed_exits_one(capsys):
+    assert main(["trace", "--protocol", "psspr", "--seed", "-1",
+                 *SMALL_FIELD]) == 1
+    assert "error: seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["abc", "0"])
+def test_simulate_bad_thread_count_exits_one(tmp_path, capsys, monkeypatch,
+                                             threads):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("n_nodes = 800\nfield_side = 1500\n"
+                   "protocols = shortest-path\nh = 5\nH = 8\nseeds = 1\n")
+    monkeypatch.setenv("PHANTOMNET_THREADS", threads)
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "res.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "error: PHANTOMNET_THREADS" in err and repr(threads) in err
 
 
 def test_simulate_roundtrip(tmp_path, capsys):

@@ -64,6 +64,7 @@ class TestConfigParsing:
         dict(r0=50.0),                      # r0 < r
         dict(h=[5, 10], H=[10, 20]),        # two sweep axes
         dict(seeds=[]),
+        dict(seeds=[-1]),                   # numpy seeds are >= 0
         dict(protocols=["carrier-pigeon"]),
         dict(omega=5),
         dict(packets_per_run=0),

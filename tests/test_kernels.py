@@ -288,12 +288,12 @@ def test_var_angle_leg_matches_numpy_reference(field):
     for start, prev, _, disc, frame in leg_calls(field, 60, 2):
         kw = dict(prev=prev, keep_out=inside(field, disc))
         ref = dict(prev=prev, avoid_near=disc)
-        assert (_var_angle_leg(field, start, frame, 60, **kw)
+        assert (_var_angle_leg(field, start, 60, **kw)
                 == var_angle_leg_ref(field, start, frame, 60, **ref))
 
         def entered(node):
             return dist_ref(field, node, pos[pn.SINK]) <= 400.0
-        assert (_var_angle_leg(field, start, frame, 60, ring=400.0, **kw)
+        assert (_var_angle_leg(field, start, 60, ring=400.0, **kw)
                 == var_angle_leg_ref(field, start, frame, 60,
                                      stop_fn=entered, **ref))
 
@@ -322,8 +322,7 @@ def test_hbdrw_route_matches_numpy_reference(field):
     for k in range(60):
         src = int(ids[rng.integers(len(ids))])
         h = int(rng.integers(1, 12))
-        got = pn.hbdrw_route(field, src, pn.BaselineParams(h),
-                             np.random.default_rng(k))
+        got = pn.hbdrw_route(field, src, h, np.random.default_rng(k))
         want = hbdrw_route_ref(field, src, h, np.random.default_rng(k))
         assert got == want
 
@@ -384,8 +383,7 @@ def test_var_angle_pick_keeps_the_first_of_equal_angles():
     net = pn.Network(np.array([[0.0, 0.0], [300.0, 0.0], [220.0, 0.0],
                                [250.0, 0.0], [80.0, 0.0], [160.0, 0.0]]),
                      r=R, r0=R, field_side=400.0)
-    frame = pn.build_frame(net, 1)
-    nodes, _ = _var_angle_leg(net, 1, frame, 1)
+    nodes, _ = _var_angle_leg(net, 1, 1)
     assert nodes == [1, 2]
 
 

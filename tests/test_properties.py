@@ -21,10 +21,7 @@ SETUP_ERRORS = (ConnectivityError, InvalidParameter, EmptyDomain, EmptyRing)
 
 def route_session(network, protocol, source, h, omega, seed):
     """Traces of one session's packets, all drawn from one rng."""
-    router = pn.make_router(
-        network, protocol, source,
-        sector_params=pn.SectorParams(*pn.rmin_rmax_for(h), omega=omega),
-        walk_params=pn.BaselineParams(walk_hops=h))
+    router = pn.make_router(network, protocol, source, h=h, omega=omega)
     rng = np.random.default_rng(seed)
     return [router(rng) for _ in range(PACKETS)]
 

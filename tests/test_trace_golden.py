@@ -34,11 +34,8 @@ def packet_records():
             source = pn.pick_source(network, H, seed)
             for h in hs:
                 for p in pn.PROTOCOLS:
-                    router = pn.make_router(
-                        network, p, source,
-                        sector_params=pn.SectorParams(*pn.rmin_rmax_for(h),
-                                                      omega=6),
-                        walk_params=pn.BaselineParams(walk_hops=h))
+                    router = pn.make_router(network, p, source, h=h,
+                                            omega=6)
                     rng = np.random.default_rng(
                         [seed, H, h, pn.PROTOCOLS.index(p)])
                     state = initial_state(network)
