@@ -46,8 +46,7 @@ def initial_state(network: Network) -> AdversaryState:
 
 
 def observe_packet(network: Network, state: AdversaryState,
-                   trace: RouteTrace, source: int | None = None
-                   ) -> AdversaryState:
+                   trace: RouteTrace, source: int) -> AdversaryState:
     """Replay one packet's transmissions past the adversary.
 
     The adversary moves to the sender of the first transmission that is
@@ -56,8 +55,6 @@ def observe_packet(network: Network, state: AdversaryState,
     """
     if state.captured or len(trace.hops) < 2:
         return state
-    if source is None:
-        source = trace.hops[0]
 
     heard = network.disc(state.at, network.r)
     for sender in trace.hops[:-1]:
@@ -92,7 +89,7 @@ def run_session(network: Network, protocol: str, source: int,
         delivered += int(trace.delivered)
         if on_trace is not None:
             on_trace(trace)
-        state = observe_packet(network, state, trace, source=source)
+        state = observe_packet(network, state, trace, source)
         if state.captured:
             safety_time = k
             captured = True

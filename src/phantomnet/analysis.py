@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DomainError, InvalidParameter, QuadratureFailure
 
-# Directed-routing hop counts paired with their annulus radii, as used by
-# every reference table row.
+# Directed-routing hop counts paired with their annulus radii: the rows
+# of every reference table.
 RMIN_RMAX_PRESETS: dict[int, tuple[int, int]] = {
     5: (4, 6),
     10: (8, 12),
@@ -27,8 +27,6 @@ RMIN_RMAX_PRESETS: dict[int, tuple[int, int]] = {
     25: (22, 28),
     30: (26, 32),
 }
-
-TABLE_H_VALUES = (5, 10, 15, 20, 25, 30)
 
 
 @dataclass(frozen=True)
@@ -48,6 +46,8 @@ class AnalysisInput:
                 f"range=[{self.r_min},{self.r_max}]")
         if self.H < 1 or self.r_min < 1 or self.r_min >= self.r_max:
             raise InvalidParameter("radii and H must be positive with r_min < r_max")
+        if self.omega < 2 or self.omega % 2 != 0:
+            raise InvalidParameter(f"omega must be even and >= 2, got {self.omega}")
 
     @property
     def hx(self) -> int:
@@ -80,7 +80,7 @@ def ratio_pusbrf_over_psspr(h: int, r_min: int, r_max: int) -> float:
 
 def failure_path_probability(r0_hops: float, H: int, h: int) -> float:
     """Probability that a phantom-to-sink path crosses the visible area."""
-    if r0_hops < 0:
+    if not r0_hops >= 0:    # NaN fails this test too
         raise DomainError(f"r0 must be nonnegative, got {r0_hops}")
     if r0_hops > H or r0_hops > h:
         raise DomainError(
@@ -203,55 +203,25 @@ def _check_quad(err: float, tol: float, val: float) -> None:
                                 f"(integral value {val})")
 
 
-@dataclass(frozen=True)
-class Table2Row:
-    h: int
-    r_min: int
-    r_max: int
-    hbdrw_over_pusbrf: float
-    pusbrf_over_psspr: float
-
-
-@dataclass(frozen=True)
-class Table3Row:
-    h: int
-    r_min: int
-    r_max: int
-    distance_mc: float       # authoritative annulus mean, hop units
-    distance_printed: float  # broken printed integral, shown for contrast
-
-
-@dataclass(frozen=True)
-class Table4Row:
-    h: int
-    r_min: int
-    r_max: int
-    n_hbdrw: float
-    n_pusbrf: float
-    n_psspr: float
-
-
-@dataclass(frozen=True)
-class Tables:
-    table2: list[Table2Row]
-    table3: list[Table3Row]
-    table4: list[Table4Row]
-
-
-def make_tables(mc_samples: int = 200_000, H_printed: int = 60) -> Tables:
-    """Regenerate the three reference tables over h in {5,...,30}."""
-    t2, t3, t4 = [], [], []
-    for h in TABLE_H_VALUES:
-        r_min, r_max = RMIN_RMAX_PRESETS[h]
-        t2.append(Table2Row(h, r_min, r_max,
-                            ratio_hbdrw_over_pusbrf(h),
-                            ratio_pusbrf_over_psspr(h, r_min, r_max)))
+def make_tables(mc_samples: int = 200_000,
+                H_printed: int = 60) -> dict[str, list[dict]]:
+    """Regenerate the three reference tables over h in {5,...,30}, each
+    as its rows, a row mapping each column name to its value."""
+    tables: dict[str, list[dict]] = {"table2": [], "table3": [], "table4": []}
+    for h, (r_min, r_max) in RMIN_RMAX_PRESETS.items():
+        keys = {"h": h, "r_min": r_min, "r_max": r_max}
+        tables["table2"].append({
+            **keys, "hbdrw_over_pusbrf": ratio_hbdrw_over_pusbrf(h),
+            "pusbrf_over_psspr": ratio_pusbrf_over_psspr(h, r_min, r_max)})
         mc, _ = psspr_distance_mc(r_min, r_max, n_samples=mc_samples,
                                   rng=np.random.default_rng(h))
-        t3.append(Table3Row(h, r_min, r_max, mc,
-                            psspr_distance_printed(r_min, r_max, H_printed)))
-        t4.append(Table4Row(h, r_min, r_max,
-                            phantom_count_hbdrw(h),
-                            phantom_count_pusbrf(h),
-                            phantom_count_psspr(r_min, r_max, h - r_min)))
-    return Tables(table2=t2, table3=t3, table4=t4)
+        tables["table3"].append({
+            **keys,
+            "distance_mc": mc,  # authoritative annulus mean, hop units
+            # the broken printed integral, shown for contrast
+            "distance_printed": psspr_distance_printed(r_min, r_max, H_printed)})
+        tables["table4"].append({
+            **keys, "n_hbdrw": phantom_count_hbdrw(h),
+            "n_pusbrf": phantom_count_pusbrf(h),
+            "n_psspr": phantom_count_psspr(r_min, r_max, h - r_min)})
+    return tables

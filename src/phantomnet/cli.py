@@ -107,8 +107,8 @@ def cmd_tables(args) -> int:
             print()
         print(title)
         print(" ".join(f"{label:>{width}}" for _, label, width, _ in cols))
-        for row in getattr(tables, name):
-            print(" ".join(f"{getattr(row, field):>{width}{fmt}}"
+        for row in tables[name]:
+            print(" ".join(f"{row[field]:>{width}{fmt}}"
                            for field, _, width, fmt in cols))
 
     if args.csv_dir:
@@ -117,8 +117,8 @@ def cmd_tables(args) -> int:
             with open(os.path.join(args.csv_dir, f"{name}.csv"), "w",
                       encoding="utf-8") as fh:
                 fh.write(",".join(field for field, *_ in cols) + "\n")
-                for row in getattr(tables, name):
-                    fh.write(",".join(f"{getattr(row, field):{fmt}}"
+                for row in tables[name]:
+                    fh.write(",".join(f"{row[field]:{fmt}}"
                                       for field, _, _, fmt in cols) + "\n")
     return 0
 

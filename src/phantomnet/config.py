@@ -9,41 +9,33 @@ and becomes the sweep axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 
 from .errors import ParseError, ValidationError
 from .protocols import PROTOCOLS
 
-DEFAULTS = {
-    "n_nodes": 2000,
-    "field_side": 2700.0,
-    "r": 100.0,
-    "r0": 300.0,
-    "omega": 6,
-    "protocols": list(PROTOCOLS),
-    "h": [5, 10, 15, 20],
-    "H": [20],
-    "packets_per_run": 400,
-    "seeds": list(range(1, 31)),
-    "output_path": "results.csv",
-}
-
 
 @dataclass
 class ExperimentConfig:
-    n_nodes: int = DEFAULTS["n_nodes"]
-    field_side: float = DEFAULTS["field_side"]
-    r: float = DEFAULTS["r"]
-    r0: float = DEFAULTS["r0"]
-    omega: int = DEFAULTS["omega"]
-    protocols: list[str] = field(default_factory=lambda: list(DEFAULTS["protocols"]))
-    h: list[int] = field(default_factory=lambda: list(DEFAULTS["h"]))
-    H: list[int] = field(default_factory=lambda: list(DEFAULTS["H"]))
-    packets_per_run: int = DEFAULTS["packets_per_run"]
-    seeds: list[int] = field(default_factory=lambda: list(DEFAULTS["seeds"]))
-    output_path: str = DEFAULTS["output_path"]
+    n_nodes: int = 2000
+    field_side: float = 2700.0
+    r: float = 100.0
+    r0: float = 300.0
+    omega: int = 6
+    protocols: list[str] = field(default_factory=lambda: list(PROTOCOLS))
+    h: list[int] = field(default_factory=lambda: [5, 10, 15, 20])
+    H: list[int] = field(default_factory=lambda: [20])
+    packets_per_run: int = 400
+    seeds: list[int] = field(default_factory=lambda: list(range(1, 31)))
+    output_path: str = "results.csv"
 
     def validate(self) -> "ExperimentConfig":
+        if not all(map(math.isfinite, (self.n_nodes, self.field_side,
+                                       self.r, self.r0))):
+            raise ValidationError(
+                "n_nodes, field_side, r and r0 must be finite, got "
+                f"{self.n_nodes}, {self.field_side}, {self.r}, {self.r0}")
         if self.n_nodes < 2:
             raise ValidationError(f"n_nodes must be >= 2, got {self.n_nodes}")
         if self.field_side <= 0 or self.r <= 0:
@@ -79,6 +71,10 @@ class ExperimentConfig:
         if len(self.H) > 1:
             return [(self.h[0], H) for H in self.H]
         return [(h, self.H[0]) for h in self.h]
+
+
+# Each key's default, whose type parses that key's values.
+DEFAULTS = asdict(ExperimentConfig())
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -14,7 +14,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,12 +25,11 @@ from .net import deploy
 from .protocols import PROTOCOLS, SHORTEST_PATH
 from .trace import enters_visible_area
 
-CSV_HEADER = ("protocol,h,H,mean_safety_time,mean_comm_overhead_hops,"
-              "capture_rate,failure_path_rate,n_runs")
-
 
 @dataclass(frozen=True)
 class AggregateRow:
+    """One CSV row; the fields are its columns, in order."""
+
     protocol: str
     h: int
     H: int
@@ -59,9 +58,8 @@ class RunSpec:
 
 @dataclass(frozen=True)
 class RunResult:
-    safety_time: int
+    safety_time: int    # also the packets sent: the session stops there
     captured: bool
-    packets_sent: int
     total_hops: int
     failure_paths: int
 
@@ -95,20 +93,18 @@ def run_one(spec: RunSpec) -> RunResult:
     rng = np.random.default_rng([spec.seed, spec.H, spec.h,
                                  PROTOCOLS.index(spec.protocol)])
 
-    stats = {"packets": 0, "failures": 0}
+    failures = 0
 
     def on_trace(trace):
-        stats["packets"] += 1
-        if enters_visible_area(trace, network, source):
-            stats["failures"] += 1
+        nonlocal failures
+        failures += enters_visible_area(trace, network, source)
 
     metrics = run_session(network, spec.protocol, source, spec.packets, rng,
                           h=spec.h, omega=spec.omega, on_trace=on_trace)
     return RunResult(safety_time=metrics.safety_time,
                      captured=metrics.captured,
-                     packets_sent=stats["packets"],
                      total_hops=metrics.total_hops,
-                     failure_paths=stats["failures"])
+                     failure_paths=failures)
 
 
 def run_experiment(config: ExperimentConfig,
@@ -180,10 +176,10 @@ def run_experiment(config: ExperimentConfig,
                 protocol=p, h=h, H=H,
                 mean_safety_time=float(np.mean([r.safety_time for r in ok])),
                 mean_comm_overhead_hops=float(np.mean(
-                    [r.total_hops / r.packets_sent for r in ok])),
+                    [r.total_hops / r.safety_time for r in ok])),
                 capture_rate=float(np.mean([r.captured for r in ok])),
                 failure_path_rate=float(np.mean(
-                    [r.failure_paths / r.packets_sent for r in ok])),
+                    [r.failure_paths / r.safety_time for r in ok])),
                 n_runs=len(ok),
             ))
     return rows
@@ -223,15 +219,14 @@ def _run_key(spec: RunSpec):
 
 
 def emit_csv(rows: list[AggregateRow], path: str) -> None:
-    """Write aggregate rows with a fixed header and 6-decimal floats."""
+    """Write aggregate rows under a header of their field names, floats
+    with 6 decimals."""
     if not rows:
         raise InvalidParameter("refusing to write an empty results file")
+    names = [f.name for f in fields(AggregateRow)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
+        fh.write(",".join(names) + "\n")
         for row in rows:
-            fh.write(f"{row.protocol},{row.h},{row.H},"
-                     f"{row.mean_safety_time:.6f},"
-                     f"{row.mean_comm_overhead_hops:.6f},"
-                     f"{row.capture_rate:.6f},"
-                     f"{row.failure_path_rate:.6f},"
-                     f"{row.n_runs}\n")
+            values = (getattr(row, name) for name in names)
+            fh.write(",".join(f"{v:.6f}" if isinstance(v, float) else str(v)
+                              for v in values) + "\n")

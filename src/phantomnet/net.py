@@ -278,12 +278,6 @@ class Network:
 # agree on that on any host. BLAS (`@`, np.dot, a 1-D np.linalg.norm) may
 # fuse multiply and add, so no routing or replay code calls it. Keep the
 # sqrt before any comparison: squared distances can reorder near-ties.
-def norm(v) -> float:
-    """Length of one 2-vector."""
-    x, y = v
-    return math.sqrt(x * x + y * y)
-
-
 def unit(x: float, y: float) -> tuple[float, float]:
     """The vector (x, y) scaled to length 1."""
     n = math.sqrt(x * x + y * y)
@@ -311,6 +305,10 @@ def deploy(n_nodes: int, field_side: float, r: float, r0: float,
     are unreachable from the sink, which signals that the density is too
     low for the requested communication radius.
     """
+    if not all(map(math.isfinite, (n_nodes, field_side, r, r0))):
+        raise InvalidParameter(
+            f"n_nodes, field_side, r and r0 must be finite, got {n_nodes}, "
+            f"{field_side}, {r}, {r0}")
     if n_nodes < 2:
         raise InvalidParameter(f"n_nodes must be >= 2, got {n_nodes}")
     if field_side <= 0:

@@ -23,11 +23,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EmptyDomain, InvalidParameter
-from .net import UNREACHABLE, Network, norm, project, row_norms, unit
+from .net import UNREACHABLE, Network, project, row_norms, unit
 from .trace import (PHASE_DIRECTED, PHASE_SAME_HOP, PHASE_VAR_ANGLE,
                     RouteTrace, stitch)
 
-Point = tuple[float, float]     # (x, y); numpy 2-vectors work too
+Point = tuple[float, float]     # (x, y)
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,9 @@ class SourceFrame:
     geometry every packet of its session reuses."""
 
     source: int
-    source_pos: np.ndarray
-    sink_pos: np.ndarray
-    center_v: np.ndarray     # midpoint of source and sink
-    x_axis: np.ndarray       # unit vector, sink toward source
-    y_axis: np.ndarray       # x_axis turned a quarter counterclockwise
+    center_v: Point          # midpoint of source and sink
+    x_axis: Point            # unit vector, sink toward source
+    y_axis: Point            # x_axis turned a quarter counterclockwise
     h_distance: int          # minimum hop count source <-> sink
     source_sink_distance: float
     v_x: float               # frame-x of V
@@ -89,24 +87,24 @@ def build_frame(network: Network, source: int) -> SourceFrame:
     The source must be a sensor the sink flood reached, as
     ``protocols.make_router`` checks for a session.
     """
-    spos = network.positions[source]
-    bpos = network.sink_pos
-    d = norm(spos - bpos)
-    center_v = (spos + bpos) / 2.0
-    x_axis = (spos - bpos) / d
-    side = network.field_side
-    corners = np.array([(0, 0), (0, side), (side, 0), (side, side)], float)
+    xs, ys = network.xs, network.ys
+    sx, sy = xs[source], ys[source]
+    bx, by = xs[network.sink], ys[network.sink]
+    dx, dy = sx - bx, sy - by
+    d = math.sqrt(dx * dx + dy * dy)
+    vx, vy = (sx + bx) / 2.0, (sy + by) / 2.0
+    ux, uy = dx / d, dy / d
+    corners = (0.0, network.field_side)
     return SourceFrame(
         source=source,
-        source_pos=spos,
-        sink_pos=bpos,
-        center_v=center_v,
-        x_axis=x_axis,
-        y_axis=np.array([-x_axis[1], x_axis[0]]),
+        center_v=(vx, vy),
+        x_axis=(ux, uy),
+        y_axis=(-uy, ux),
         h_distance=int(network.hops[source]),
         source_sink_distance=d,
-        v_x=float(project(center_v - bpos, x_axis)),
-        corner_reach=float(row_norms(corners - spos).max()),
+        v_x=(vx - bx) * ux + (vy - by) * uy,
+        corner_reach=max(network.dist(source, x, y) for x in corners
+                         for y in corners),
         visible=network.disc(source, network.r0),
     )
 
@@ -120,7 +118,7 @@ def candidate_domain(network: Network, frame: SourceFrame,
     through the source perpendicular to the source-sink axis.
     """
     pos = network.positions
-    w = pos - frame.source_pos
+    w = pos - pos[frame.source]
     dist = row_norms(w)
     wx = project(w, frame.x_axis)
     wy = project(w, frame.y_axis)
@@ -167,7 +165,7 @@ def select_phantom(network: Network, frame: SourceFrame, params: SectorParams,
     xs, ys = network.xs, network.ys
     px, py = xs[p1], ys[p1]
     sx, sy = xs[frame.source], ys[frame.source]
-    vx, vy = frame.center_v.tolist()
+    vx, vy = frame.center_v
 
     # The mirror, -1 when no node lies within r of the reflected point;
     # near V, p1 may be its own mirror.
@@ -245,7 +243,7 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
     # hands that relay on; with restart it hands on its own start, which
     # the next leg can never step to. Only the away leg restarts, and the
     # pinned traces depend on it.
-    fx, fy = frame.x_axis.tolist()
+    fx, fy = frame.x_axis
     if (chosen_pos[0] - bx) * fx + (chosen_pos[1] - by) * fy > frame.v_x:
         # Phantom on the source side of V: directed first, then away from
         # the source; the r_max ring may poke out of the monitored area,
@@ -274,7 +272,7 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
                  {}, False)]
         # Visit the mirror anchor only when it physically exists in the
         # field; a mirrored ring wider than the field has no node near it.
-        vx, vy = frame.center_v.tolist()
+        vx, vy = frame.center_v
         ux, uy = unit(xs[choice.p1] - sx, ys[choice.p1] - sy)
         raw = (2.0 * vx - sx - ring_radius * ux,
                2.0 * vy - sy - ring_radius * uy)
@@ -466,8 +464,8 @@ def _same_hop_leg(network: Network, start: int, h_m: int, frame: SourceFrame,
     """Constant-hop-count walk. Returns (nodes, annotations)."""
     hop = network.hop_list
     xs, ys = network.xs, network.ys
-    bx, by = frame.sink_pos.tolist()
-    yx, yy = frame.y_axis.tolist()
+    bx, by = xs[network.sink], ys[network.sink]
+    yx, yy = frame.y_axis
 
     def pick(cands: list[int]) -> int:
         if anchor is not None:

@@ -16,6 +16,9 @@ import phantomnet as pn
 import phantomnet.analysis as an
 from phantomnet.cli import main as cli_main
 from phantomnet.errors import DomainError
+from phantomnet.psspr import (SectorParams, build_frame, candidate_domain,
+                              route_packet, select_phantom)
+from phantomnet.trace import enters_visible_area
 
 from conftest import annulus_mean_radius, bfs_oracle, brute_force_adjacency
 
@@ -57,13 +60,13 @@ class Check:
 def test_table4_regeneration():
     c = Check("table-4 phantom counts", 1.0)
     tables = an.make_tables(mc_samples=10_000)
-    for row in tables.table4:
-        exp = TABLE4[row.h]
-        for got, want, label in ((row.n_hbdrw, exp[0], "hbdrw"),
-                                 (row.n_pusbrf, exp[1], "pusbrf"),
-                                 (row.n_psspr, exp[2], "psspr")):
+    for row in tables["table4"]:
+        exp = TABLE4[row["h"]]
+        for got, want, label in ((row["n_hbdrw"], exp[0], "hbdrw"),
+                                 (row["n_pusbrf"], exp[1], "pusbrf"),
+                                 (row["n_psspr"], exp[2], "psspr")):
             c.expect(abs(got - want) <= 0.01,
-                     f"h={row.h} {label}: {got:.4f} vs {want}")
+                     f"h={row['h']} {label}: {got:.4f} vs {want}")
     c.done()
 
 
@@ -114,14 +117,14 @@ def test_flooding_matches_bfs_oracle():
 def test_failure_path_avoidance(desk_net):
     c = Check("zero failure paths with annulus beyond visible area", 60.0)
     src = pn.pick_source(desk_net, 20, 2)
-    frame = pn.build_frame(desk_net, src)
-    params = pn.SectorParams(4, 6, 6)  # r_min * r = 400m > r0 = 300m
-    domains = pn.candidate_domain(desk_net, frame, params)
+    frame = build_frame(desk_net, src)
+    params = SectorParams(4, 6, 6)  # r_min * r = 400m > r0 = 300m
+    domains = candidate_domain(desk_net, frame, params)
     rng = np.random.default_rng(1)
     violations = 0
     for _ in range(500):
-        t = pn.route_packet(desk_net, frame, params, rng, domains=domains)
-        violations += pn.enters_visible_area(t, desk_net, src)
+        t = route_packet(desk_net, frame, params, rng, domains=domains)
+        violations += enters_visible_area(t, desk_net, src)
     c.expect(violations == 0, f"{violations}/500 packets crossed the disc")
     c.done()
 
@@ -129,13 +132,13 @@ def test_failure_path_avoidance(desk_net):
 def test_same_hop_invariant(desk_net):
     c = Check("same-hop phases constant and rarely relaxed", 60.0)
     src = pn.pick_source(desk_net, 20, 2)
-    frame = pn.build_frame(desk_net, src)
-    params = pn.SectorParams(8, 12, 6)
-    domains = pn.candidate_domain(desk_net, frame, params)
+    frame = build_frame(desk_net, src)
+    params = SectorParams(8, 12, 6)
+    domains = candidate_domain(desk_net, frame, params)
     rng = np.random.default_rng(5)
     phases = relaxed = 0
     for _ in range(500):
-        t = pn.route_packet(desk_net, frame, params, rng, domains=domains)
+        t = route_packet(desk_net, frame, params, rng, domains=domains)
         runs = []
         cur = None
         for node, phase in zip(t.hops, t.phases):
@@ -209,16 +212,16 @@ def test_overhead_trend(sweep_rows):
 def test_phantom_geometry(dense_net):
     c = Check("phantom annulus, sector uniformity, distance oracle", 30.0)
     src = pn.pick_source(dense_net, 10, 11)
-    frame = pn.build_frame(dense_net, src)
-    params = pn.SectorParams(4, 6, 6)
-    domains = pn.candidate_domain(dense_net, frame, params)
+    frame = build_frame(dense_net, src)
+    params = SectorParams(4, 6, 6)
+    domains = candidate_domain(dense_net, frame, params)
     rng = np.random.default_rng(21)
     counts = np.zeros(params.omega)
     spos = dense_net.positions[src]
     annulus_ok = True
     for _ in range(10_000):
-        choice = pn.select_phantom(dense_net, frame, params, rng,
-                                   domains=domains)
+        choice = select_phantom(dense_net, frame, params, rng,
+                                domains=domains)
         counts[[choice.p1 in dom for dom in domains].index(True)] += 1
         d = np.linalg.norm(dense_net.positions[choice.p1] - spos)
         annulus_ok &= 400.0 <= d <= 600.0

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import phantomnet as pn
-from phantomnet.adversary import initial_state
+from phantomnet.adversary import AdversaryState, initial_state, observe_packet
+from phantomnet.baselines import shortest_path_route
 from phantomnet.errors import InvalidParameter
-from phantomnet.trace import PHASE_SHORTEST, RouteTrace
+from phantomnet.trace import PHASE_SHORTEST, RouteTrace, enters_visible_area
 
 
 def two_node_net():
@@ -21,7 +22,7 @@ def test_one_hop_capture():
     state = initial_state(net)
     trace = RouteTrace(hops=[1, pn.SINK], phases=[PHASE_SHORTEST] * 2,
                        delivered=True)
-    state = pn.observe_packet(net, state, trace)
+    state = observe_packet(net, state, trace, 1)
     assert state.at == 1
     assert state.captured
 
@@ -36,7 +37,7 @@ def test_out_of_range_trace_leaves_state_unchanged(dense_net):
     b = int(dense_net.neighbors(a)[0])
     trace = RouteTrace(hops=[a, b], phases=[PHASE_SHORTEST] * 2,
                        delivered=False)
-    new = pn.observe_packet(dense_net, state, trace)
+    new = observe_packet(dense_net, state, trace, a)
     assert new == state
 
 
@@ -62,7 +63,7 @@ def test_adversary_never_teleports(desk_net):
     state = initial_state(desk_net)
     for _ in range(80):
         trace = router(rng)
-        new = pn.observe_packet(desk_net, state, trace, source=src)
+        new = observe_packet(desk_net, state, trace, source=src)
         if new.at != state.at:
             jump = np.linalg.norm(desk_net.positions[new.at]
                                   - desk_net.positions[state.at])
@@ -77,10 +78,10 @@ def test_adversary_never_teleports(desk_net):
 def test_capture_is_monotone(desk_net):
     src = int(desk_net.neighbors(pn.SINK)[0])
     state = initial_state(desk_net)
-    trace = pn.shortest_path_route(desk_net, src)
-    state = pn.observe_packet(desk_net, state, trace)
+    trace = shortest_path_route(desk_net, src)
+    state = observe_packet(desk_net, state, trace, src)
     assert state.captured
-    after = pn.observe_packet(desk_net, state, trace)
+    after = observe_packet(desk_net, state, trace, src)
     assert after.captured and after.at == state.at
 
 
@@ -92,7 +93,7 @@ def test_capture_definition_radius(desk_net):
     rng = np.random.default_rng(0)
     state = initial_state(desk_net)
     for _ in range(100):
-        state = pn.observe_packet(desk_net, state, router(rng), source=src)
+        state = observe_packet(desk_net, state, router(rng), source=src)
         d = np.linalg.norm(desk_net.positions[state.at]
                            - desk_net.positions[src])
         assert state.captured == (state.at == src or d <= desk_net.r0)
@@ -166,13 +167,11 @@ def plain_distance(a, b):
     return float(np.linalg.norm((a - b)[None, :], axis=1)[0])
 
 
-def observe_packet_loop(network, state, trace, source=None):
+def observe_packet_loop(network, state, trace, source):
     """A per-sender loop over numpy positions, kept as observe_packet's
     oracle."""
     if state.captured or len(trace.hops) < 2:
         return state
-    if source is None:
-        source = trace.hops[0]
     pos = network.positions
     for sender in trace.hops[:-1]:
         if sender == state.at:
@@ -181,7 +180,7 @@ def observe_packet_loop(network, state, trace, source=None):
             captured = (sender == source
                         or plain_distance(pos[sender], pos[source])
                         <= network.r0)
-            return pn.AdversaryState(at=sender, captured=bool(captured))
+            return AdversaryState(at=sender, captured=bool(captured))
     return state
 
 
@@ -223,9 +222,9 @@ def test_observe_packet_matches_per_sender_loop(desk_net):
         perches = [pn.SINK, *rng.choice(trace.hops, 3),
                    *rng.integers(len(desk_net), size=2)]
         for at in perches:
-            state = pn.AdversaryState(at=int(at))
-            for source in (src, None):
-                new = pn.observe_packet(desk_net, state, trace, source=source)
+            state = AdversaryState(at=int(at))
+            for source in (src, trace.hops[0]):
+                new = observe_packet(desk_net, state, trace, source=source)
                 assert new == observe_packet_loop(desk_net, state, trace,
                                                   source=source)
                 moved += new.at != state.at
@@ -241,13 +240,13 @@ def test_enters_visible_area_matches_onset_reference(desk_net):
         far = replace(trace, phantom=int(rng.integers(len(desk_net))))
         for t, source in product((trace, far),
                                  (src, *rng.integers(len(desk_net), size=2))):
-            got = pn.enters_visible_area(t, desk_net, int(source))
+            got = enters_visible_area(t, desk_net, int(source))
             assert got == enters_visible_area_by_onset(t, desk_net,
                                                        int(source))
             outcomes.add(got)
     assert outcomes == {True, False}
     empty = RouteTrace(hops=[], phases=[], delivered=False)
-    assert not pn.enters_visible_area(empty, desk_net, 1)
+    assert not enters_visible_area(empty, desk_net, 1)
 
 
 def test_replays_follow_the_reference_norms_at_the_radius():
@@ -267,11 +266,11 @@ def test_replays_follow_the_reference_norms_at_the_radius():
         trace = RouteTrace(hops=[sender, pn.SINK],
                            phases=[PHASE_SHORTEST] * 2, delivered=True)
         state = initial_state(net)
-        new = pn.observe_packet(net, state, trace)
-        assert new == observe_packet_loop(net, state, trace)
+        new = observe_packet(net, state, trace, sender)
+        assert new == observe_packet_loop(net, state, trace, sender)
         heard[sender] = new.at == sender
         for phantom, source in product((None, pn.SINK), (1, 2)):
             t = replace(trace, phantom=phantom)
-            assert (pn.enters_visible_area(t, net, source)
+            assert (enters_visible_area(t, net, source)
                     == enters_visible_area_by_onset(t, net, source))
     assert heard == {1: False, 2: True}

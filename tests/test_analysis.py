@@ -167,11 +167,12 @@ class TestCommOverhead:
 class TestTables:
     def test_table3_presets_literal(self):
         tables = an.make_tables(mc_samples=20_000)
-        presets = {(row.h, row.r_min, row.r_max) for row in tables.table3}
+        presets = {(row["h"], row["r_min"], row["r_max"])
+                   for row in tables["table3"]}
         assert presets == {(5, 4, 6), (10, 8, 12), (15, 12, 18),
                            (20, 16, 24), (25, 22, 28), (30, 26, 32)}
-        for row in tables.table3:
-            assert row.r_min <= row.distance_mc <= row.r_max
+        for row in tables["table3"]:
+            assert row["r_min"] <= row["distance_mc"] <= row["r_max"]
 
     def test_tables_are_deterministic(self):
         a = an.make_tables(mc_samples=20_000)

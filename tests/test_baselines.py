@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import phantomnet as pn
-from phantomnet.baselines import _descend
+from phantomnet.baselines import _descend, hbdrw_route, shortest_path_route
 from phantomnet.errors import EmptyRing, InvalidParameter
 from phantomnet.protocols import PUSBRF
+from phantomnet.psspr import build_frame
 
 from conftest import bfs_oracle
 
@@ -25,7 +26,7 @@ class TestHbdrw:
         src = pn.pick_source(dense_net, 10, 11)
         rng = np.random.default_rng(1)
         for _ in range(40):
-            t = pn.hbdrw_route(dense_net, src, 1, rng)
+            t = hbdrw_route(dense_net, src, 1, rng)
             assert t.phantom in dense_net.neighbors(src)
 
     def test_delivers_and_respects_hop_bound(self, dense_net):
@@ -33,7 +34,7 @@ class TestHbdrw:
         h = 6
         rng = np.random.default_rng(2)
         for _ in range(50):
-            t = pn.hbdrw_route(dense_net, src, h, rng)
+            t = hbdrw_route(dense_net, src, h, rng)
             assert t.delivered and t.hops[-1] == pn.SINK
             assert t.transmissions >= dense_net.hops[src] - h
             assert t.transmissions <= 4 * dense_net.hops[src]
@@ -45,7 +46,7 @@ class TestHbdrw:
         src = pn.pick_source(dense_net, 10, 11)
         rng = np.random.default_rng(3)
         for _ in range(60):
-            t = pn.hbdrw_route(dense_net, src, 5, rng)
+            t = hbdrw_route(dense_net, src, 5, rng)
             walk = [n for n, p in zip(t.hops, t.phases)
                     if p == pn.trace.PHASE_WALK]
             fallback_steps = {int(a.split("@")[1]) for a in t.annotations}
@@ -68,13 +69,13 @@ class TestHbdrw:
         h = 10
         gamma = np.degrees(np.arccos((h - 1) / h))
         src = pn.pick_source(dense_net, 12, 11)
-        frame = pn.build_frame(dense_net, src)
-        axis = -frame.x_axis
+        frame = build_frame(dense_net, src)
+        axis = -np.array(frame.x_axis)
         rng = np.random.default_rng(5)
         devs = []
         for _ in range(5000):
-            t = pn.hbdrw_route(dense_net, src, h, rng)
-            v = dense_net.positions[t.phantom] - frame.source_pos
+            t = hbdrw_route(dense_net, src, h, rng)
+            v = dense_net.positions[t.phantom] - dense_net.positions[src]
             ang = np.degrees(np.arctan2(v @ frame.y_axis, v @ axis))
             fold = ang if abs(ang) <= 90 else (180 - abs(ang)) * np.sign(-ang)
             devs.append(abs(fold))
@@ -128,7 +129,7 @@ class TestPusbrf:
 class TestShortestPath:
     def test_one_hop_source(self, dense_net):
         src = int(dense_net.neighbors(pn.SINK)[0])
-        t = pn.shortest_path_route(dense_net, src)
+        t = shortest_path_route(dense_net, src)
         assert t.hops == [src, pn.SINK]
 
     def test_length_equals_hop_count(self, dense_net):
@@ -137,7 +138,7 @@ class TestShortestPath:
         oracle = bfs_oracle(adjacency_lists(dense_net), pn.SINK)
         for _ in range(100):
             src = int(ids[rng.integers(len(ids))])
-            t = pn.shortest_path_route(dense_net, src)
+            t = shortest_path_route(dense_net, src)
             assert t.transmissions == dense_net.hops[src] == oracle[src]
             assert t.hops[-1] == pn.SINK
             assert t.delivered
@@ -177,6 +178,6 @@ class TestMemoisedDescent:
 
     def test_shortest_path_follows_the_network_memo(self, desk_net):
         for src in desk_net.reachable_sensor_ids()[::7]:
-            t = pn.shortest_path_route(desk_net, int(src))
+            t = shortest_path_route(desk_net, int(src))
             assert t.hops == descend_fresh(desk_net, desk_net.hops, int(src),
                                            desk_net.sink_pos)

@@ -1,3 +1,5 @@
+import hashlib
+import inspect
 import os
 import subprocess
 import sys
@@ -11,6 +13,35 @@ from phantomnet.cli import main
 from phantomnet.protocols import PROTOCOLS
 
 SMALL_FIELD = ["--H", "8", "--n-nodes", "800", "--field-side", "1500"]
+
+# What the four commands use at session level; routers, frames and the
+# adversary's steps stay in their modules.
+SESSION_NAMES = {
+    "deploy", "Network", "SINK", "UNREACHABLE", "pick_source",
+    "PROTOCOLS", "make_router", "RouteTrace", "run_session",
+    "run_experiment", "emit_csv", "AggregateRow",
+    "ExperimentConfig", "load_config", "parse_config",
+    "AnalysisInput", "comm_overhead", "failure_path_probability",
+    "make_tables", "phantom_count_hbdrw", "phantom_count_psspr",
+    "phantom_count_pusbrf", "ratio_hbdrw_over_pusbrf",
+    "ratio_pusbrf_over_psspr", "rmin_rmax_for",
+}
+
+# sha256 of the `tables` stdout and of each file --csv-dir writes. Every
+# value is printed with two decimals, so the bytes do not depend on the
+# host's last-bit rounding.
+TABLES_SHA256 = {
+    "stdout": "0b7c0e34382b61dde048dd9988cd2bc0438f5bd5efb02a931e16821568be88cd",
+    "table2.csv": "c1a41ba572c31551dc5386d2b66e795fa7b5e4f5fa59412647f39a17535115f2",
+    "table3.csv": "2cca1328345f18ab056200d2fe917ec87c402d39ec7426bb533b7065daeb1a41",
+    "table4.csv": "137f0c9827b80b3ad9a5a60b451493a97d4bf7282284b83b8f97f75b5f67d0e4",
+}
+
+
+def test_namespace_is_the_session_surface():
+    public = {name for name, value in vars(phantomnet).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == SESSION_NAMES
 
 
 def test_tables_contains_reference_values(capsys):
@@ -31,6 +62,15 @@ def test_tables_csv_dir(tmp_path, capsys):
     assert "10,8,12,18.04,62.83,282.74" in body
 
 
+def test_tables_bytes_pinned(tmp_path, capsys):
+    assert main(["tables", "--csv-dir", str(tmp_path)]) == 0
+    got = {"stdout": capsys.readouterr().out.encode()}
+    got.update((name, (tmp_path / name).read_bytes())
+               for name in ("table2.csv", "table3.csv", "table4.csv"))
+    assert {name: hashlib.sha256(body).hexdigest()
+            for name, body in got.items()} == TABLES_SHA256
+
+
 def test_analyze_prints_failure_probability(capsys):
     assert main(["analyze", "--h", "15", "--H", "60", "--r0", "3"]) == 0
     out = capsys.readouterr().out
@@ -41,6 +81,18 @@ def test_analyze_prints_failure_probability(capsys):
 def test_analyze_domain_error_exit_code(capsys):
     # r0 beyond the path legs is a runtime (geometry) error.
     assert main(["analyze", "--h", "15", "--H", "60", "--r0", "61"]) == 2
+
+
+@pytest.mark.parametrize("flag", [("--omega", "0"), ("--omega", "-2"),
+                                  ("--omega", "3")])
+def test_analyze_rejects_the_omega_simulate_rejects(flag, capsys):
+    assert main(["analyze", "--h", "15", *flag]) == 1
+    assert "error: omega must be even and >= 2" in capsys.readouterr().err
+
+
+def test_analyze_rejects_nan_visible_radius(capsys):
+    assert main(["analyze", "--h", "15", "--r0", "nan"]) == 2
+    assert "runtime error: r0 must be nonnegative" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_one(capsys):
@@ -80,6 +132,13 @@ def test_trace_network_dump(tmp_path, capsys):
 def test_trace_bad_sweep_point_exits_one(protocol, flag, capsys):
     assert main(["trace", "--protocol", protocol, *flag, *SMALL_FIELD]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [("--r", "nan"), ("--field-side", "inf")])
+def test_trace_non_finite_field_exits_one(flag, capsys):
+    assert main(["trace", "--protocol", "psspr", *SMALL_FIELD, *flag]) == 1
+    assert "error: n_nodes, field_side, r and r0 must be finite" in (
+        capsys.readouterr().err)
 
 
 def test_trace_negative_seed_exits_one(capsys):

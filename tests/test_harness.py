@@ -1,3 +1,4 @@
+import math
 import os
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import pytest
 import phantomnet as pn
 from phantomnet.config import DEFAULTS, ExperimentConfig, load_config, parse_config
 from phantomnet.errors import InvalidParameter, ParseError, ValidationError
-from phantomnet.harness import CSV_HEADER, emit_csv, pick_source, run_experiment
+from phantomnet.harness import emit_csv, pick_source, run_experiment
 
 
 def tiny_config(**over):
@@ -68,6 +69,10 @@ class TestConfigParsing:
         dict(protocols=["carrier-pigeon"]),
         dict(omega=5),
         dict(packets_per_run=0),
+        dict(r=math.nan),                   # non-finite sizes crash numpy
+        dict(field_side=math.nan),
+        dict(field_side=math.inf),
+        dict(r0=math.inf),
     ])
     def test_validation_errors(self, over):
         with pytest.raises(ValidationError):
@@ -80,7 +85,9 @@ class TestEmitCsv:
         path = tmp_path / "rows.csv"
         emit_csv(rows, str(path))
         lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == CSV_HEADER
+        assert lines[0] == ("protocol,h,H,mean_safety_time,"
+                            "mean_comm_overhead_hops,capture_rate,"
+                            "failure_path_rate,n_runs")
         assert len(lines) == len(rows) + 1
         fields = lines[1].split(",")
         assert fields[0] == "shortest-path"

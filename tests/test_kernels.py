@@ -19,10 +19,10 @@ import numpy as np
 import pytest
 
 import phantomnet as pn
-from phantomnet.baselines import _descend
+from phantomnet.baselines import _descend, hbdrw_route
 from phantomnet.net import unit
 from phantomnet.psspr import (_directed_leg, _first, _same_hop_leg,
-                              _var_angle_leg, _walk)
+                              _var_angle_leg, _walk, build_frame)
 from phantomnet.trace import PHASE_SHORTEST, PHASE_WALK, stitch
 
 R = 100.0
@@ -120,7 +120,7 @@ def var_angle_leg_ref(network, start, frame, budget, prev=None, stop_fn=None,
         if sink in cands:
             return sink
         vecs = pos[cands] - pos[cur]
-        to_sink = frame.sink_pos - pos[cur]
+        to_sink = network.sink_pos - pos[cur]
         to_sink = to_sink / row_norms_ref(to_sink[None, :])[0]
         cos = ((vecs[:, 0] * to_sink[0] + vecs[:, 1] * to_sink[1])
                / row_norms_ref(vecs))
@@ -140,7 +140,7 @@ def same_hop_leg_ref(network, start, h_m, frame, anchor, prev=None,
 
     def score(ids):
         if anchor is None:
-            d = pos[ids] - frame.sink_pos
+            d = pos[ids] - network.sink_pos
             fy = np.abs(d[:, 0] * frame.y_axis[0] + d[:, 1] * frame.y_axis[1])
             return int(fy.argmin())
         return int(row_norms_ref(pos[ids] - np.asarray(anchor)).argmin())
@@ -241,7 +241,7 @@ def leg_calls(network, n_calls, seed):
     ids = network.reachable_sensor_ids()
     pos = network.positions
     src = int(ids[np.argmax(network.hops[ids])])
-    frame = pn.build_frame(network, src)
+    frame = build_frame(network, src)
     for _ in range(n_calls):
         start = int(ids[rng.integers(len(ids))])
         nbrs = network.neighbors(start)
@@ -310,7 +310,7 @@ def test_same_hop_leg_matches_numpy_reference(field):
 def test_visible_area_is_the_r0_disc_around_the_source(field):
     ids = field.reachable_sensor_ids()
     for src in ids[::97]:
-        frame = pn.build_frame(field, int(src))
+        frame = build_frame(field, int(src))
         assert frame.visible == inside(field, (field.positions[src],
                                                field.r0))
         assert int(src) in frame.visible
@@ -322,7 +322,7 @@ def test_hbdrw_route_matches_numpy_reference(field):
     for k in range(60):
         src = int(ids[rng.integers(len(ids))])
         h = int(rng.integers(1, 12))
-        got = pn.hbdrw_route(field, src, h, np.random.default_rng(k))
+        got = hbdrw_route(field, src, h, np.random.default_rng(k))
         want = hbdrw_route_ref(field, src, h, np.random.default_rng(k))
         assert got == want
 
@@ -371,7 +371,7 @@ def test_picks_compare_square_roots_and_keep_the_first_of_equals():
     net = tie_net()
     nodes, _ = _directed_leg(net, 1, T, 1)
     assert nodes == [1, 2]
-    frame = pn.build_frame(net, 1)
+    frame = build_frame(net, 1)
     nodes, _ = _same_hop_leg(net, 1, 1, frame, T)
     assert nodes == [1, 2]
     # A hand-made hop field with both sensors one hop below the start.

@@ -6,8 +6,10 @@ import pytest
 import phantomnet as pn
 from phantomnet.errors import EmptyDomain, InvalidParameter, SourceIsSink
 from phantomnet.net import project
-from phantomnet.psspr import _directed_leg, _same_hop_leg, _var_angle_leg
-from phantomnet.trace import PHASE_DIRECT
+from phantomnet.psspr import (SectorParams, _directed_leg, _same_hop_leg,
+                              _var_angle_leg, build_frame, candidate_domain,
+                              route_packet, same_hop_count, select_phantom)
+from phantomnet.trace import PHASE_DIRECT, enters_visible_area
 
 
 def make_line_network(points, r, field_side=8000.0):
@@ -19,22 +21,23 @@ def make_line_network(points, r, field_side=8000.0):
 class TestFrame:
     def test_horizontal_source(self):
         net = make_line_network([[3000, 3000], [5000, 3000]], r=2100.0)
-        frame = pn.build_frame(net, 1)
+        frame = build_frame(net, 1)
         assert np.allclose(frame.center_v, [4000, 3000])
         assert np.allclose(frame.x_axis, [1, 0])
         assert frame.h_distance == 1
 
     def test_vertical_source(self):
         net = make_line_network([[3000, 3000], [3000, 5000]], r=2100.0)
-        frame = pn.build_frame(net, 1)
+        frame = build_frame(net, 1)
         assert np.allclose(frame.center_v, [3000, 4000])
         assert np.allclose(frame.x_axis, [0, 1])
 
     def test_midpoint_property(self, dense_net):
         src = pn.pick_source(dense_net, 8, 11)
-        frame = pn.build_frame(dense_net, src)
-        d_src = np.linalg.norm(frame.center_v - frame.source_pos)
-        d_sink = np.linalg.norm(frame.center_v - frame.sink_pos)
+        frame = build_frame(dense_net, src)
+        v = np.array(frame.center_v)
+        d_src = np.linalg.norm(v - dense_net.positions[src])
+        d_sink = np.linalg.norm(v - dense_net.sink_pos)
         assert abs(d_src - d_sink) < 1e-9
 
     def test_sink_rejected(self, dense_net):
@@ -44,20 +47,20 @@ class TestFrame:
 
 class TestSectorParams:
     def test_theta_is_pi_over_omega(self):
-        assert pn.SectorParams(4, 6, 6).theta == math.pi / 6
+        assert SectorParams(4, 6, 6).theta == math.pi / 6
 
     @pytest.mark.parametrize("args", [(6, 4, 6), (4, 6, 5), (4, 6, 0), (0, 6, 6)])
     def test_invalid(self, args):
         with pytest.raises(InvalidParameter):
-            pn.SectorParams(*args)
+            SectorParams(*args)
 
 
 class TestCandidateDomain:
     def test_annulus_membership_exhaustive(self, dense_net):
         src = pn.pick_source(dense_net, 10, 11)
-        frame = pn.build_frame(dense_net, src)
-        params = pn.SectorParams(4, 6, 6)
-        domains = pn.candidate_domain(dense_net, frame, params)
+        frame = build_frame(dense_net, src)
+        params = SectorParams(4, 6, 6)
+        domains = candidate_domain(dense_net, frame, params)
         # Brute-force membership oracle over every node.
         spos = dense_net.positions[src]
         expected = set()
@@ -77,8 +80,8 @@ class TestCandidateDomain:
 
     def test_sectors_disjoint_and_count(self, dense_net):
         src = pn.pick_source(dense_net, 10, 11)
-        frame = pn.build_frame(dense_net, src)
-        domains = pn.candidate_domain(dense_net, frame, pn.SectorParams(4, 6, 6))
+        frame = build_frame(dense_net, src)
+        domains = candidate_domain(dense_net, frame, SectorParams(4, 6, 6))
         assert len(domains) == 6
         all_ids = [int(n) for dom in domains for n in dom]
         assert len(all_ids) == len(set(all_ids))
@@ -86,9 +89,9 @@ class TestCandidateDomain:
     def test_empty_domain_raises(self):
         net = make_line_network([[500, 500], [600, 500]], r=150.0,
                                 field_side=1000.0)
-        frame = pn.build_frame(net, 1)
+        frame = build_frame(net, 1)
         with pytest.raises(EmptyDomain):
-            pn.candidate_domain(net, frame, pn.SectorParams(30, 40, 6))
+            candidate_domain(net, frame, SectorParams(30, 40, 6))
 
 
 class TestSelectPhantom:
@@ -98,13 +101,13 @@ class TestSelectPhantom:
         net = make_line_network(
             [[3000, 3000], [5000, 3000], [2000, 3600], [6000, 2400]],
             r=2100.0)
-        frame = pn.build_frame(net, 1)
-        params = pn.SectorParams(1, 2, 2)
-        domains = pn.candidate_domain(net, frame, params)
+        frame = build_frame(net, 1)
+        params = SectorParams(1, 2, 2)
+        domains = candidate_domain(net, frame, params)
         rng = np.random.default_rng(0)
         chosen = set()
         for _ in range(8):
-            choice = pn.select_phantom(net, frame, params, rng, domains)
+            choice = select_phantom(net, frame, params, rng, domains)
             assert choice.p1 == 2
             chosen.add(choice.chosen)
         # Node 3 carries packets only as the mirror of node 2.
@@ -112,20 +115,20 @@ class TestSelectPhantom:
 
     def test_annulus_membership_every_packet(self, dense_net):
         src = pn.pick_source(dense_net, 10, 11)
-        frame = pn.build_frame(dense_net, src)
-        params = pn.SectorParams(4, 6, 6)
-        domains = pn.candidate_domain(dense_net, frame, params)
+        frame = build_frame(dense_net, src)
+        params = SectorParams(4, 6, 6)
+        domains = candidate_domain(dense_net, frame, params)
         rng = np.random.default_rng(3)
         pos = dense_net.positions
         for _ in range(300):
-            c = pn.select_phantom(dense_net, frame, params, rng, domains=domains)
+            c = select_phantom(dense_net, frame, params, rng, domains=domains)
             d = np.linalg.norm(pos[c.p1] - pos[src])
             assert 400.0 <= d <= 600.0
             assert 0.0 <= c.beta <= 180.0
             assert sum(c.p1 in dom for dom in domains) == 1
             # A mirror lies within r of the point reflection of p1; with
             # no node there (sink and source aside), p1 is forced.
-            target = 2 * frame.center_v - pos[c.p1]
+            target = 2 * np.array(frame.center_v) - pos[c.p1]
             if c.chosen != c.p1:
                 assert np.linalg.norm(pos[c.chosen] - target) <= dense_net.r
             near = np.linalg.norm(pos - target, axis=1) <= dense_net.r
@@ -135,29 +138,29 @@ class TestSelectPhantom:
 
     def test_deterministic_under_seed(self, dense_net):
         src = pn.pick_source(dense_net, 10, 11)
-        frame = pn.build_frame(dense_net, src)
-        params = pn.SectorParams(4, 6, 6)
-        domains = pn.candidate_domain(dense_net, frame, params)
-        a = pn.select_phantom(dense_net, frame, params,
-                              np.random.default_rng(9), domains)
-        b = pn.select_phantom(dense_net, frame, params,
-                              np.random.default_rng(9), domains)
+        frame = build_frame(dense_net, src)
+        params = SectorParams(4, 6, 6)
+        domains = candidate_domain(dense_net, frame, params)
+        a = select_phantom(dense_net, frame, params,
+                           np.random.default_rng(9), domains)
+        b = select_phantom(dense_net, frame, params,
+                           np.random.default_rng(9), domains)
         assert a == b
 
 
 class TestSameHopCount:
     def test_examples(self):
-        assert pn.same_hop_count(90.0, pn.SectorParams(16, 24, 6)) == 12
-        assert pn.same_hop_count(0.0, pn.SectorParams(16, 24, 6)) == 0
-        assert pn.same_hop_count(180.0, pn.SectorParams(12, 18, 6)) == 18
+        assert same_hop_count(90.0, SectorParams(16, 24, 6)) == 12
+        assert same_hop_count(0.0, SectorParams(16, 24, 6)) == 0
+        assert same_hop_count(180.0, SectorParams(12, 18, 6)) == 18
 
     def test_rounds_half_away_from_zero(self):
         # 25/180 * 18 = 2.5 rounds up to 3.
-        assert pn.same_hop_count(25.0, pn.SectorParams(12, 18, 6)) == 3
+        assert same_hop_count(25.0, SectorParams(12, 18, 6)) == 3
 
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidParameter):
-            pn.same_hop_count(181.0, pn.SectorParams(12, 18, 6))
+            same_hop_count(181.0, SectorParams(12, 18, 6))
 
 
 class TestDirectedRoute:
@@ -221,7 +224,7 @@ class TestVariableAngle:
         ok = 0
         for _ in range(100):
             s = int(pool[rng.integers(len(pool))])
-            frame = pn.build_frame(dense_net, s)
+            frame = build_frame(dense_net, s)
             nodes, reached = _var_angle_leg(dense_net, s,
                                             4 * frame.h_distance)
             assert reached
@@ -231,23 +234,23 @@ class TestVariableAngle:
         assert ok >= 90
 
 
-def frame_y(frame, pos):
+def frame_y(network, frame, pos):
     """Signed distance of ``pos`` from the source-sink axis."""
-    return float(project(pos - frame.sink_pos, frame.y_axis))
+    return float(project(pos - network.sink_pos, frame.y_axis))
 
 
 class TestSameHopRoute:
     def test_zero_length(self, dense_net):
         node = int(dense_net.reachable_sensor_ids()[5])
         src = pn.pick_source(dense_net, 10, 11)
-        frame = pn.build_frame(dense_net, src)
+        frame = build_frame(dense_net, src)
         nodes, annotations = _same_hop_leg(dense_net, node, 0, frame, None)
         assert nodes == [node]
         assert annotations == []
 
     def test_constant_ring_when_unrelaxed(self, dense_net):
         src = pn.pick_source(dense_net, 10, 11)
-        frame = pn.build_frame(dense_net, src)
+        frame = build_frame(dense_net, src)
         rng = np.random.default_rng(4)
         ids = dense_net.reachable_sensor_ids()
         pool = ids[dense_net.hops[ids] >= 4]
@@ -260,17 +263,17 @@ class TestSameHopRoute:
 
     def test_walks_toward_axis(self, dense_net):
         src = pn.pick_source(dense_net, 10, 11)
-        frame = pn.build_frame(dense_net, src)
+        frame = build_frame(dense_net, src)
         rng = np.random.default_rng(17)
         ids = dense_net.reachable_sensor_ids()
-        fy = np.abs([frame_y(frame, dense_net.positions[i]) for i in ids])
+        fy = np.abs([frame_y(dense_net, frame, dense_net.positions[i]) for i in ids])
         pool = ids[(dense_net.hops[ids] >= 4) & (fy >= 300.0)]
         ok = 0
         for _ in range(100):
             start = int(pool[rng.integers(len(pool))])
             nodes, _ = _same_hop_leg(dense_net, start, 12, frame, None)
-            fy0 = abs(frame_y(frame, dense_net.positions[nodes[0]]))
-            fy1 = abs(frame_y(frame, dense_net.positions[nodes[-1]]))
+            fy0 = abs(frame_y(dense_net, frame, dense_net.positions[nodes[0]]))
+            fy1 = abs(frame_y(dense_net, frame, dense_net.positions[nodes[-1]]))
             ok += fy1 <= fy0
         assert ok >= 95
 
@@ -287,12 +290,12 @@ class TestRoutePacket:
 
     def test_delivered_trace_endpoints(self, dense_net):
         src = pn.pick_source(dense_net, 10, 11)
-        frame = pn.build_frame(dense_net, src)
-        params = pn.SectorParams(4, 6, 6)
-        domains = pn.candidate_domain(dense_net, frame, params)
+        frame = build_frame(dense_net, src)
+        params = SectorParams(4, 6, 6)
+        domains = candidate_domain(dense_net, frame, params)
         rng = np.random.default_rng(12)
         for _ in range(50):
-            t = pn.route_packet(dense_net, frame, params, rng, domains=domains)
+            t = route_packet(dense_net, frame, params, rng, domains=domains)
             assert t.hops[0] == src
             if t.delivered:
                 assert t.hops[-1] == pn.SINK
@@ -303,35 +306,35 @@ class TestRoutePacket:
         # r_min * r = 400 > r0 = 300 here; the packet legs from the
         # phantom onward must stay clear of the source's visible disc.
         src = pn.pick_source(dense_net, 12, 11)
-        frame = pn.build_frame(dense_net, src)
-        params = pn.SectorParams(4, 6, 6)
-        domains = pn.candidate_domain(dense_net, frame, params)
+        frame = build_frame(dense_net, src)
+        params = SectorParams(4, 6, 6)
+        domains = candidate_domain(dense_net, frame, params)
         rng = np.random.default_rng(2)
         for _ in range(100):
-            t = pn.route_packet(dense_net, frame, params, rng, domains=domains)
-            assert not pn.enters_visible_area(t, dense_net, src)
+            t = route_packet(dense_net, frame, params, rng, domains=domains)
+            assert not enters_visible_area(t, dense_net, src)
 
     def test_phantom_diversity(self, dense_net):
         src = pn.pick_source(dense_net, 10, 11)
-        frame = pn.build_frame(dense_net, src)
-        params = pn.SectorParams(4, 6, 6)
-        domains = pn.candidate_domain(dense_net, frame, params)
+        frame = build_frame(dense_net, src)
+        params = SectorParams(4, 6, 6)
+        domains = candidate_domain(dense_net, frame, params)
         rng = np.random.default_rng(5)
-        chosen = {pn.route_packet(dense_net, frame, params, rng,
-                                  domains=domains).phantom
+        chosen = {route_packet(dense_net, frame, params, rng,
+                               domains=domains).phantom
                   for _ in range(500)}
         need = 0.5 * pn.phantom_count_psspr(4, 6, 1)
         assert len(chosen) >= need
 
     def test_deterministic_traces(self, dense_net):
         src = pn.pick_source(dense_net, 10, 11)
-        frame = pn.build_frame(dense_net, src)
-        params = pn.SectorParams(4, 6, 6)
-        domains = pn.candidate_domain(dense_net, frame, params)
-        a = [pn.route_packet(dense_net, frame, params,
-                             np.random.default_rng(77), domains).hops
+        frame = build_frame(dense_net, src)
+        params = SectorParams(4, 6, 6)
+        domains = candidate_domain(dense_net, frame, params)
+        a = [route_packet(dense_net, frame, params,
+                          np.random.default_rng(77), domains).hops
              for _ in range(3)]
-        b = [pn.route_packet(dense_net, frame, params,
-                             np.random.default_rng(77), domains).hops
+        b = [route_packet(dense_net, frame, params,
+                          np.random.default_rng(77), domains).hops
              for _ in range(3)]
         assert a == b

@@ -15,7 +15,8 @@ import hashlib
 import numpy as np
 
 import phantomnet as pn
-from phantomnet.adversary import initial_state
+from phantomnet.adversary import initial_state, observe_packet
+from phantomnet.trace import enters_visible_area
 
 TRACE_SHA256 = "549bc9e73211e42c6d4b48b3caecbc413a78e78b04f5180e82c42099854a505e"
 
@@ -41,9 +42,8 @@ def packet_records():
                     state = initial_state(network)
                     for k in range(packets):
                         t = router(rng)
-                        state = pn.observe_packet(network, state, t,
-                                                  source=source)
-                        failure = pn.enters_visible_area(t, network, source)
+                        state = observe_packet(network, state, t, source)
+                        failure = enters_visible_area(t, network, source)
                         phantom = None if t.phantom is None else int(t.phantom)
                         yield repr((p, h, seed, k, [int(n) for n in t.hops],
                                     t.phases, bool(t.delivered),
