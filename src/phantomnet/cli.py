@@ -125,7 +125,9 @@ def cmd_tables(args) -> int:
 
 def cmd_analyze(args) -> int:
     r_min, r_max = (args.rmin, args.rmax)
-    if r_min is None or r_max is None:
+    if (r_min is None) != (r_max is None):
+        raise InvalidParameter("--rmin and --rmax must be given together")
+    if r_min is None:
         r_min, r_max = analysis.rmin_rmax_for(args.h)
     params = analysis.AnalysisInput(r_min=r_min, r_max=r_max, h=args.h,
                                     H=args.H, omega=args.omega)

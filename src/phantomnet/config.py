@@ -63,6 +63,11 @@ class ExperimentConfig:
                 "exactly one of h and H may be a sweep list; fix the other")
         if any(v < 1 for v in self.h) or any(v < 1 for v in self.H):
             raise ValidationError("h and H values must be >= 1")
+        for key in ("seeds", "protocols", "h", "H"):
+            values = getattr(self, key)
+            if len(set(values)) < len(values):
+                raise ValidationError(f"{key} values must be distinct, "
+                                      f"got {values}")
         return self
 
     @property

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .adversary import run_session
+from .adversary import RunRecord, run_session
 from .config import ExperimentConfig
 from .errors import HarnessError, InvalidParameter
 from .net import deploy
@@ -56,14 +56,6 @@ class RunSpec:
     packets: int
 
 
-@dataclass(frozen=True)
-class RunResult:
-    safety_time: int    # also the packets sent: the session stops there
-    captured: bool
-    total_hops: int
-    failure_paths: int
-
-
 # Runs execute seed-major (per process), so one field at a time is in use.
 @functools.lru_cache(maxsize=1)
 def _network(n_nodes: int, field_side: float, r: float, r0: float, seed: int):
@@ -86,25 +78,16 @@ def pick_source(network, H: int, seed: int) -> int:
     return int(cands[int(rng.integers(len(cands)))])
 
 
-def run_one(spec: RunSpec) -> RunResult:
+def run_one(spec: RunSpec) -> RunRecord:
     network = _network(spec.n_nodes, spec.field_side, spec.r, spec.r0,
                        spec.seed)
     source = pick_source(network, spec.H, spec.seed)
     rng = np.random.default_rng([spec.seed, spec.H, spec.h,
                                  PROTOCOLS.index(spec.protocol)])
-
-    failures = 0
-
-    def on_trace(trace):
-        nonlocal failures
-        failures += enters_visible_area(trace, network, source)
-
-    metrics = run_session(network, spec.protocol, source, spec.packets, rng,
-                          h=spec.h, omega=spec.omega, on_trace=on_trace)
-    return RunResult(safety_time=metrics.safety_time,
-                     captured=metrics.captured,
-                     total_hops=metrics.total_hops,
-                     failure_paths=failures)
+    # Called by this module's names, so perfbench's wrappers see each call.
+    return run_session(network, spec.protocol, source, spec.packets, rng,
+                       h=spec.h, omega=spec.omega,
+                       failure_path=enters_visible_area)
 
 
 def run_experiment(config: ExperimentConfig,
@@ -169,7 +152,7 @@ def run_experiment(config: ExperimentConfig,
         for (h, H) in config.sweep_points:
             chunk = results[idx:idx + n_seeds]
             idx += n_seeds
-            ok = [r for r in chunk if isinstance(r, RunResult)]
+            ok = [r for r in chunk if isinstance(r, RunRecord)]
             if not ok:
                 raise HarnessError(f"every run failed for {p} at h={h} H={H}")
             rows.append(AggregateRow(

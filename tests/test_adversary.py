@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 import phantomnet as pn
-from phantomnet.adversary import AdversaryState, initial_state, observe_packet
-from phantomnet.baselines import shortest_path_route
+from phantomnet.adversary import observe_packet
 from phantomnet.errors import InvalidParameter
 from phantomnet.trace import PHASE_SHORTEST, RouteTrace, enters_visible_area
 
@@ -19,16 +18,24 @@ def two_node_net():
 
 def test_one_hop_capture():
     net = two_node_net()
-    state = initial_state(net)
     trace = RouteTrace(hops=[1, pn.SINK], phases=[PHASE_SHORTEST] * 2,
                        delivered=True)
-    state = observe_packet(net, state, trace, 1)
-    assert state.at == 1
-    assert state.captured
+    perch = observe_packet(net, pn.SINK, trace)
+    assert perch == 1
+    assert perch in net.disc(1, net.r0)
+
+
+def test_short_traces_leave_the_perch_unchanged():
+    # A trace of 0 or 1 hops transmits nothing, even from a node within
+    # range of the perch.
+    net = two_node_net()
+    for perch, hops in product((pn.SINK, 1), ([], [0], [1])):
+        trace = RouteTrace(hops=hops, phases=[PHASE_SHORTEST] * len(hops),
+                           delivered=hops == [pn.SINK])
+        assert observe_packet(net, perch, trace) == perch
 
 
 def test_out_of_range_trace_leaves_state_unchanged(dense_net):
-    state = initial_state(dense_net)
     # A far-corner source two hops from its neighbor; both far from sink.
     ids = dense_net.reachable_sensor_ids()
     far = ids[np.linalg.norm(dense_net.positions[ids] - dense_net.sink_pos,
@@ -37,8 +44,7 @@ def test_out_of_range_trace_leaves_state_unchanged(dense_net):
     b = int(dense_net.neighbors(a)[0])
     trace = RouteTrace(hops=[a, b], phases=[PHASE_SHORTEST] * 2,
                        delivered=False)
-    new = observe_packet(dense_net, state, trace, a)
-    assert new == state
+    assert observe_packet(dense_net, pn.SINK, trace) == pn.SINK
 
 
 def test_backtrace_progression_matches_path_oracle():
@@ -50,56 +56,46 @@ def test_backtrace_progression_matches_path_oracle():
     src = int(ids[np.argmax(net.hops[ids])])
     H = int(net.hops[src])
     rng = np.random.default_rng(1)
-    metrics = pn.run_session(net, "shortest-path", src, 200, rng, h=5,
-                             omega=6)
-    assert metrics.captured
-    assert abs(metrics.safety_time - H) <= 2
+    record = pn.run_session(net, "shortest-path", src, 200, rng, h=5,
+                            omega=6)
+    assert record.captured
+    assert abs(record.safety_time - H) <= 2
 
 
 def test_adversary_never_teleports(desk_net):
     src = pn.pick_source(desk_net, 15, 2)
     router = pn.make_router(desk_net, "psspr", src, h=10, omega=6)
     rng = np.random.default_rng(4)
-    state = initial_state(desk_net)
+    visible = desk_net.disc(src, desk_net.r0)
+    perch = pn.SINK
     for _ in range(80):
-        trace = router(rng)
-        new = observe_packet(desk_net, state, trace, source=src)
-        if new.at != state.at:
-            jump = np.linalg.norm(desk_net.positions[new.at]
-                                  - desk_net.positions[state.at])
-            assert jump <= desk_net.r
-        else:
-            assert new == state
-        state = new
-        if state.captured:
+        moved = observe_packet(desk_net, perch, router(rng))
+        jump = np.linalg.norm(desk_net.positions[moved]
+                              - desk_net.positions[perch])
+        assert jump <= desk_net.r
+        if moved != perch and moved in visible:
             break
-
-
-def test_capture_is_monotone(desk_net):
-    src = int(desk_net.neighbors(pn.SINK)[0])
-    state = initial_state(desk_net)
-    trace = shortest_path_route(desk_net, src)
-    state = observe_packet(desk_net, state, trace, src)
-    assert state.captured
-    after = observe_packet(desk_net, state, trace, src)
-    assert after.captured and after.at == state.at
+        perch = moved
 
 
 def test_capture_definition_radius(desk_net):
-    # Capture fires exactly when the adversary stands within r0 of the
-    # source or on it.
+    # run_session declares capture at the first packet that moves the
+    # adversary onto the source or within r0 of it.
     src = pn.pick_source(desk_net, 10, 2)
+    record = pn.run_session(desk_net, "shortest-path", src, 100,
+                            np.random.default_rng(0), h=5, omega=6)
     router = pn.make_router(desk_net, "shortest-path", src, h=5, omega=6)
     rng = np.random.default_rng(0)
-    state = initial_state(desk_net)
-    for _ in range(100):
-        state = observe_packet(desk_net, state, router(rng), source=src)
-        d = np.linalg.norm(desk_net.positions[state.at]
+    perch = pn.SINK
+    for k in range(1, 101):
+        moved = observe_packet(desk_net, perch, router(rng))
+        d = np.linalg.norm(desk_net.positions[moved]
                            - desk_net.positions[src])
-        assert state.captured == (state.at == src or d <= desk_net.r0)
-        if state.captured:
+        if moved != perch and (moved == src or d <= desk_net.r0):
             break
-    assert state.captured
+        perch = moved
+    assert record.captured
+    assert record.safety_time == k
 
 
 def test_run_session_rejects_zero_packets(desk_net):
@@ -111,18 +107,18 @@ def test_run_session_rejects_zero_packets(desk_net):
 
 def test_single_packet_adjacent_source():
     net = two_node_net()
-    metrics = pn.run_session(net, "shortest-path", 1, 1,
-                             np.random.default_rng(0), h=5, omega=6)
-    assert metrics.safety_time == 1
-    assert metrics.captured
+    record = pn.run_session(net, "shortest-path", 1, 1,
+                            np.random.default_rng(0), h=5, omega=6)
+    assert record.safety_time == 1
+    assert record.captured
 
 
 def test_shortest_path_capture_bound(desk_net):
     src = pn.pick_source(desk_net, 20, 2)
-    metrics = pn.run_session(desk_net, "shortest-path", src, 400,
-                             np.random.default_rng(0), h=5, omega=6)
-    assert metrics.captured
-    assert metrics.safety_time <= 25
+    record = pn.run_session(desk_net, "shortest-path", src, 400,
+                            np.random.default_rng(0), h=5, omega=6)
+    assert record.captured
+    assert record.safety_time <= 25
 
 
 def test_psspr_beats_shortest_path_paired_seeds():
@@ -154,12 +150,23 @@ def test_session_determinism(desk_net):
 def test_metrics_bookkeeping(desk_net):
     src = pn.pick_source(desk_net, 10, 2)
     seen = []
-    metrics = pn.run_session(desk_net, "pusbrf", src, 30,
-                             np.random.default_rng(3), h=5, omega=6,
-                             on_trace=seen.append)
-    assert len(seen) == metrics.safety_time if metrics.captured else 30
-    assert metrics.total_hops == sum(t.transmissions for t in seen)
-    assert metrics.delivered == sum(t.delivered for t in seen)
+
+    def failure_path(trace, network, source):
+        seen.append(trace)
+        return enters_visible_area(trace, network, source)
+
+    record = pn.run_session(desk_net, "pusbrf", src, 30,
+                            np.random.default_rng(3), h=5, omega=6,
+                            failure_path=failure_path)
+    # One packet per unit of safety time: the session stops at capture.
+    assert len(seen) == record.safety_time
+    assert record.captured or record.safety_time == 30
+    assert record.total_hops == sum(t.transmissions for t in seen)
+    assert record.delivered == sum(t.delivered for t in seen)
+    assert record.failure_paths == sum(
+        enters_visible_area_by_onset(t, desk_net, src) for t in seen)
+    assert record == pn.run_session(desk_net, "pusbrf", src, 30,
+                                    np.random.default_rng(3), h=5, omega=6)
 
 
 def plain_distance(a, b):
@@ -167,21 +174,23 @@ def plain_distance(a, b):
     return float(np.linalg.norm((a - b)[None, :], axis=1)[0])
 
 
-def observe_packet_loop(network, state, trace, source):
+def observe_packet_loop(network, perch, trace):
     """A per-sender loop over numpy positions, kept as observe_packet's
     oracle."""
-    if state.captured or len(trace.hops) < 2:
-        return state
     pos = network.positions
     for sender in trace.hops[:-1]:
-        if sender == state.at:
-            continue
-        if plain_distance(pos[sender], pos[state.at]) <= network.r:
-            captured = (sender == source
-                        or plain_distance(pos[sender], pos[source])
-                        <= network.r0)
-            return AdversaryState(at=sender, captured=bool(captured))
-    return state
+        if (sender != perch
+                and plain_distance(pos[sender], pos[perch]) <= network.r):
+            return sender
+    return perch
+
+
+def in_visible_area_loop(network, node, source):
+    """The capture test on numpy positions, kept as the oracle of the
+    session's r0 disc."""
+    pos = network.positions
+    return (node == source
+            or plain_distance(pos[node], pos[source]) <= network.r0)
 
 
 def enters_visible_area_by_onset(trace, network, source):
@@ -221,14 +230,14 @@ def test_observe_packet_matches_per_sender_loop(desk_net):
     for src, trace in routed_traces(desk_net, 15):
         perches = [pn.SINK, *rng.choice(trace.hops, 3),
                    *rng.integers(len(desk_net), size=2)]
-        for at in perches:
-            state = AdversaryState(at=int(at))
+        for at in map(int, perches):
+            new = observe_packet(desk_net, at, trace)
+            assert new == observe_packet_loop(desk_net, at, trace)
+            moved += new != at
             for source in (src, trace.hops[0]):
-                new = observe_packet(desk_net, state, trace, source=source)
-                assert new == observe_packet_loop(desk_net, state, trace,
-                                                  source=source)
-                moved += new.at != state.at
-    assert moved > 100
+                assert ((new in desk_net.disc(source, desk_net.r0))
+                        == in_visible_area_loop(desk_net, new, source))
+    assert moved > 50
 
 
 def test_enters_visible_area_matches_onset_reference(desk_net):
@@ -265,10 +274,9 @@ def test_replays_follow_the_reference_norms_at_the_radius():
     for sender in (1, 2):
         trace = RouteTrace(hops=[sender, pn.SINK],
                            phases=[PHASE_SHORTEST] * 2, delivered=True)
-        state = initial_state(net)
-        new = observe_packet(net, state, trace, sender)
-        assert new == observe_packet_loop(net, state, trace, sender)
-        heard[sender] = new.at == sender
+        new = observe_packet(net, pn.SINK, trace)
+        assert new == observe_packet_loop(net, pn.SINK, trace)
+        heard[sender] = new == sender
         for phantom, source in product((None, pn.SINK), (1, 2)):
             t = replace(trace, phantom=phantom)
             assert (enters_visible_area(t, net, source)

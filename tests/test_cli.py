@@ -90,6 +90,13 @@ def test_analyze_rejects_the_omega_simulate_rejects(flag, capsys):
     assert "error: omega must be even and >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [("--rmin", "10"), ("--rmax", "18")])
+def test_analyze_rejects_a_lone_annulus_radius(flag, capsys):
+    assert main(["analyze", "--h", "15", *flag]) == 1
+    assert "error: --rmin and --rmax must be given together" in (
+        capsys.readouterr().err)
+
+
 def test_analyze_rejects_nan_visible_radius(capsys):
     assert main(["analyze", "--h", "15", "--r0", "nan"]) == 2
     assert "runtime error: r0 must be nonnegative" in capsys.readouterr().err

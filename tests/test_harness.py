@@ -73,6 +73,10 @@ class TestConfigParsing:
         dict(field_side=math.nan),
         dict(field_side=math.inf),
         dict(r0=math.inf),
+        dict(seeds=[1, 1, 2]),              # repeats would count twice
+        dict(protocols=["shortest-path", "shortest-path"]),
+        dict(h=[5, 5]),
+        dict(H=[8, 8]),
     ])
     def test_validation_errors(self, over):
         with pytest.raises(ValidationError):
@@ -160,6 +164,35 @@ class TestRunExperiment:
         sp3, sp5 = rows[2], rows[3]
         assert (sp3.protocol, sp3.h, sp5.h) == ("shortest-path", 3, 5)
         assert replace(sp3, h=5) == sp5
+
+    def test_benchmark_seams_see_every_packet_and_run(self, monkeypatch):
+        # perfbench times and counts harness.run_session and
+        # harness.enters_visible_area by replacing these module names.
+        from phantomnet import harness
+        records, visible = [], []
+        real_session = harness.run_session
+        real_visible = harness.enters_visible_area
+
+        def run_session(*args, **kwargs):
+            records.append(real_session(*args, **kwargs))
+            return records[-1]
+
+        def enters_visible_area(*args):
+            visible.append(real_visible(*args))
+            return visible[-1]
+
+        monkeypatch.setattr(harness, "run_session", run_session)
+        monkeypatch.setattr(harness, "enters_visible_area",
+                            enters_visible_area)
+        cfg = tiny_config(protocols=["psspr", "shortest-path"], h=[3, 5],
+                          seeds=[1, 2])
+        rows = run_experiment(cfg, max_workers=1)
+        # Shortest path runs once for both h values: 4 + 2 runs.
+        assert len(records) == 6
+        assert sum(row.n_runs for row in rows) == 8
+        assert len(visible) == sum(r.safety_time for r in records)
+        assert sum(visible) == sum(r.failure_paths for r in records)
+        assert 0 < sum(visible) < len(visible)
 
     def test_pool_deploys_each_field_in_one_process(self, monkeypatch,
                                                     tmp_path):

@@ -15,7 +15,7 @@ import hashlib
 import numpy as np
 
 import phantomnet as pn
-from phantomnet.adversary import initial_state, observe_packet
+from phantomnet.adversary import observe_packet
 from phantomnet.trace import enters_visible_area
 
 TRACE_SHA256 = "549bc9e73211e42c6d4b48b3caecbc413a78e78b04f5180e82c42099854a505e"
@@ -39,20 +39,24 @@ def packet_records():
                                             omega=6)
                     rng = np.random.default_rng(
                         [seed, H, h, pn.PROTOCOLS.index(p)])
-                    state = initial_state(network)
+                    visible = network.disc(source, network.r0)
+                    perch = network.sink
                     for k in range(packets):
                         t = router(rng)
-                        state = observe_packet(network, state, t, source)
+                        moved = observe_packet(network, perch, t)
+                        # Capture as run_session declares it.
+                        captured = moved != perch and moved in visible
+                        perch = moved
                         failure = enters_visible_area(t, network, source)
                         phantom = None if t.phantom is None else int(t.phantom)
                         yield repr((p, h, seed, k, [int(n) for n in t.hops],
                                     t.phases, bool(t.delivered),
-                                    t.annotations, phantom, int(state.at),
-                                    bool(state.captured), bool(failure)))
-                        if state.captured:
+                                    t.annotations, phantom, int(perch),
+                                    bool(captured), bool(failure)))
+                        if captured:
                             # Start over, so every packet is replayed
                             # against a moving adversary.
-                            state = initial_state(network)
+                            perch = network.sink
 
 
 def test_packet_traces_match_the_recorded_hash():
