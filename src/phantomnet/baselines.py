@@ -115,6 +115,7 @@ def _descend(network: Network, field, start: int, toward,
 
 def _descend_to_sink(network: Network, start: int) -> list[int]:
     """Shortest path from ``start`` to the sink, memoised on the network."""
-    return _descend(network, network.hop_list, start, network.sink_pos,
+    sink = network.sink
+    return _descend(network, network.hop_list, start,
+                    (network.xs[sink], network.ys[sink]),
                     network.sink_next_hop)
-

@@ -37,7 +37,9 @@ class Network:
     the nodes binned into it, the radius-r neighbor graph built from
     that grid (CSR arrays ``indptr``/``indices``, each row sorted), and
     the flooded minimum hop counts, with Python copies for the per-hop
-    kernels: ``xs``/``ys`` (``array('d')`` columns) and ``hop_list``.
+    kernels: ``xs``/``ys`` (``array('d')`` columns), ``sink_dist`` (each
+    node's distance to the sink, equal to ``dist(n, *sink)``) and
+    ``hop_list``.
     Its only mutable parts are per-node tables, each filled the first
     time a walk or replay asks for a node: the neighbor tuples, the two
     sink orderings, the hop rings, the discs, and ``sink_next_hop``, each
@@ -83,6 +85,8 @@ class Network:
         self.hops = self._flood(SINK)
         self.hops.setflags(write=False)
         self.hop_list = self.hops.tolist()
+        self.sink_dist = array("d", row_norms(
+            self.positions - self.positions[SINK]).tobytes())
         self.sink_next_hop = [-1] * len(self.positions)
         self._neighbors: list[tuple[int, ...] | None] = [None] * len(self)
         self._by_sink_distance = self._neighbors.copy()
@@ -92,10 +96,6 @@ class Network:
 
     def __len__(self) -> int:
         return len(self.positions)
-
-    @property
-    def sink_pos(self) -> np.ndarray:
-        return self.positions[SINK]
 
     def check_node(self, node: int) -> None:
         if not 0 <= node < len(self.positions):
@@ -117,9 +117,8 @@ class Network:
         """Neighbors of ``node``, nearest the sink first."""
         ranked = self._by_sink_distance[node]
         if ranked is None:
-            bx, by = self.xs[SINK], self.ys[SINK]
             ranked = self._by_sink_distance[node] = tuple(sorted(
-                self.neighbors(node), key=lambda n: self.dist(n, bx, by)))
+                self.neighbors(node), key=self.sink_dist.__getitem__))
         return ranked
 
     def by_sink_angle(self, node: int) -> tuple[int, ...]:

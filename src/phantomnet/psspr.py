@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 
@@ -330,33 +330,36 @@ def _angle_deg(ax: float, ay: float, bx: float, by: float) -> float:
     return math.degrees(math.acos(max(-1.0, min(1.0, c))))
 
 
-def _keep_out(cands: Sequence[int], inside: frozenset[int] | None,
-              cur: int) -> Sequence[int]:
-    """Drop the candidates inside a keep-out area, given as its node ids.
+def _barred(keep_out: frozenset[int] | None,
+            cur: int) -> Collection[int]:
+    """The keep-out nodes, given as ids, a relay at ``cur`` may not pick.
 
     The phases that carry a packet from the phantom to the sink steer
-    around the source's visible area hop by hop. The filter binds only
+    around the source's visible area hop by hop. The rule binds only
     while the walk itself is outside the area, so a phase that starts
     inside (the mirrored flow leaves from the source) can still get out.
     """
-    if inside is None or cur in inside:
-        return cands
-    return [n for n in cands if n not in inside]
+    return () if keep_out is None or cur in keep_out else keep_out
 
 
 def _walk(network: Network, start: int, budget: int,
-          pick: Callable[[int, list[int]], int],
           done: Callable[[int], bool], prev: int | None = None,
           keep_out: frozenset[int] | None = None,
-          order: Callable[[int], Sequence[int]] | None = None
-          ) -> tuple[list[int], bool]:
+          order: Callable[[int], Sequence[int]] | None = None,
+          target: Point | None = None) -> tuple[list[int], bool]:
     """Backtracking greedy walk. Returns (nodes, reached).
 
-    Each step hands the current node and its unvisited neighbors, in the
-    sequence ``order`` gives (``network.neighbors`` by default), to
-    ``pick``, which names the next relay; over a ranked table of the
-    network, ``_first`` is that pick. The walk ends once ``done`` holds
-    for the node it stands on or ``budget`` hops are spent.
+    Each step scans the neighbors of the current node once, in the
+    sequence ``order`` gives (``network.neighbors`` by default). A
+    neighbor is admissible unless the walk has visited it or it is
+    ``_barred`` by ``keep_out``. On the first step the relay ``prev``
+    the packet came from is taken only when nothing else is admissible,
+    so the packet does not bounce straight back. With a ``target`` the
+    next relay is the admissible neighbor nearest that point, the first
+    of equals, compared after the sqrt; without one, ``order`` is a
+    ranked table and its first admissible entry is next. The walk ends
+    once ``done`` holds for the node it stands on or ``budget`` hops are
+    spent.
     Remembering visited nodes lets the walk skirt routing voids instead of
     oscillating at a local minimum. A dead end physically carries the
     packet back one hop and resumes from there, which is this
@@ -368,36 +371,46 @@ def _walk(network: Network, start: int, budget: int,
     nodes = [start]
     if done(start):
         return nodes, True
+    if target is not None:
+        xs, ys = network.xs, network.ys
+        tx, ty = target
     cur = start
     seen = {start}
     stack = [start]
     while len(nodes) - 1 < budget:
-        cands = _keep_out([n for n in order(cur) if n not in seen],
-                          keep_out, cur)
-        if prev is not None and len(cands) > 1:
-            # On the first step, avoid an immediate bounce back onto the
-            # previous phase's relay unless it is the only way out.
-            cands = [n for n in cands if n != prev]
+        barred = _barred(keep_out, cur)
+        nxt, best_d, bounce = -1, math.inf, False
+        for n in order(cur):
+            if n in seen or n in barred:
+                continue
+            if n == prev:
+                bounce = True
+            elif target is None:
+                nxt = n
+                break
+            else:
+                dx = xs[n] - tx
+                dy = ys[n] - ty
+                d = math.sqrt(dx * dx + dy * dy)
+                if d < best_d:
+                    nxt, best_d = n, d
+        if nxt < 0 and bounce:
+            nxt = prev
         prev = None
-        if not cands:
+        if nxt < 0:
             stack.pop()
             if not stack:
                 return nodes, False
             cur = stack[-1]
             nodes.append(cur)
             continue
-        cur = pick(cur, cands)
+        cur = nxt
         seen.add(cur)
         stack.append(cur)
         nodes.append(cur)
         if done(cur):
             return nodes, True
     return nodes, False
-
-
-def _first(cur: int, cands: list[int]) -> int:
-    """The pick of a walk over a ranked table: its first candidate."""
-    return cands[0]
 
 
 def _directed_leg(network: Network, start: int, target: Point,
@@ -408,18 +421,19 @@ def _directed_leg(network: Network, start: int, target: Point,
                   ) -> tuple[list[int], bool]:
     """Greedy geographic walk toward ``target``. Returns (nodes, reached).
 
-    Each step moves to the unvisited neighbor closest to the target. The
-    leg ends at ``stop_node`` when one is given; otherwise on reaching a
-    node within r of the target or, with ``min_dist_from``, at least the
-    given distance from its origin.
+    Each step moves to the unvisited neighbor closest to the target; the
+    walk into the sink's position scans ``Network.by_sink_distance``
+    instead. The leg ends at ``stop_node`` when one is given; otherwise on
+    reaching a node within r of the target or, with ``min_dist_from``, at
+    least the given distance from its origin.
     """
     tx, ty = target
     if min_dist_from is not None:
         (ox, oy), away = min_dist_from
 
-    order, pick = None, lambda cur, cands: network.nearest(cands, tx, ty)
-    if (tx, ty) == (network.xs[network.sink], network.ys[network.sink]):
-        order, pick = network.by_sink_distance, _first
+    order, aim = None, (tx, ty)
+    if aim == (network.xs[network.sink], network.ys[network.sink]):
+        order, aim = network.by_sink_distance, None
 
     def done(node: int) -> bool:
         if stop_node is not None:
@@ -428,8 +442,8 @@ def _directed_leg(network: Network, start: int, target: Point,
             return True
         return network.dist(node, tx, ty) <= network.r
 
-    return _walk(network, start, max_hops, pick, done, prev=prev,
-                 keep_out=keep_out, order=order)
+    return _walk(network, start, max_hops, done, prev=prev,
+                 keep_out=keep_out, order=order, target=aim)
 
 
 def _var_angle_leg(network: Network, start: int, budget: int,
@@ -446,15 +460,13 @@ def _var_angle_leg(network: Network, start: int, budget: int,
     relays breaks the orbit cycles a memoryless angle-greedy walk falls
     into around routing voids.
     """
-    sink = network.sink
-    bx, by = network.xs[sink], network.ys[sink]
+    sink, sink_dist = network.sink, network.sink_dist
 
     def done(node: int) -> bool:
-        return node == sink or (ring is not None
-                                and network.dist(node, bx, by) <= ring)
+        return node == sink or (ring is not None and sink_dist[node] <= ring)
 
-    return _walk(network, start, budget, _first, done, prev=prev,
-                 keep_out=keep_out, order=network.by_sink_angle)
+    return _walk(network, start, budget, done, prev=prev, keep_out=keep_out,
+                 order=network.by_sink_angle)
 
 
 def _same_hop_leg(network: Network, start: int, h_m: int, frame: SourceFrame,
@@ -478,15 +490,16 @@ def _same_hop_leg(network: Network, start: int, h_m: int, frame: SourceFrame,
     cur = start
     relaxed = False
     for _ in range(h_m):
-        ring = _keep_out(network.hop_rings(cur)[1], keep_out, cur)
+        barred = _barred(keep_out, cur)
+        ring = [n for n in network.hop_rings(cur)[1] if n not in barred]
         # Never bounce straight back unless the ring offers nothing else.
         cands = [n for n in ring if n != prev] or ring
         if not cands:
             if relaxed:
                 annotations.append(f"same-hop-aborted@{len(nodes) - 1}")
                 break
-            cands = _keep_out([n for n in network.neighbors(cur)
-                               if abs(hop[n] - hop[cur]) == 1], keep_out, cur)
+            cands = [n for n in network.neighbors(cur)
+                     if abs(hop[n] - hop[cur]) == 1 and n not in barred]
             if not cands:
                 annotations.append(f"same-hop-aborted@{len(nodes) - 1}")
                 break

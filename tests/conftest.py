@@ -72,3 +72,46 @@ def validate_trace(network, trace, source):
     for a, b in zip(trace.hops, trace.hops[1:]):
         assert b in network.neighbors(a), f"hop {a}->{b} is not a radio link"
     assert trace.delivered == (trace.hops[-1] == network.sink)
+
+
+def keep_out_oracle(cands, inside, cur):
+    """Drop the candidates inside a keep-out area while ``cur`` is outside
+    it, the filter the walk kernel applies as it scans."""
+    if inside is None or cur in inside:
+        return cands
+    return [n for n in cands if n not in inside]
+
+
+def walk_oracle(network, start, budget, pick, done, prev=None, keep_out=None,
+                order=None):
+    """The walk kernel as a per-hop candidate list and a ``pick(cur, cands)``
+    closure, kept as the oracle of ``psspr._walk``."""
+    order = order or network.neighbors
+    nodes = [start]
+    if done(start):
+        return nodes, True
+    cur = start
+    seen = {start}
+    stack = [start]
+    while len(nodes) - 1 < budget:
+        cands = keep_out_oracle([n for n in order(cur) if n not in seen],
+                                keep_out, cur)
+        if prev is not None and len(cands) > 1:
+            # On the first step, avoid an immediate bounce back onto the
+            # previous phase's relay unless it is the only way out.
+            cands = [n for n in cands if n != prev]
+        prev = None
+        if not cands:
+            stack.pop()
+            if not stack:
+                return nodes, False
+            cur = stack[-1]
+            nodes.append(cur)
+            continue
+        cur = pick(cur, cands)
+        seen.add(cur)
+        stack.append(cur)
+        nodes.append(cur)
+        if done(cur):
+            return nodes, True
+    return nodes, False

@@ -38,8 +38,8 @@ def test_short_traces_leave_the_perch_unchanged():
 def test_out_of_range_trace_leaves_state_unchanged(dense_net):
     # A far-corner source two hops from its neighbor; both far from sink.
     ids = dense_net.reachable_sensor_ids()
-    far = ids[np.linalg.norm(dense_net.positions[ids] - dense_net.sink_pos,
-                             axis=1) > 900]
+    pos = dense_net.positions
+    far = ids[np.linalg.norm(pos[ids] - pos[pn.SINK], axis=1) > 900]
     a = int(far[0])
     b = int(dense_net.neighbors(a)[0])
     trace = RouteTrace(hops=[a, b], phases=[PHASE_SHORTEST] * 2,

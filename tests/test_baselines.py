@@ -161,7 +161,7 @@ class TestMemoisedDescent:
     @pytest.mark.parametrize("root", ["sink", "source"])
     def test_equals_fresh_descent_from_every_node(self, desk_net, root):
         if root == "sink":
-            field, toward = desk_net.hops, desk_net.sink_pos
+            field, toward = desk_net.hops, desk_net.positions[pn.SINK]
         else:
             src = pn.pick_source(desk_net, 15, 2)
             field = desk_net.hops_from(src)
@@ -180,4 +180,4 @@ class TestMemoisedDescent:
         for src in desk_net.reachable_sensor_ids()[::7]:
             t = shortest_path_route(desk_net, int(src))
             assert t.hops == descend_fresh(desk_net, desk_net.hops, int(src),
-                                           desk_net.sink_pos)
+                                           desk_net.positions[pn.SINK])

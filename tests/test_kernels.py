@@ -19,10 +19,11 @@ import numpy as np
 import pytest
 
 import phantomnet as pn
-from phantomnet.baselines import _descend, hbdrw_route
+from conftest import walk_oracle
+from phantomnet.baselines import _descend, _descend_to_sink, hbdrw_route
 from phantomnet.net import unit
-from phantomnet.psspr import (_directed_leg, _first, _same_hop_leg,
-                              _var_angle_leg, _walk, build_frame)
+from phantomnet.psspr import (_directed_leg, _same_hop_leg, _var_angle_leg,
+                              _walk, build_frame)
 from phantomnet.trace import PHASE_SHORTEST, PHASE_WALK, stitch
 
 R = 100.0
@@ -120,7 +121,7 @@ def var_angle_leg_ref(network, start, frame, budget, prev=None, stop_fn=None,
         if sink in cands:
             return sink
         vecs = pos[cands] - pos[cur]
-        to_sink = network.sink_pos - pos[cur]
+        to_sink = network.positions[pn.SINK] - pos[cur]
         to_sink = to_sink / row_norms_ref(to_sink[None, :])[0]
         cos = ((vecs[:, 0] * to_sink[0] + vecs[:, 1] * to_sink[1])
                / row_norms_ref(vecs))
@@ -140,7 +141,7 @@ def same_hop_leg_ref(network, start, h_m, frame, anchor, prev=None,
 
     def score(ids):
         if anchor is None:
-            d = pos[ids] - network.sink_pos
+            d = pos[ids] - network.positions[pn.SINK]
             fy = np.abs(d[:, 0] * frame.y_axis[0] + d[:, 1] * frame.y_axis[1])
             return int(fy.argmin())
         return int(row_norms_ref(pos[ids] - np.asarray(anchor)).argmin())
@@ -210,7 +211,7 @@ def hbdrw_route_ref(network, source, walk_hops, rng):
                 cands = trimmed
         prev, cur = cur, int(cands[int(rng.integers(len(cands)))])
         walk.append(cur)
-    tail = descend_ref(network, network.hops, cur, network.sink_pos)
+    tail = descend_ref(network, network.hops, cur, network.positions[pn.SINK])
     out = stitch([(walk, PHASE_WALK), (tail, PHASE_SHORTEST)],
                  delivered=True, annotations=annotations)
     out.phantom = cur if cur != source else None
@@ -463,14 +464,54 @@ def test_tables_match_their_per_hop_forms(field):
 
 
 def test_ranked_walks_match_the_per_hop_picks(field):
-    bx, by = field.xs[pn.SINK], field.ys[pn.SINK]
+    """The one-scan kernel against the per-hop candidate lists and picks it
+    replaced: over both ranked tables, and toward node positions and
+    points off every node."""
+    xs, ys = field.xs, field.ys
+    bx, by = xs[pn.SINK], ys[pn.SINK]
     per_hop = {field.by_sink_distance:
                lambda cur, cands: field.nearest(cands, bx, by),
                field.by_sink_angle: angle_pick(field)}
     stops = (lambda n: n == pn.SINK,
              lambda n: n == pn.SINK or field.dist(n, bx, by) <= 400.0)
-    for start, prev, _, disc, _ in leg_calls(field, 60, 7):
+    ids = field.reachable_sensor_ids()
+    rng = np.random.default_rng(8)
+    for start, prev, target, disc, _ in leg_calls(field, 60, 7):
         kw = dict(prev=prev, keep_out=inside(field, disc))
-        for (order, pick), stop in product(per_hop.items(), stops):
-            assert (_walk(field, start, 60, _first, stop, order=order, **kw)
-                    == _walk(field, start, 60, pick, stop, **kw))
+        node = int(ids[rng.integers(len(ids))])
+        points = ((xs[node], ys[node]), (float(target[0]), float(target[1])))
+        for stop in stops:
+            for order, pick in per_hop.items():
+                assert (_walk(field, start, 60, stop, order=order, **kw)
+                        == walk_oracle(field, start, 60, pick, stop, **kw))
+            for tx, ty in points:
+                assert (_walk(field, start, 60, stop, target=(tx, ty), **kw)
+                        == walk_oracle(
+                            field, start, 60,
+                            lambda cur, cands: field.nearest(cands, tx, ty),
+                            stop, **kw))
+
+
+def test_sink_dist_is_the_distance_to_the_sink(field):
+    bx, by = field.xs[pn.SINK], field.ys[pn.SINK]
+    assert len(field.sink_dist) == len(field)
+    for n in range(len(field)):
+        assert field.sink_dist[n] == field.dist(n, bx, by)
+
+
+def symmetric_pair_net():
+    """Sensors 2 and 3 mirror each other about the vertical through the
+    sink, so both are exactly as far from it; node 1 hears both, the
+    sink does not hear node 1."""
+    return pn.Network(np.array([[500.0, 500.0], [500.0, 640.0],
+                                [560.0, 570.0], [440.0, 570.0]]),
+                      r=R, r0=R, field_side=1000.0)
+
+
+def test_by_sink_distance_keeps_ascending_ids_among_equal_distances():
+    net = symmetric_pair_net()
+    assert net.sink_dist[2] == net.sink_dist[3]
+    assert net.neighbors(1) == (2, 3)
+    assert net.by_sink_distance(1) == (2, 3)
+    assert _descend_to_sink(net, 1) == [1, 2, 0]
+

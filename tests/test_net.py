@@ -21,14 +21,14 @@ def test_deploy_two_nodes_all_adjacent():
 
 def test_deploy_sink_at_center():
     net = pn.deploy(50, 600.0, 150.0, 450.0, seed=4)
-    assert np.allclose(net.sink_pos, [300.0, 300.0])
+    assert np.allclose(net.positions[pn.SINK], [300.0, 300.0])
     assert net.hops[pn.SINK] == 0
 
 
 def test_deploy_reference_scale():
     net = pn.deploy(10_000, 6000.0, 100.0, 300.0, seed=1)
     assert len(net) == 10_001
-    assert np.allclose(net.sink_pos, [3000.0, 3000.0])
+    assert np.allclose(net.positions[pn.SINK], [3000.0, 3000.0])
     assert np.all(net.positions >= 0.0) and np.all(net.positions <= 6000.0)
 
 

@@ -37,7 +37,7 @@ class TestFrame:
         frame = build_frame(dense_net, src)
         v = np.array(frame.center_v)
         d_src = np.linalg.norm(v - dense_net.positions[src])
-        d_sink = np.linalg.norm(v - dense_net.sink_pos)
+        d_sink = np.linalg.norm(v - dense_net.positions[pn.SINK])
         assert abs(d_src - d_sink) < 1e-9
 
     def test_sink_rejected(self, dense_net):
@@ -174,7 +174,7 @@ class TestDirectedRoute:
     def test_reaches_point_500m_east(self, dense_net):
         rng = np.random.default_rng(1)
         ids = dense_net.reachable_sensor_ids()
-        center = dense_net.positions[ids] - dense_net.sink_pos
+        center = dense_net.positions[ids] - dense_net.positions[pn.SINK]
         near_center = ids[np.linalg.norm(center, axis=1) < 400]
         for k in range(20):
             node = int(near_center[rng.integers(len(near_center))])
@@ -236,7 +236,7 @@ class TestVariableAngle:
 
 def frame_y(network, frame, pos):
     """Signed distance of ``pos`` from the source-sink axis."""
-    return float(project(pos - network.sink_pos, frame.y_axis))
+    return float(project(pos - network.positions[pn.SINK], frame.y_axis))
 
 
 class TestSameHopRoute:
