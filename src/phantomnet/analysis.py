@@ -28,6 +28,11 @@ RMIN_RMAX_PRESETS: dict[int, tuple[int, int]] = {
     30: (26, 32),
 }
 
+# Batch count of the Monte-Carlo distance's standard error, and the
+# source-sink hops at which the tables evaluate the printed distance form.
+MC_BATCHES = 100
+H_PRINTED = 60
+
 
 @dataclass(frozen=True)
 class AnalysisInput:
@@ -111,20 +116,20 @@ def phantom_count_psspr(r_min: int, r_max: int, hx: int) -> float:
 
 
 def psspr_distance_mc(r_min: float, r_max: float, n_samples: int = 200_000,
-                      rng: np.random.Generator | None = None,
-                      n_batches: int = 100) -> tuple[float, float]:
+                      rng: np.random.Generator | None = None
+                      ) -> tuple[float, float]:
     """Monte-Carlo mean source-to-phantom distance over the annulus.
 
     Samples points area-uniformly between the two radii and returns
-    (mean, batch-means standard error) in hop units.
+    (mean, standard error over MC_BATCHES batch means) in hop units.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     radii = np.sqrt(rng.uniform(r_min ** 2, r_max ** 2, size=n_samples))
     mean = float(radii.mean())
-    usable = (n_samples // n_batches) * n_batches
-    batch_means = radii[:usable].reshape(n_batches, -1).mean(axis=1)
-    se = float(batch_means.std(ddof=1) / math.sqrt(n_batches))
+    usable = (n_samples // MC_BATCHES) * MC_BATCHES
+    batch_means = radii[:usable].reshape(MC_BATCHES, -1).mean(axis=1)
+    se = float(batch_means.std(ddof=1) / math.sqrt(MC_BATCHES))
     return mean, se
 
 
@@ -137,18 +142,12 @@ def psspr_distance_printed(r_min: int, r_max: int, H: int,
     published distance column, hence the Monte-Carlo estimate is the
     value to trust.
     """
-    from scipy import integrate   # imported here: the simulator never needs it
-
     c = r_min + r_max
 
     def integrand(alpha: float) -> float:
         return math.sqrt(H * H + c * c - 2.0 * c * H * math.cos(alpha)) / (math.pi / 4.0)
 
-    val, err = integrate.quad(integrand, 0.0, math.pi / 2.0,
-                              epsabs=tol / 10.0, epsrel=1e-12, limit=200)
-    if err > max(tol, 1e-9 * abs(val)):
-        raise QuadratureFailure(f"estimated error {err} above tolerance {tol}")
-    return c / 4.0 + val
+    return c / 4.0 + _quad(integrand, 0.0, math.pi / 2.0, tol)
 
 
 def comm_overhead(protocol: str, params: AnalysisInput,
@@ -161,8 +160,6 @@ def comm_overhead(protocol: str, params: AnalysisInput,
     walk of r_max/2, and the sector-boundary average of the straight
     exit-to-sink chords.
     """
-    from scipy import integrate   # imported here: the simulator never needs it
-
     R = params.r_min + params.hx
     H = params.H
 
@@ -170,17 +167,12 @@ def comm_overhead(protocol: str, params: AnalysisInput,
         return math.sqrt(H * H + R * R - 2.0 * R * H * math.cos(alpha))
 
     if protocol == "pusbrf":
-        val, err = integrate.quad(chord, 0.0, math.pi, epsabs=tol / 10.0,
-                                  epsrel=1e-12, limit=200)
-        _check_quad(err, tol, val)
-        return R + val / math.pi
+        return R + _quad(chord, 0.0, math.pi, tol) / math.pi
 
     if protocol == "hbdrw":
         gamma = math.acos((R - 1) / R)
-        v1, e1 = integrate.quad(chord, 0.0, gamma, epsabs=tol / 10.0, epsrel=1e-12, limit=200)
-        v2, e2 = integrate.quad(chord, math.pi, math.pi + gamma,
-                                epsabs=tol / 10.0, epsrel=1e-12, limit=200)
-        _check_quad(max(e1, e2), tol, v1 + v2)
+        v1 = _quad(chord, 0.0, gamma, tol)
+        v2 = _quad(chord, math.pi, math.pi + gamma, tol)
         return R + (v1 + v2) / (2.0 * gamma)
 
     if protocol == "psspr":
@@ -197,14 +189,20 @@ def comm_overhead(protocol: str, params: AnalysisInput,
     raise InvalidParameter(f"unknown protocol {protocol!r}")
 
 
-def _check_quad(err: float, tol: float, val: float) -> None:
+def _quad(f, a: float, b: float, tol: float) -> float:
+    """The integral of ``f`` over [a, b]; raises QuadratureFailure when
+    the estimated error exceeds ``tol``."""
+    from scipy import integrate   # imported here: the simulator never needs it
+
+    val, err = integrate.quad(f, a, b, epsabs=tol / 10.0, epsrel=1e-12,
+                              limit=200)
     if err > tol:
         raise QuadratureFailure(f"estimated error {err} above tolerance {tol} "
                                 f"(integral value {val})")
+    return val
 
 
-def make_tables(mc_samples: int = 200_000,
-                H_printed: int = 60) -> dict[str, list[dict]]:
+def make_tables(mc_samples: int = 200_000) -> dict[str, list[dict]]:
     """Regenerate the three reference tables over h in {5,...,30}, each
     as its rows, a row mapping each column name to its value."""
     tables: dict[str, list[dict]] = {"table2": [], "table3": [], "table4": []}
@@ -219,7 +217,7 @@ def make_tables(mc_samples: int = 200_000,
             **keys,
             "distance_mc": mc,  # authoritative annulus mean, hop units
             # the broken printed integral, shown for contrast
-            "distance_printed": psspr_distance_printed(r_min, r_max, H_printed)})
+            "distance_printed": psspr_distance_printed(r_min, r_max, H_PRINTED)})
         tables["table4"].append({
             **keys, "n_hbdrw": phantom_count_hbdrw(h),
             "n_pusbrf": phantom_count_pusbrf(h),

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import analysis
 from .config import DEFAULTS, load_config
-from .errors import (InvalidParameter, ParseError, PhantomNetError,
-                     ValidationError)
+from .errors import InvalidParameter, ParseError, PhantomNetError
 from .harness import emit_csv, pick_source, run_experiment
 from .net import deploy
 from .protocols import PROTOCOLS, make_router
@@ -74,6 +73,9 @@ def cmd_simulate(args) -> int:
     config = load_config(args.config)
     if args.out:
         config.output_path = args.out
+    out_dir = os.path.dirname(config.output_path)
+    if out_dir and not os.path.isdir(out_dir):
+        raise InvalidParameter(f"output directory {out_dir!r} does not exist")
     rows = run_experiment(config)
     emit_csv(rows, config.output_path)
     print(f"wrote {len(rows)} aggregate rows to {config.output_path}")
@@ -163,7 +165,7 @@ def cmd_trace(args) -> int:
     rng = np.random.default_rng([args.seed, args.H, args.h])
     trace = router(rng)
     print("packet_id,hop_index,node_id,phase")
-    for row in trace.csv_rows(packet_id=0):
+    for row in trace.csv_rows():
         print(row)
     status = "delivered" if trace.delivered else "undelivered"
     notes = f" annotations={';'.join(trace.annotations)}" if trace.annotations else ""
@@ -186,7 +188,7 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return cmd_analyze(args)
         return cmd_trace(args)
-    except (ParseError, ValidationError, InvalidParameter) as exc:
+    except (ParseError, InvalidParameter) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (PhantomNetError, OSError) as exc:

@@ -9,10 +9,10 @@ and becomes the sweep axis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
-from .errors import ParseError, ValidationError
+from .errors import InvalidParameter, ParseError
+from .net import check_field
 from .protocols import PROTOCOLS
 
 
@@ -31,43 +31,32 @@ class ExperimentConfig:
     output_path: str = "results.csv"
 
     def validate(self) -> "ExperimentConfig":
-        if not all(map(math.isfinite, (self.n_nodes, self.field_side,
-                                       self.r, self.r0))):
-            raise ValidationError(
-                "n_nodes, field_side, r and r0 must be finite, got "
-                f"{self.n_nodes}, {self.field_side}, {self.r}, {self.r0}")
-        if self.n_nodes < 2:
-            raise ValidationError(f"n_nodes must be >= 2, got {self.n_nodes}")
-        if self.field_side <= 0 or self.r <= 0:
-            raise ValidationError("field_side and r must be positive")
-        if self.r0 < self.r:
-            raise ValidationError(f"r0 must be >= r, got r0={self.r0} r={self.r}")
-        if self.omega < 2 or self.omega % 2 != 0:
-            raise ValidationError(f"omega must be even and >= 2, got {self.omega}")
-        if self.packets_per_run < 1:
-            raise ValidationError("packets_per_run must be >= 1")
         if not self.seeds:
-            raise ValidationError("seeds must be non-empty")
-        if min(self.seeds) < 0:
-            raise ValidationError(f"seeds must be >= 0, got {min(self.seeds)}")
+            raise InvalidParameter("seeds must be non-empty")
+        check_field(self.n_nodes, self.field_side, self.r, self.r0,
+                    min(self.seeds))
+        if self.omega < 2 or self.omega % 2 != 0:
+            raise InvalidParameter(f"omega must be even and >= 2, got {self.omega}")
+        if self.packets_per_run < 1:
+            raise InvalidParameter("packets_per_run must be >= 1")
         if not self.protocols:
-            raise ValidationError("protocols must be non-empty")
+            raise InvalidParameter("protocols must be non-empty")
         for p in self.protocols:
             if p not in PROTOCOLS:
-                raise ValidationError(
+                raise InvalidParameter(
                     f"unknown protocol {p!r}; expected one of {PROTOCOLS}")
         if not self.h or not self.H:
-            raise ValidationError("h and H must be non-empty")
+            raise InvalidParameter("h and H must be non-empty")
         if len(self.h) > 1 and len(self.H) > 1:
-            raise ValidationError(
+            raise InvalidParameter(
                 "exactly one of h and H may be a sweep list; fix the other")
         if any(v < 1 for v in self.h) or any(v < 1 for v in self.H):
-            raise ValidationError("h and H values must be >= 1")
+            raise InvalidParameter("h and H values must be >= 1")
         for key in ("seeds", "protocols", "h", "H"):
             values = getattr(self, key)
             if len(set(values)) < len(values):
-                raise ValidationError(f"{key} values must be distinct, "
-                                      f"got {values}")
+                raise InvalidParameter(f"{key} values must be distinct, "
+                                       f"got {values}")
         return self
 
     @property

@@ -41,9 +41,5 @@ class ParseError(PhantomNetError):
     """A config file is syntactically malformed."""
 
 
-class ValidationError(PhantomNetError):
-    """A config file parsed but violates an invariant."""
-
-
 class HarnessError(PhantomNetError):
     """Too many individual simulation runs failed to continue."""

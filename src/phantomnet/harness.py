@@ -22,7 +22,7 @@ from .adversary import RunRecord, run_session
 from .config import ExperimentConfig
 from .errors import HarnessError, InvalidParameter
 from .net import deploy
-from .protocols import PROTOCOLS, SHORTEST_PATH
+from .protocols import PROTOCOLS
 from .trace import enters_visible_area
 
 
@@ -42,18 +42,13 @@ class AggregateRow:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Everything one worker needs to reproduce a single run."""
+    """One run: a protocol at a sweep point on one seed's field."""
 
     protocol: str
     h: int
     H: int
     seed: int
-    n_nodes: int
-    field_side: float
-    r: float
-    r0: float
-    omega: int
-    packets: int
+    config: ExperimentConfig
 
 
 # Runs execute seed-major (per process), so one field at a time is in use.
@@ -79,14 +74,14 @@ def pick_source(network, H: int, seed: int) -> int:
 
 
 def run_one(spec: RunSpec) -> RunRecord:
-    network = _network(spec.n_nodes, spec.field_side, spec.r, spec.r0,
-                       spec.seed)
+    cfg = spec.config
+    network = _network(cfg.n_nodes, cfg.field_side, cfg.r, cfg.r0, spec.seed)
     source = pick_source(network, spec.H, spec.seed)
     rng = np.random.default_rng([spec.seed, spec.H, spec.h,
                                  PROTOCOLS.index(spec.protocol)])
     # Called by this module's names, so perfbench's wrappers see each call.
-    return run_session(network, spec.protocol, source, spec.packets, rng,
-                       h=spec.h, omega=spec.omega,
+    return run_session(network, spec.protocol, source, cfg.packets_per_run,
+                       rng, h=spec.h, omega=cfg.omega,
                        failure_path=enters_visible_area)
 
 
@@ -100,71 +95,57 @@ def run_experiment(config: ExperimentConfig,
     leaves its cell's n_runs one short.
     """
     config.validate()
-    specs = [
-        RunSpec(protocol=p, h=h, H=H, seed=seed, n_nodes=config.n_nodes,
-                field_side=config.field_side, r=config.r, r0=config.r0,
-                omega=config.omega, packets=config.packets_per_run)
-        for p in config.protocols
-        for (h, H) in config.sweep_points
-        for seed in config.seeds
-    ]
-
-    # Run seed-major (seeds loop innermost in specs), so each field is
-    # deployed once and stays in the network cache while every run on it
-    # executes. Runs with equal keys execute once and share the result.
-    n_seeds = len(config.seeds)
-    todo: dict = {}
-    for i in sorted(range(len(specs)), key=lambda i: i % n_seeds):
-        todo.setdefault(_run_key(specs[i]), specs[i])
+    # Seeds outermost, so each field is deployed once and stays in the
+    # network cache while every run on it executes.
+    specs = [RunSpec(p, h, H, seed, config)
+             for seed in config.seeds
+             for p in config.protocols
+             for (h, H) in config.sweep_points]
 
     if max_workers is None:
         max_workers = _env_workers()
-    done: dict = {}
     if max_workers > 1:
         # Whole seeds are dealt in turn to single-process pools (lanes),
         # so each field is deployed and cached in one process only.
         with ExitStack() as stack:
             lanes = [stack.enter_context(ProcessPoolExecutor(max_workers=1))
-                     for _ in range(min(max_workers, n_seeds))]
-            futures = {key: lanes[config.seeds.index(s.seed) % len(lanes)]
-                       .submit(run_one, s) for key, s in todo.items()}
-            for key, fut in futures.items():
-                done[key] = _attempt(fut.result)
+                     for _ in range(min(max_workers, len(config.seeds)))]
+            futures = [lanes[config.seeds.index(s.seed) % len(lanes)]
+                       .submit(run_one, s) for s in specs]
+            results = [_attempt(fut.result) for fut in futures]
     else:
-        for key, s in todo.items():
-            done[key] = _attempt(run_one, s)
-    results = [done[_run_key(s)] for s in specs]
+        results = [_attempt(run_one, s) for s in specs]
 
-    failed = [(spec, res) for spec, res in zip(specs, results)
-              if isinstance(res, Exception)]
+    # The first seed meets every cell in config order; each cell then
+    # holds its runs in seed order.
+    cells: dict[tuple, list] = {}
+    for s, res in zip(specs, results):
+        cells.setdefault((s.protocol, s.h, s.H), []).append((s.seed, res))
+    failed = [(key, seed, res) for key, runs in cells.items()
+              for seed, res in runs if isinstance(res, Exception)]
     if failed:
         print(f"{len(failed)}/{len(specs)} runs failed: " + ", ".join(
-            f"({spec.protocol}, {spec.h}, {spec.H}, {spec.seed}, "
-            f"{type(exc).__name__})" for spec, exc in failed),
-            file=sys.stderr)
+            f"({p}, {h}, {H}, {seed}, {type(exc).__name__})"
+            for (p, h, H), seed, exc in failed), file=sys.stderr)
     if len(failed) > 0.10 * len(specs):
         raise HarnessError(f"{len(failed)}/{len(specs)} runs failed; "
-                           f"first error: {failed[0][1]}")
+                           f"first error: {failed[0][2]}")
 
     rows: list[AggregateRow] = []
-    idx = 0
-    for p in config.protocols:
-        for (h, H) in config.sweep_points:
-            chunk = results[idx:idx + n_seeds]
-            idx += n_seeds
-            ok = [r for r in chunk if isinstance(r, RunRecord)]
-            if not ok:
-                raise HarnessError(f"every run failed for {p} at h={h} H={H}")
-            rows.append(AggregateRow(
-                protocol=p, h=h, H=H,
-                mean_safety_time=float(np.mean([r.safety_time for r in ok])),
-                mean_comm_overhead_hops=float(np.mean(
-                    [r.total_hops / r.safety_time for r in ok])),
-                capture_rate=float(np.mean([r.captured for r in ok])),
-                failure_path_rate=float(np.mean(
-                    [r.failure_paths / r.safety_time for r in ok])),
-                n_runs=len(ok),
-            ))
+    for (p, h, H), runs in cells.items():
+        ok = [r for _, r in runs if isinstance(r, RunRecord)]
+        if not ok:
+            raise HarnessError(f"every run failed for {p} at h={h} H={H}")
+        rows.append(AggregateRow(
+            protocol=p, h=h, H=H,
+            mean_safety_time=float(np.mean([r.safety_time for r in ok])),
+            mean_comm_overhead_hops=float(np.mean(
+                [r.total_hops / r.safety_time for r in ok])),
+            capture_rate=float(np.mean([r.captured for r in ok])),
+            failure_path_rate=float(np.mean(
+                [r.failure_paths / r.safety_time for r in ok])),
+            n_runs=len(ok),
+        ))
     return rows
 
 
@@ -187,18 +168,6 @@ def _attempt(fn, *args):
         return fn(*args)
     except Exception as exc:  # noqa: BLE001 - recorded per run
         return exc
-
-
-def _run_key(spec: RunSpec):
-    """Identity of a run's result.
-
-    Shortest-path routes do not depend on h or omega (valid in every
-    run, as the config is validated) and its rng stream goes unused, so
-    its runs differ only in (H, seed).
-    """
-    if spec.protocol == SHORTEST_PATH:
-        return (spec.protocol, spec.H, spec.seed)
-    return spec
 
 
 def emit_csv(rows: list[AggregateRow], path: str) -> None:

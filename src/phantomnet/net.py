@@ -295,15 +295,9 @@ def project(d: np.ndarray, u) -> np.ndarray:
     return d[..., 0] * u[0] + d[..., 1] * u[1]
 
 
-def deploy(n_nodes: int, field_side: float, r: float, r0: float,
-           seed: int) -> Network:
-    """Place ``n_nodes`` uniformly at random and flood hop counts.
-
-    The sink is added at the exact field center on top of the requested
-    sensor count. Raises ConnectivityError when more than 1% of sensors
-    are unreachable from the sink, which signals that the density is too
-    low for the requested communication radius.
-    """
+def check_field(n_nodes: int, field_side: float, r: float, r0: float,
+                seed: int) -> None:
+    """Raise InvalidParameter unless ``deploy`` can place this field."""
     if not all(map(math.isfinite, (n_nodes, field_side, r, r0))):
         raise InvalidParameter(
             f"n_nodes, field_side, r and r0 must be finite, got {n_nodes}, "
@@ -318,6 +312,18 @@ def deploy(n_nodes: int, field_side: float, r: float, r0: float,
         raise InvalidParameter(f"r0 must be >= r, got r0={r0} r={r}")
     if seed < 0:
         raise InvalidParameter(f"seed must be >= 0, got {seed}")
+
+
+def deploy(n_nodes: int, field_side: float, r: float, r0: float,
+           seed: int) -> Network:
+    """Place ``n_nodes`` uniformly at random and flood hop counts.
+
+    The sink is added at the exact field center on top of the requested
+    sensor count. Raises ConnectivityError when more than 1% of sensors
+    are unreachable from the sink, which signals that the density is too
+    low for the requested communication radius.
+    """
+    check_field(n_nodes, field_side, r, r0, seed)
 
     rng = np.random.default_rng(seed)
     sensor_pos = rng.uniform(0.0, field_side, size=(n_nodes, 2))

@@ -195,6 +195,26 @@ def test_simulate_missing_file_exits_two(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+def test_simulate_missing_output_directory_exits_one_before_the_sweep(
+        tmp_path, capsys, monkeypatch):
+    from phantomnet import cli
+    ran = []
+
+    def run_experiment(config):
+        ran.append(config)
+        return [phantomnet.AggregateRow("shortest-path", 5, 8, 9.0, 1.0, 1.0,
+                                        1.0, 1)]
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("protocols = shortest-path\nh = 5\nH = 8\nseeds = 1\n")
+    out = tmp_path / "missing_dir" / "res.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: output directory") and "missing_dir" in err
+    assert ran == []
+    assert not out.parent.exists()
+
+
 # Runs in a fresh interpreter: simulate and trace must not load scipy;
 # analyze and tables import it where they integrate.
 SCIPY_GUARD = """

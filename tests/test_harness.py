@@ -7,7 +7,7 @@ import pytest
 
 import phantomnet as pn
 from phantomnet.config import DEFAULTS, ExperimentConfig, load_config, parse_config
-from phantomnet.errors import InvalidParameter, ParseError, ValidationError
+from phantomnet.errors import InvalidParameter, ParseError
 from phantomnet.harness import emit_csv, pick_source, run_experiment
 
 
@@ -79,7 +79,7 @@ class TestConfigParsing:
         dict(H=[8, 8]),
     ])
     def test_validation_errors(self, over):
-        with pytest.raises(ValidationError):
+        with pytest.raises(InvalidParameter):
             tiny_config(**over)
 
 
@@ -136,8 +136,7 @@ class TestRunExperiment:
             ("pusbrf", 3), ("pusbrf", 5),
             ("shortest-path", 3), ("shortest-path", 5)]
 
-    def test_each_field_deployed_once_shortest_path_routed_once(
-            self, monkeypatch):
+    def test_each_field_deployed_once(self, monkeypatch):
         from phantomnet import harness
         ran, deployed = [], []
         real_run_one, real_deploy = harness.run_one, harness.deploy
@@ -156,10 +155,11 @@ class TestRunExperiment:
         cfg = tiny_config(protocols=["pusbrf", "shortest-path"], h=[3, 5],
                           packets_per_run=20, seeds=[1, 2, 3, 4, 5])
         rows = run_experiment(cfg)
-        # Seed-major, with the two h values of shortest-path sharing one
-        # run; five fields, more than the network cache holds.
+        # Seed-major, every run once; five fields, more than the network
+        # cache holds.
         assert ran == [(p, seed) for seed in cfg.seeds
-                       for p in ("pusbrf", "pusbrf", "shortest-path")]
+                       for p in ("pusbrf", "pusbrf",
+                                 "shortest-path", "shortest-path")]
         assert deployed == cfg.seeds
         sp3, sp5 = rows[2], rows[3]
         assert (sp3.protocol, sp3.h, sp5.h) == ("shortest-path", 3, 5)
@@ -187,8 +187,8 @@ class TestRunExperiment:
         cfg = tiny_config(protocols=["psspr", "shortest-path"], h=[3, 5],
                           seeds=[1, 2])
         rows = run_experiment(cfg, max_workers=1)
-        # Shortest path runs once for both h values: 4 + 2 runs.
-        assert len(records) == 6
+        # Every run executes once: 2 protocols x 2 h values x 2 seeds.
+        assert len(records) == 8
         assert sum(row.n_runs for row in rows) == 8
         assert len(visible) == sum(r.safety_time for r in records)
         assert sum(visible) == sum(r.failure_paths for r in records)
@@ -242,6 +242,17 @@ class TestRunExperiment:
         assert [row.n_runs for row in rows] == [9]
         assert capsys.readouterr().err == (
             "1/10 runs failed: (shortest-path, 5, 4, 5, ConnectivityError)\n")
+        # Seed 29 fails too. Runs execute seed-major, but the line lists
+        # the failures in config order: protocol, sweep point, seed.
+        cfg = replace(cfg, protocols=["pusbrf", "shortest-path"],
+                      seeds=list(range(1, 30)))
+        rows = run_experiment(cfg, max_workers=1)
+        assert [row.n_runs for row in rows] == [27, 27]
+        assert capsys.readouterr().err == (
+            "4/58 runs failed: (pusbrf, 5, 4, 5, ConnectivityError), "
+            "(pusbrf, 5, 4, 29, ConnectivityError), "
+            "(shortest-path, 5, 4, 5, ConnectivityError), "
+            "(shortest-path, 5, 4, 29, ConnectivityError)\n")
 
 
 class TestPickSource:

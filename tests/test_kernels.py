@@ -227,11 +227,22 @@ def lattice_net():
     return pn.Network(positions, r=R, r0=300.0, field_side=1000.0)
 
 
-@pytest.fixture(scope="module", params=["random-1", "random-2", "random-3",
-                                        "lattice"])
+def line_net():
+    """Relays every 100 m along a line out of the sink, r = 100: the one
+    400 m out sits exactly on a 400 m ring."""
+    positions = [[100.0 * k, 500.0] for k in range(8)]
+    return pn.Network(np.array(positions), r=R, r0=300.0, field_side=1000.0)
+
+
+FIELDS = ["random-1", "random-2", "random-3", "lattice"]
+
+
+@pytest.fixture(scope="module", params=FIELDS)
 def field(request):
     if request.param == "lattice":
         return lattice_net()
+    if request.param == "line":
+        return line_net()
     seed = int(request.param.split("-")[1])
     return pn.deploy(1200, 1900.0, R, 300.0, seed=seed)
 
@@ -284,6 +295,9 @@ def test_directed_leg_matches_numpy_reference(field):
                                         stop_node=stop, **ref))
 
 
+# The line pins the ring test's "within": a leg that reaches the relay
+# exactly on the ring stops there.
+@pytest.mark.parametrize("field", FIELDS + ["line"], indirect=True)
 def test_var_angle_leg_matches_numpy_reference(field):
     pos = field.positions
     for start, prev, _, disc, frame in leg_calls(field, 60, 2):
