@@ -5,7 +5,7 @@ the adversary's steps stay in their modules.
 """
 
 from .adversary import run_session
-from .analysis import (AnalysisInput, comm_overhead, failure_path_probability,
+from .analysis import (SectorParams, comm_overhead, failure_path_probability,
                        make_tables, phantom_count_hbdrw, phantom_count_psspr,
                        phantom_count_pusbrf, ratio_hbdrw_over_pusbrf,
                        ratio_pusbrf_over_psspr, rmin_rmax_for)

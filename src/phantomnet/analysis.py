@@ -35,28 +35,29 @@ H_PRINTED = 60
 
 
 @dataclass(frozen=True)
-class AnalysisInput:
-    """Parameter bundle for the distance and overhead formulas."""
+class SectorParams:
+    """One sweep point's phantom candidate area: h directed hops inside
+    the annulus [r_min, r_max] hops around the source, split into omega
+    sectors."""
 
-    r_min: int
-    r_max: int
-    h: int
-    H: int
-    omega: int = 6
+    h: int          # directed hop count
+    r_min: int      # inner annulus radius, hops
+    r_max: int      # outer annulus radius, hops
+    omega: int      # number of sectors, even
 
     def __post_init__(self):
-        if self.h < self.r_min or self.h > self.r_max:
+        if not (1 <= self.r_min <= self.h <= self.r_max
+                and self.r_min < self.r_max):
             raise InvalidParameter(
-                f"h must lie in [r_min, r_max], got h={self.h} "
-                f"range=[{self.r_min},{self.r_max}]")
-        if self.H < 1 or self.r_min < 1 or self.r_min >= self.r_max:
-            raise InvalidParameter("radii and H must be positive with r_min < r_max")
+                f"need 1 <= r_min <= h <= r_max and r_min < r_max, got "
+                f"r_min={self.r_min} h={self.h} r_max={self.r_max}")
         if self.omega < 2 or self.omega % 2 != 0:
             raise InvalidParameter(f"omega must be even and >= 2, got {self.omega}")
 
     @property
-    def hx(self) -> int:
-        return self.h - self.r_min
+    def theta(self) -> float:
+        """Angular width of one sector, radians."""
+        return math.pi / self.omega
 
 
 def rmin_rmax_for(h: int) -> tuple[int, int]:
@@ -150,7 +151,7 @@ def psspr_distance_printed(r_min: int, r_max: int, H: int,
     return c / 4.0 + _quad(integrand, 0.0, math.pi / 2.0, tol)
 
 
-def comm_overhead(protocol: str, params: AnalysisInput,
+def comm_overhead(protocol: str, params: SectorParams, H: int,
                   tol: float = 1e-6) -> float:
     """Average hops to move one packet source-to-sink, per protocol.
 
@@ -158,10 +159,9 @@ def comm_overhead(protocol: str, params: AnalysisInput,
     phantom ring to the sink over their respective angular supports; the
     sector scheme's cost is r_max directed hops, an expected same-hop
     walk of r_max/2, and the sector-boundary average of the straight
-    exit-to-sink chords.
+    exit-to-sink chords. ``H`` is the source-sink distance, hops.
     """
-    R = params.r_min + params.hx
-    H = params.H
+    R = params.h
 
     def chord(alpha: float) -> float:
         return math.sqrt(H * H + R * R - 2.0 * R * H * math.cos(alpha))

@@ -76,6 +76,8 @@ def cmd_simulate(args) -> int:
     out_dir = os.path.dirname(config.output_path)
     if out_dir and not os.path.isdir(out_dir):
         raise InvalidParameter(f"output directory {out_dir!r} does not exist")
+    if os.path.isdir(config.output_path):
+        raise InvalidParameter(f"output path {config.output_path!r} is a directory")
     rows = run_experiment(config)
     emit_csv(rows, config.output_path)
     print(f"wrote {len(rows)} aggregate rows to {config.output_path}")
@@ -131,8 +133,9 @@ def cmd_analyze(args) -> int:
         raise InvalidParameter("--rmin and --rmax must be given together")
     if r_min is None:
         r_min, r_max = analysis.rmin_rmax_for(args.h)
-    params = analysis.AnalysisInput(r_min=r_min, r_max=r_max, h=args.h,
-                                    H=args.H, omega=args.omega)
+    params = analysis.SectorParams(args.h, r_min, r_max, args.omega)
+    if args.H < 1:
+        raise InvalidParameter(f"H must be >= 1, got {args.H}")
     print(f"parameters: h={args.h} H={args.H} r_min={r_min} r_max={r_max} "
           f"r0={args.r0} omega={args.omega}")
     p_fail = analysis.failure_path_probability(args.r0, args.H, args.h)
@@ -143,15 +146,15 @@ def cmd_analyze(args) -> int:
     print(f"phantom_count_hbdrw  = {analysis.phantom_count_hbdrw(args.h):.2f}")
     print(f"phantom_count_pusbrf = {analysis.phantom_count_pusbrf(args.h):.2f}")
     print(f"phantom_count_psspr  = "
-          f"{analysis.phantom_count_psspr(r_min, r_max, params.hx):.2f}")
+          f"{analysis.phantom_count_psspr(r_min, r_max, args.h - r_min):.2f}")
     mc, se = analysis.psspr_distance_mc(r_min, r_max)
-    print(f"avg_phantom_distance hbdrw/pusbrf = {r_min + params.hx:.2f} hops")
+    print(f"avg_phantom_distance hbdrw/pusbrf = {args.h:.2f} hops")
     print(f"avg_phantom_distance psspr = {mc:.2f} hops "
           f"(mc, se={se:.4f}; printed form gives "
           f"{analysis.psspr_distance_printed(r_min, r_max, args.H):.2f})")
     for proto in ("pusbrf", "hbdrw", "psspr"):
         print(f"comm_overhead {proto:<8} = "
-              f"{analysis.comm_overhead(proto, params):.2f} hops")
+              f"{analysis.comm_overhead(proto, params, args.H):.2f} hops")
     return 0
 
 
@@ -164,9 +167,9 @@ def cmd_trace(args) -> int:
                          omega=args.omega)
     rng = np.random.default_rng([args.seed, args.H, args.h])
     trace = router(rng)
-    print("packet_id,hop_index,node_id,phase")
-    for row in trace.csv_rows():
-        print(row)
+    print("packet_id,hop_index,node_id,phase")    # one packet, id 0
+    for i, (node, phase) in enumerate(zip(trace.hops, trace.phases)):
+        print(f"0,{i},{node},{phase}")
     status = "delivered" if trace.delivered else "undelivered"
     notes = f" annotations={';'.join(trace.annotations)}" if trace.annotations else ""
     print(f"# {status}, {trace.transmissions} transmissions, "

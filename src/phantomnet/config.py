@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
+from .analysis import SectorParams, rmin_rmax_for
 from .errors import InvalidParameter, ParseError
 from .net import check_field
 from .protocols import PROTOCOLS
@@ -35,8 +36,6 @@ class ExperimentConfig:
             raise InvalidParameter("seeds must be non-empty")
         check_field(self.n_nodes, self.field_side, self.r, self.r0,
                     min(self.seeds))
-        if self.omega < 2 or self.omega % 2 != 0:
-            raise InvalidParameter(f"omega must be even and >= 2, got {self.omega}")
         if self.packets_per_run < 1:
             raise InvalidParameter("packets_per_run must be >= 1")
         if not self.protocols:
@@ -52,6 +51,8 @@ class ExperimentConfig:
                 "exactly one of h and H may be a sweep list; fix the other")
         if any(v < 1 for v in self.h) or any(v < 1 for v in self.H):
             raise InvalidParameter("h and H values must be >= 1")
+        for h in self.h:
+            SectorParams(h, *rmin_rmax_for(h), self.omega)
         for key in ("seeds", "protocols", "h", "H"):
             values = getattr(self, key)
             if len(set(values)) < len(values):

@@ -9,16 +9,8 @@ class InvalidParameter(PhantomNetError):
     """A caller-supplied value violates an operation precondition."""
 
 
-class UnknownNode(PhantomNetError):
-    """A node id does not exist in the network."""
-
-
 class ConnectivityError(PhantomNetError):
     """More than 1% of deployed nodes cannot reach the sink."""
-
-
-class SourceIsSink(PhantomNetError):
-    """A routing frame was requested for the sink itself."""
 
 
 class EmptyDomain(PhantomNetError):

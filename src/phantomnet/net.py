@@ -15,7 +15,7 @@ from array import array
 
 import numpy as np
 
-from .errors import ConnectivityError, InvalidParameter, UnknownNode
+from .errors import ConnectivityError, InvalidParameter
 
 SINK = 0
 
@@ -96,10 +96,6 @@ class Network:
 
     def __len__(self) -> int:
         return len(self.positions)
-
-    def check_node(self, node: int) -> None:
-        if not 0 <= node < len(self.positions):
-            raise UnknownNode(f"node id {node} not in network of {len(self)} nodes")
 
     def neighbors(self, node: int) -> tuple[int, ...]:
         """Ascending ids of the nodes within r of ``node``, a tuple built on
@@ -233,7 +229,9 @@ class Network:
         farther out stay UNREACHABLE. It is recomputed on every call, so
         cache it when routing many packets from the same source.
         """
-        self.check_node(node)
+        if not 0 <= node < len(self):
+            raise InvalidParameter(
+                f"node id {node} not in network of {len(self)} nodes")
         return self._flood(node, max_hops)
 
     def _flood(self, root: int, max_hops: int | None = None) -> np.ndarray:

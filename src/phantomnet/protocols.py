@@ -8,8 +8,8 @@ from typing import Callable
 import numpy as np
 
 from . import baselines, psspr
-from .analysis import rmin_rmax_for
-from .errors import EmptyRing, InvalidParameter, SourceIsSink
+from .analysis import SectorParams, rmin_rmax_for
+from .errors import EmptyRing, InvalidParameter
 from .net import UNREACHABLE, Network
 from .trace import PHASE_DIRECT, RouteTrace
 
@@ -29,23 +29,19 @@ def make_router(network: Network, protocol: str, source: int, *, h: int,
     callable that routes one packet per call.
 
     This is the only place a session is checked and its state built, so
-    the routers never re-check it: h must be >= 1 and (h, omega) give
-    valid sector parameters, whatever the protocol; the source must be a
-    known sensor, not the sink, that the sink flood reached. A sector-
-    phantom source within r of the sink sends directly; any other reuses
-    its frame and candidate domains for the whole session. The
-    restricted-flooding router reuses the source-rooted hop field,
-    flooded h hops out, its phantom ring (EmptyRing when no node sits
-    exactly h hops out) and the memo of its descent.
+    the routers never re-check it: (h, omega) must give valid sector
+    parameters, whatever the protocol, and the source must be a sensor,
+    not the sink, that the sink flood reached. A sector-phantom source
+    within r of the sink sends directly; any other reuses its frame and
+    candidate domains for the whole session. The restricted-flooding
+    router reuses the source-rooted hop field, flooded h hops out, its
+    phantom ring (EmptyRing when no node sits exactly h hops out) and
+    the memo of its descent.
     """
-    if h < 1:
-        raise InvalidParameter(f"h must be >= 1, got {h}")
-    params = psspr.SectorParams(*rmin_rmax_for(h), omega=omega)
-    network.check_node(source)
-    if source == network.sink:
-        raise SourceIsSink("the sink cannot be a session's source")
-    if network.hops[source] == UNREACHABLE:
-        raise InvalidParameter(f"source {source} is unreachable from the sink")
+    params = SectorParams(h, *rmin_rmax_for(h), omega)
+    if not (0 <= source < len(network) and source != network.sink
+            and network.hops[source] != UNREACHABLE):
+        raise InvalidParameter(f"source {source} is not a sensor the sink reached")
 
     if protocol == PSSPR:
         frame = psspr.build_frame(network, source)

@@ -22,36 +22,13 @@ from typing import Callable, Collection, Sequence
 
 import numpy as np
 
-from .errors import EmptyDomain, InvalidParameter
+from .analysis import SectorParams
+from .errors import EmptyDomain
 from .net import UNREACHABLE, Network, project, row_norms, unit
 from .trace import (PHASE_DIRECTED, PHASE_SAME_HOP, PHASE_VAR_ANGLE,
                     RouteTrace, stitch)
 
 Point = tuple[float, float]     # (x, y)
-
-
-@dataclass(frozen=True)
-class SectorParams:
-    """Geometry of the phantom candidate area."""
-
-    r_min: int      # inner annulus radius, hops
-    r_max: int      # outer annulus radius, hops
-    omega: int      # number of sectors, even
-
-    def __post_init__(self):
-        if self.r_min >= self.r_max:
-            raise InvalidParameter(
-                f"r_min must be < r_max, got {self.r_min} >= {self.r_max}")
-        if self.r_min < 1:
-            raise InvalidParameter(f"r_min must be >= 1, got {self.r_min}")
-        if self.omega < 2 or self.omega % 2 != 0:
-            raise InvalidParameter(
-                f"omega must be an even integer >= 2, got {self.omega}")
-
-    @property
-    def theta(self) -> float:
-        """Angular width of one sector, radians."""
-        return math.pi / self.omega
 
 
 @dataclass(frozen=True)
@@ -156,9 +133,6 @@ def select_phantom(network: Network, frame: SourceFrame, params: SectorParams,
     point, in which case the first pseudo-phantom is forced.
     """
     nonempty = [k for k, dom in enumerate(domains) if len(dom)]
-    if not nonempty:
-        raise EmptyDomain("all phantom sectors are empty")
-
     sector = nonempty[int(rng.integers(len(nonempty)))]
     dom = domains[sector]
     p1 = int(dom[int(rng.integers(len(dom)))])
@@ -201,8 +175,6 @@ def same_hop_count(beta: float, params: SectorParams) -> int:
     Rounding is half away from zero so a uniformly distributed angle
     introduces no bias.
     """
-    if not 0.0 <= beta <= 180.0:
-        raise InvalidParameter(f"beta must be in [0, 180], got {beta}")
     return max(0, int(math.floor(beta / 180.0 * params.r_max + 0.5)))
 
 
@@ -282,10 +254,10 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
         plan += [(PHASE_DIRECTED, _directed_leg, (target, hops),
                   {"stop_node": stop}, False) for target, hops, stop in targets]
 
-    # A first leg that misses its anchor abandons the packet undelivered;
-    # a variable-angle leg that reaches the sink delivers it. Any other
-    # leg that fails hands the packet on from where it stopped, and the
-    # last leg decides delivery.
+    # A first leg that misses its anchor abandons the packet undelivered.
+    # Any other leg that fails hands the packet on from where it stopped,
+    # and the last leg decides delivery. The sink-side variable-angle leg
+    # stops on entering its ring, r_max*r >= 2r, so never steps on the sink.
     cur, prev = source, None
     delivered = False
     legs: list[tuple[list[int], str]] = []
@@ -300,8 +272,6 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
         prev = nodes[-2] if len(nodes) > 1 else (cur if restart else prev)
         cur = nodes[-1]
         delivered = cur == sink
-        if delivered and phase == PHASE_VAR_ANGLE:
-            break
     trace = stitch(legs, delivered, annotations)
     trace.phantom = choice.chosen
     return trace

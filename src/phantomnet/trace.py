@@ -41,12 +41,6 @@ class RouteTrace:
         """Number of radio transmissions the packet consumed."""
         return max(0, len(self.hops) - 1)
 
-    def csv_rows(self) -> list[str]:
-        """``packet_id,hop_index,node_id,phase`` rows for trace dumps, a
-        dump holding the one packet 0."""
-        return [f"0,{i},{node},{phase}"
-                for i, (node, phase) in enumerate(zip(self.hops, self.phases))]
-
 
 def stitch(legs: list[tuple[list[int], str]], delivered: bool,
            annotations: list[str] | None = None) -> RouteTrace:

@@ -118,7 +118,7 @@ def test_failure_path_avoidance(desk_net):
     c = Check("zero failure paths with annulus beyond visible area", 60.0)
     src = pn.pick_source(desk_net, 20, 2)
     frame = build_frame(desk_net, src)
-    params = SectorParams(4, 6, 6)  # r_min * r = 400m > r0 = 300m
+    params = SectorParams(5, 4, 6, 6)  # r_min * r = 400m > r0 = 300m
     domains = candidate_domain(desk_net, frame, params)
     rng = np.random.default_rng(1)
     violations = 0
@@ -133,7 +133,7 @@ def test_same_hop_invariant(desk_net):
     c = Check("same-hop phases constant and rarely relaxed", 60.0)
     src = pn.pick_source(desk_net, 20, 2)
     frame = build_frame(desk_net, src)
-    params = SectorParams(8, 12, 6)
+    params = SectorParams(10, 8, 12, 6)
     domains = candidate_domain(desk_net, frame, params)
     rng = np.random.default_rng(5)
     phases = relaxed = 0
@@ -191,9 +191,9 @@ def test_overhead_trend(sweep_rows):
         c.expect(all(b >= a - 1e-9 for a, b in zip(series, series[1:])),
                  f"{proto} overhead not non-decreasing: {series}")
     for h, (r_min, r_max) in an.RMIN_RMAX_PRESETS.items():
-        params = an.AnalysisInput(r_min=r_min, r_max=r_max, h=h, H=60)
-        e12 = an.comm_overhead("pusbrf", params)
-        e16 = an.comm_overhead("psspr", params)
+        params = an.SectorParams(h, r_min, r_max, omega=6)
+        e12 = an.comm_overhead("pusbrf", params, 60)
+        e16 = an.comm_overhead("psspr", params, 60)
         c.expect(e16 <= e12, f"analytic h={h}: {e16:.2f} > {e12:.2f}")
     # Simulated counterpart of the analytic reduction at h=20. Hop-count
     # simulation prices the sector scheme's geometric legs at realistic
@@ -213,7 +213,7 @@ def test_phantom_geometry(dense_net):
     c = Check("phantom annulus, sector uniformity, distance oracle", 30.0)
     src = pn.pick_source(dense_net, 10, 11)
     frame = build_frame(dense_net, src)
-    params = SectorParams(4, 6, 6)
+    params = SectorParams(5, 4, 6, 6)
     domains = candidate_domain(dense_net, frame, params)
     rng = np.random.default_rng(21)
     counts = np.zeros(params.omega)

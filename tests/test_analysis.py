@@ -125,8 +125,8 @@ class TestCommOverhead:
         m = 4 * R * H / (H + R) ** 2
         oracle = R + 2 * (H + R) * ellipe(m) / math.pi
         assert oracle == pytest.approx(70.4174, abs=1e-3)
-        params = an.AnalysisInput(r_min=8, r_max=12, h=10, H=60)
-        assert an.comm_overhead("pusbrf", params) == pytest.approx(
+        params = an.SectorParams(h=10, r_min=8, r_max=12, omega=6)
+        assert an.comm_overhead("pusbrf", params, H) == pytest.approx(
             oracle, abs=1e-6)
 
     def test_zero_walk_collapses_to_straight_line(self):
@@ -137,31 +137,31 @@ class TestCommOverhead:
 
     def test_sector_scheme_cheaper_on_reference_rows(self):
         for h, (r_min, r_max) in an.RMIN_RMAX_PRESETS.items():
-            params = an.AnalysisInput(r_min=r_min, r_max=r_max, h=h, H=60)
-            assert (an.comm_overhead("psspr", params)
-                    <= an.comm_overhead("pusbrf", params))
+            params = an.SectorParams(h, r_min, r_max, omega=6)
+            assert (an.comm_overhead("psspr", params, 60)
+                    <= an.comm_overhead("pusbrf", params, 60))
 
     def test_lower_bound(self):
         for h, (r_min, r_max) in an.RMIN_RMAX_PRESETS.items():
-            params = an.AnalysisInput(r_min=r_min, r_max=r_max, h=h, H=60)
+            params = an.SectorParams(h, r_min, r_max, omega=6)
             for proto in ("pusbrf", "hbdrw", "psspr"):
-                assert an.comm_overhead(proto, params) >= 60 - r_max
+                assert an.comm_overhead(proto, params, 60) >= 60 - r_max
 
     def test_tolerance_convergence(self):
-        params = an.AnalysisInput(r_min=16, r_max=24, h=20, H=60)
-        a = an.comm_overhead("hbdrw", params, tol=1e-6)
-        b = an.comm_overhead("hbdrw", params, tol=5e-7)
+        params = an.SectorParams(h=20, r_min=16, r_max=24, omega=6)
+        a = an.comm_overhead("hbdrw", params, 60, tol=1e-6)
+        b = an.comm_overhead("hbdrw", params, 60, tol=5e-7)
         assert abs(a - b) < 1e-5
 
     def test_quadrature_failure_is_detectable(self):
-        params = an.AnalysisInput(r_min=8, r_max=12, h=10, H=60)
+        params = an.SectorParams(h=10, r_min=8, r_max=12, omega=6)
         with pytest.raises(QuadratureFailure):
-            an.comm_overhead("pusbrf", params, tol=1e-16)
+            an.comm_overhead("pusbrf", params, 60, tol=1e-16)
 
     def test_unknown_protocol(self):
-        params = an.AnalysisInput(r_min=8, r_max=12, h=10, H=60)
+        params = an.SectorParams(h=10, r_min=8, r_max=12, omega=6)
         with pytest.raises(InvalidParameter):
-            an.comm_overhead("flood-everything", params)
+            an.comm_overhead("flood-everything", params, 60)
 
 
 class TestTables:
@@ -184,12 +184,15 @@ class TestTables:
         assert an.rmin_rmax_for(25) == (22, 28)  # preset, not the pattern
 
 
-class TestAnalysisInput:
-    def test_hx(self):
-        assert an.AnalysisInput(r_min=8, r_max=12, h=10, H=60).hx == 2
-
+class TestSectorParams:
     def test_validation(self):
         with pytest.raises(InvalidParameter):
-            an.AnalysisInput(r_min=8, r_max=12, h=13, H=60)
+            an.SectorParams(h=13, r_min=8, r_max=12, omega=6)
         with pytest.raises(InvalidParameter):
-            an.AnalysisInput(r_min=12, r_max=8, h=10, H=60)
+            an.SectorParams(h=10, r_min=12, r_max=8, omega=6)
+
+    def test_rmin_rmax_for_gives_a_domain_exactly_when_h_is_positive(self):
+        for h in range(1, 61):
+            assert an.SectorParams(h, *an.rmin_rmax_for(h), omega=6).h == h
+        with pytest.raises(InvalidParameter):
+            an.SectorParams(0, *an.rmin_rmax_for(0), omega=6)

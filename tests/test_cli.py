@@ -21,7 +21,7 @@ SESSION_NAMES = {
     "PROTOCOLS", "make_router", "RouteTrace", "run_session",
     "run_experiment", "emit_csv", "AggregateRow",
     "ExperimentConfig", "load_config", "parse_config",
-    "AnalysisInput", "comm_overhead", "failure_path_probability",
+    "SectorParams", "comm_overhead", "failure_path_probability",
     "make_tables", "phantom_count_hbdrw", "phantom_count_psspr",
     "phantom_count_pusbrf", "ratio_hbdrw_over_pusbrf",
     "ratio_pusbrf_over_psspr", "rmin_rmax_for",
@@ -211,8 +211,14 @@ def test_simulate_missing_output_directory_exits_one_before_the_sweep(
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: output directory") and "missing_dir" in err
-    assert ran == []
     assert not out.parent.exists()
+    # An existing directory cannot be the output file either.
+    out_dir = tmp_path / "a_dir"
+    out_dir.mkdir()
+    assert main(["simulate", "--config", str(cfg), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: output path") and "a_dir" in err
+    assert ran == []
 
 
 # Runs in a fresh interpreter: simulate and trace must not load scipy;

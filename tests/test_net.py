@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 import phantomnet as pn
-from phantomnet.errors import ConnectivityError, InvalidParameter, UnknownNode
+from phantomnet.errors import ConnectivityError, InvalidParameter
 from phantomnet.net import project, row_norms, unit
 
 from conftest import bfs_oracle, brute_force_adjacency
@@ -106,7 +106,7 @@ def test_flood_matches_bfs_oracle(oracle_net):
 
 def test_flood_is_idempotent(small_net):
     assert np.array_equal(small_net.hops_from(pn.SINK), small_net.hops)
-    with pytest.raises(UnknownNode):
+    with pytest.raises(InvalidParameter):
         small_net.hops_from(len(small_net))
 
 

@@ -13,7 +13,7 @@ import phantomnet as pn
 from conftest import validate_trace
 from phantomnet.errors import (ConnectivityError, EmptyDomain, EmptyRing,
                                InvalidParameter)
-from phantomnet.trace import PHASE_SAME_HOP
+from phantomnet.trace import PHASE_SAME_HOP, PHASE_VAR_ANGLE
 
 PACKETS = 10
 SETUP_ERRORS = (ConnectivityError, InvalidParameter, EmptyDomain, EmptyRing)
@@ -41,6 +41,16 @@ def same_hop_runs(trace):
     return runs
 
 
+def opening_var_angle_run(trace):
+    """The hops of a trace's opening variable-angle run when another
+    phase follows it, else an empty list."""
+    rest = [i for i, phase in enumerate(trace.phases)
+            if phase != PHASE_VAR_ANGLE]
+    if trace.phases[0] != PHASE_VAR_ANGLE or not rest:
+        return []
+    return trace.hops[:rest[0]]
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(300, 900), seed=st.integers(0, 2**16),
        h=st.integers(2, 8), H=st.integers(3, 9),
@@ -60,6 +70,9 @@ def test_route_invariants(n, seed, h, H, omega, protocol):
         if not any(a.startswith("same-hop-relaxed") for a in trace.annotations):
             for run in same_hop_runs(trace):
                 assert len({int(network.hops[node]) for node in run}) == 1
+        # The sink-side variable-angle leg stops on entering its ring,
+        # r_max*r >= 2r from the sink, so it never reaches the sink itself.
+        assert network.sink not in opening_var_angle_run(trace)
 
     again = route_session(network, protocol, source, h, omega, seed)
     assert [t.hops for t in again] == [t.hops for t in traces]

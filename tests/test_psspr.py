@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import phantomnet as pn
-from phantomnet.errors import EmptyDomain, InvalidParameter, SourceIsSink
+from phantomnet.errors import EmptyDomain, InvalidParameter
 from phantomnet.net import project
 from phantomnet.psspr import (SectorParams, _directed_leg, _same_hop_leg,
                               _var_angle_leg, build_frame, candidate_domain,
@@ -41,15 +41,18 @@ class TestFrame:
         assert abs(d_src - d_sink) < 1e-9
 
     def test_sink_rejected(self, dense_net):
-        with pytest.raises(SourceIsSink):
+        with pytest.raises(InvalidParameter):
             pn.make_router(dense_net, "psspr", pn.SINK, h=5, omega=6)
 
 
 class TestSectorParams:
     def test_theta_is_pi_over_omega(self):
-        assert SectorParams(4, 6, 6).theta == math.pi / 6
+        assert SectorParams(5, 4, 6, 6).theta == math.pi / 6
 
-    @pytest.mark.parametrize("args", [(6, 4, 6), (4, 6, 5), (4, 6, 0), (0, 6, 6)])
+    # (h, r_min, r_max, omega)
+    @pytest.mark.parametrize("args", [(5, 6, 4, 6), (5, 4, 6, 5), (5, 4, 6, 0),
+                                      (3, 0, 6, 6), (7, 4, 6, 6), (3, 4, 6, 6),
+                                      (4, 4, 4, 6)])
     def test_invalid(self, args):
         with pytest.raises(InvalidParameter):
             SectorParams(*args)
@@ -59,7 +62,7 @@ class TestCandidateDomain:
     def test_annulus_membership_exhaustive(self, dense_net):
         src = pn.pick_source(dense_net, 10, 11)
         frame = build_frame(dense_net, src)
-        params = SectorParams(4, 6, 6)
+        params = SectorParams(5, 4, 6, 6)
         domains = candidate_domain(dense_net, frame, params)
         # Brute-force membership oracle over every node.
         spos = dense_net.positions[src]
@@ -81,7 +84,7 @@ class TestCandidateDomain:
     def test_sectors_disjoint_and_count(self, dense_net):
         src = pn.pick_source(dense_net, 10, 11)
         frame = build_frame(dense_net, src)
-        domains = candidate_domain(dense_net, frame, SectorParams(4, 6, 6))
+        domains = candidate_domain(dense_net, frame, SectorParams(5, 4, 6, 6))
         assert len(domains) == 6
         all_ids = [int(n) for dom in domains for n in dom]
         assert len(all_ids) == len(set(all_ids))
@@ -91,7 +94,7 @@ class TestCandidateDomain:
                                 field_side=1000.0)
         frame = build_frame(net, 1)
         with pytest.raises(EmptyDomain):
-            candidate_domain(net, frame, SectorParams(30, 40, 6))
+            candidate_domain(net, frame, SectorParams(35, 30, 40, 6))
 
 
 class TestSelectPhantom:
@@ -102,7 +105,7 @@ class TestSelectPhantom:
             [[3000, 3000], [5000, 3000], [2000, 3600], [6000, 2400]],
             r=2100.0)
         frame = build_frame(net, 1)
-        params = SectorParams(1, 2, 2)
+        params = SectorParams(1, 1, 2, 2)
         domains = candidate_domain(net, frame, params)
         rng = np.random.default_rng(0)
         chosen = set()
@@ -116,7 +119,7 @@ class TestSelectPhantom:
     def test_annulus_membership_every_packet(self, dense_net):
         src = pn.pick_source(dense_net, 10, 11)
         frame = build_frame(dense_net, src)
-        params = SectorParams(4, 6, 6)
+        params = SectorParams(5, 4, 6, 6)
         domains = candidate_domain(dense_net, frame, params)
         rng = np.random.default_rng(3)
         pos = dense_net.positions
@@ -139,7 +142,7 @@ class TestSelectPhantom:
     def test_deterministic_under_seed(self, dense_net):
         src = pn.pick_source(dense_net, 10, 11)
         frame = build_frame(dense_net, src)
-        params = SectorParams(4, 6, 6)
+        params = SectorParams(5, 4, 6, 6)
         domains = candidate_domain(dense_net, frame, params)
         a = select_phantom(dense_net, frame, params,
                            np.random.default_rng(9), domains)
@@ -150,17 +153,13 @@ class TestSelectPhantom:
 
 class TestSameHopCount:
     def test_examples(self):
-        assert same_hop_count(90.0, SectorParams(16, 24, 6)) == 12
-        assert same_hop_count(0.0, SectorParams(16, 24, 6)) == 0
-        assert same_hop_count(180.0, SectorParams(12, 18, 6)) == 18
+        assert same_hop_count(90.0, SectorParams(20, 16, 24, 6)) == 12
+        assert same_hop_count(0.0, SectorParams(20, 16, 24, 6)) == 0
+        assert same_hop_count(180.0, SectorParams(15, 12, 18, 6)) == 18
 
     def test_rounds_half_away_from_zero(self):
         # 25/180 * 18 = 2.5 rounds up to 3.
-        assert same_hop_count(25.0, SectorParams(12, 18, 6)) == 3
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(InvalidParameter):
-            same_hop_count(181.0, SectorParams(12, 18, 6))
+        assert same_hop_count(25.0, SectorParams(15, 12, 18, 6)) == 3
 
 
 class TestDirectedRoute:
@@ -291,7 +290,7 @@ class TestRoutePacket:
     def test_delivered_trace_endpoints(self, dense_net):
         src = pn.pick_source(dense_net, 10, 11)
         frame = build_frame(dense_net, src)
-        params = SectorParams(4, 6, 6)
+        params = SectorParams(5, 4, 6, 6)
         domains = candidate_domain(dense_net, frame, params)
         rng = np.random.default_rng(12)
         for _ in range(50):
@@ -307,7 +306,7 @@ class TestRoutePacket:
         # phantom onward must stay clear of the source's visible disc.
         src = pn.pick_source(dense_net, 12, 11)
         frame = build_frame(dense_net, src)
-        params = SectorParams(4, 6, 6)
+        params = SectorParams(5, 4, 6, 6)
         domains = candidate_domain(dense_net, frame, params)
         rng = np.random.default_rng(2)
         for _ in range(100):
@@ -317,7 +316,7 @@ class TestRoutePacket:
     def test_phantom_diversity(self, dense_net):
         src = pn.pick_source(dense_net, 10, 11)
         frame = build_frame(dense_net, src)
-        params = SectorParams(4, 6, 6)
+        params = SectorParams(5, 4, 6, 6)
         domains = candidate_domain(dense_net, frame, params)
         rng = np.random.default_rng(5)
         chosen = {route_packet(dense_net, frame, params, rng,
@@ -329,7 +328,7 @@ class TestRoutePacket:
     def test_deterministic_traces(self, dense_net):
         src = pn.pick_source(dense_net, 10, 11)
         frame = build_frame(dense_net, src)
-        params = SectorParams(4, 6, 6)
+        params = SectorParams(5, 4, 6, 6)
         domains = candidate_domain(dense_net, frame, params)
         a = [route_packet(dense_net, frame, params,
                           np.random.default_rng(77), domains).hops
