@@ -136,25 +136,29 @@ def cmd_analyze(args) -> int:
     params = analysis.SectorParams(args.h, r_min, r_max, args.omega)
     if args.H < 1:
         raise InvalidParameter(f"H must be >= 1, got {args.H}")
-    print(f"parameters: h={args.h} H={args.H} r_min={r_min} r_max={r_max} "
-          f"r0={args.r0} omega={args.omega}")
+    # Every value is computed before the first line is printed, so an
+    # input a formula rejects prints nothing.
+    lines = [f"parameters: h={args.h} H={args.H} r_min={r_min} r_max={r_max} "
+             f"r0={args.r0} omega={args.omega}"]
     p_fail = analysis.failure_path_probability(args.r0, args.H, args.h)
-    print(f"failure_path_probability = {p_fail:.4f}")
-    print(f"ratio_hbdrw_over_pusbrf = {analysis.ratio_hbdrw_over_pusbrf(args.h):.2f} %")
-    print(f"ratio_pusbrf_over_psspr = "
-          f"{analysis.ratio_pusbrf_over_psspr(args.h, r_min, r_max):.2f} %")
-    print(f"phantom_count_hbdrw  = {analysis.phantom_count_hbdrw(args.h):.2f}")
-    print(f"phantom_count_pusbrf = {analysis.phantom_count_pusbrf(args.h):.2f}")
-    print(f"phantom_count_psspr  = "
-          f"{analysis.phantom_count_psspr(r_min, r_max, args.h - r_min):.2f}")
+    lines.append(f"failure_path_probability = {p_fail:.4f}")
+    lines.append(f"ratio_hbdrw_over_pusbrf = "
+                 f"{analysis.ratio_hbdrw_over_pusbrf(args.h):.2f} %")
+    lines.append(f"ratio_pusbrf_over_psspr = "
+                 f"{analysis.ratio_pusbrf_over_psspr(args.h, r_min, r_max):.2f} %")
+    lines.append(f"phantom_count_hbdrw  = {analysis.phantom_count_hbdrw(args.h):.2f}")
+    lines.append(f"phantom_count_pusbrf = {analysis.phantom_count_pusbrf(args.h):.2f}")
+    lines.append(f"phantom_count_psspr  = "
+                 f"{analysis.phantom_count_psspr(r_min, r_max, args.h - r_min):.2f}")
     mc, se = analysis.psspr_distance_mc(r_min, r_max)
-    print(f"avg_phantom_distance hbdrw/pusbrf = {args.h:.2f} hops")
-    print(f"avg_phantom_distance psspr = {mc:.2f} hops "
-          f"(mc, se={se:.4f}; printed form gives "
-          f"{analysis.psspr_distance_printed(r_min, r_max, args.H):.2f})")
+    lines.append(f"avg_phantom_distance hbdrw/pusbrf = {args.h:.2f} hops")
+    lines.append(f"avg_phantom_distance psspr = {mc:.2f} hops "
+                 f"(mc, se={se:.4f}; printed form gives "
+                 f"{analysis.psspr_distance_printed(r_min, r_max, args.H):.2f})")
     for proto in ("pusbrf", "hbdrw", "psspr"):
-        print(f"comm_overhead {proto:<8} = "
-              f"{analysis.comm_overhead(proto, params, args.H):.2f} hops")
+        lines.append(f"comm_overhead {proto:<8} = "
+                     f"{analysis.comm_overhead(proto, params, args.H):.2f} hops")
+    print("\n".join(lines))
     return 0
 
 

@@ -25,10 +25,6 @@ class DomainError(PhantomNetError):
     """An analytic formula was evaluated outside its geometric domain."""
 
 
-class QuadratureFailure(PhantomNetError):
-    """Numerical integration could not meet the requested tolerance."""
-
-
 class ParseError(PhantomNetError):
     """A config file is syntactically malformed."""
 

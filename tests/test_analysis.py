@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
-from scipy.special import ellipe
+from scipy.special import ellipe, ellipeinc
 
 import phantomnet.analysis as an
 from phantomnet.cli import main
-from phantomnet.errors import DomainError, InvalidParameter, QuadratureFailure
+from phantomnet.errors import DomainError, InvalidParameter
 
 from conftest import annulus_mean_radius
 
@@ -118,22 +117,44 @@ class TestPhantomDistance:
 
 
 class TestCommOverhead:
-    def test_matches_elliptic_oracle(self):
+    # (R, H) pairs: the table row, the sink one hop either side of the
+    # phantom ring and on it (where the chord touches zero), (33, 32),
+    # where a 32-node rule would miss by more than 1e-9, a one-hop
+    # source and a far one.
+    @pytest.mark.parametrize("R, H", [(10, 60), (20, 19), (20, 21), (20, 20),
+                                      (33, 32), (5, 1), (40, 1),
+                                      (10, 1_000_000)])
+    def test_matches_elliptic_oracle(self, R, H):
         # Independent closed form: the 0..pi chord integral equals
         # 2 (H+R) E(m) with m = 4RH/(H+R)^2.
-        R, H = 10, 60
         m = 4 * R * H / (H + R) ** 2
         oracle = R + 2 * (H + R) * ellipe(m) / math.pi
-        assert oracle == pytest.approx(70.4174, abs=1e-3)
-        params = an.SectorParams(h=10, r_min=8, r_max=12, omega=6)
+        if (R, H) == (10, 60):
+            assert oracle == pytest.approx(70.4174, abs=1e-3)
+        params = an.SectorParams(h=R, r_min=R - 1, r_max=R + 1, omega=6)
         assert an.comm_overhead("pusbrf", params, H) == pytest.approx(
-            oracle, abs=1e-6)
+            oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("R, H", [(10, 60), (20, 19), (20, 20), (2, 1),
+                                      (10, 1_000_000)])
+    def test_hbdrw_matches_incomplete_elliptic_oracle(self, R, H):
+        # With m = 4RH/(H+R)^2 and gamma = acos((R-1)/R), the chord
+        # integral over [0, gamma] is 2 (H+R) (E(m) - E(pi/2 - gamma/2 | m))
+        # and over [pi, pi+gamma] it is 2 (H+R) E(gamma/2 | m).
+        m = 4 * R * H / (H + R) ** 2
+        gamma = math.acos((R - 1) / R)
+        near = 2 * (H + R) * (ellipe(m) - ellipeinc(math.pi / 2 - gamma / 2, m))
+        far = 2 * (H + R) * ellipeinc(gamma / 2, m)
+        oracle = R + (near + far) / (2 * gamma)
+        params = an.SectorParams(h=R, r_min=R - 1, r_max=R + 1, omega=6)
+        assert an.comm_overhead("hbdrw", params, H) == pytest.approx(
+            oracle, rel=1e-9)
 
     def test_zero_walk_collapses_to_straight_line(self):
-        # With no phantom detour the chord integral is constant H.
+        # With no phantom detour the chord is the constant H.
         H = 60.0
-        val, _ = integrate.quad(lambda a: math.sqrt(H * H), 0.0, math.pi)
-        assert val / math.pi == pytest.approx(H)
+        assert an._quad(lambda a: H, 0.0, math.pi) == pytest.approx(
+            math.pi * H, rel=1e-12)
 
     def test_sector_scheme_cheaper_on_reference_rows(self):
         for h, (r_min, r_max) in an.RMIN_RMAX_PRESETS.items():
@@ -146,17 +167,6 @@ class TestCommOverhead:
             params = an.SectorParams(h, r_min, r_max, omega=6)
             for proto in ("pusbrf", "hbdrw", "psspr"):
                 assert an.comm_overhead(proto, params, 60) >= 60 - r_max
-
-    def test_tolerance_convergence(self):
-        params = an.SectorParams(h=20, r_min=16, r_max=24, omega=6)
-        a = an.comm_overhead("hbdrw", params, 60, tol=1e-6)
-        b = an.comm_overhead("hbdrw", params, 60, tol=5e-7)
-        assert abs(a - b) < 1e-5
-
-    def test_quadrature_failure_is_detectable(self):
-        params = an.SectorParams(h=10, r_min=8, r_max=12, omega=6)
-        with pytest.raises(QuadratureFailure):
-            an.comm_overhead("pusbrf", params, 60, tol=1e-16)
 
     def test_unknown_protocol(self):
         params = an.SectorParams(h=10, r_min=8, r_max=12, omega=6)

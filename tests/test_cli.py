@@ -78,9 +78,20 @@ def test_analyze_prints_failure_probability(capsys):
     assert "comm_overhead" in out
 
 
-def test_analyze_domain_error_exit_code(capsys):
-    # r0 beyond the path legs is a runtime (geometry) error.
-    assert main(["analyze", "--h", "15", "--H", "60", "--r0", "61"]) == 2
+# A rejected input exits with the code of the first formula that rejects
+# it and prints nothing: a geometry error exits 2, a parameter error 1.
+@pytest.mark.parametrize("argv, code", [
+    (["--h", "15", "--H", "60", "--r0", "61"], 2),     # r0 past a path leg
+    (["--h", "8", "--H", "60", "--rmin", "8", "--rmax", "12"], 1),  # hx = 0
+    (["--h", "1", "--H", "60"], 2),                    # r0 = 3 past h = 1
+    (["--h", "2"], 2),                                 # r0 = 3 past h = 2
+    (["--h", "2", "--r0", "1"], 1),                    # hx = 0 at r_min = 2
+], ids=["r0-past-leg", "hx-zero", "h1", "h2", "h2-r0-1"])
+def test_analyze_domain_error_exit_code(argv, code, capsys):
+    assert main(["analyze", *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("runtime error: " if code == 2 else "error: ")
 
 
 @pytest.mark.parametrize("flag", [("--omega", "0"), ("--omega", "-2"),
@@ -221,22 +232,22 @@ def test_simulate_missing_output_directory_exits_one_before_the_sweep(
     assert ran == []
 
 
-# Runs in a fresh interpreter: simulate and trace must not load scipy;
-# analyze and tables import it where they integrate.
+# Runs in a fresh interpreter with scipy blocked, so any import of it
+# raises: every command must run on numpy alone.
 SCIPY_GUARD = """
 import sys
+sys.modules["scipy"] = None
 from phantomnet.cli import main
 cfg, out = sys.argv[1:3]
 assert main(["simulate", "--config", cfg, "--out", out]) == 0
 assert main(["trace", "--protocol", "psspr", "--seed", "7", "--h", "4",
              "--H", "8", "--n-nodes", "800", "--field-side", "1500"]) == 0
-print("scipy loaded after simulate and trace:", "scipy" in sys.modules)
 assert main(["analyze", "--h", "15", "--H", "60", "--r0", "3"]) == 0
 assert main(["tables"]) == 0
 """
 
 
-def test_simulate_and_trace_do_not_import_scipy(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
         "n_nodes = 800\n"
@@ -253,7 +264,7 @@ def test_simulate_and_trace_do_not_import_scipy(tmp_path):
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    assert "scipy loaded after simulate and trace: False" in proc.stdout
     assert len(out.read_text().splitlines()) == 5
+    assert "packet_id,hop_index,node_id,phase" in proc.stdout
     assert "0.0800" in proc.stdout and "comm_overhead" in proc.stdout
     assert "282.74" in proc.stdout
