@@ -9,10 +9,8 @@ worker count (1 disables the process pool).
 
 from __future__ import annotations
 
-import functools
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
 
@@ -51,10 +49,27 @@ class RunSpec:
     config: ExperimentConfig
 
 
-# Runs execute seed-major (per process), so one field at a time is in use.
-@functools.lru_cache(maxsize=1)
-def _network(n_nodes: int, field_side: float, r: float, r0: float, seed: int):
-    return deploy(n_nodes, field_side, r, r0, seed)
+# Runs execute seed-major (per process), so one field at a time is in use:
+# the last one deployed, or the error its deploy raised.
+_FIELD: dict = {}
+
+
+def _network(*key):
+    if key not in _FIELD:
+        _FIELD.clear()  # the previous field goes before the next is built
+        _FIELD[key] = _attempt(deploy, *key)
+    if isinstance(_FIELD[key], Exception):
+        raise _FIELD[key].with_traceback(None)
+    return _FIELD[key]
+
+
+def __getattr__(name: str):
+    """The process pool, imported on first use and then kept as a global."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor as pool
+    globals()[name] = pool
+    return pool
 
 
 def pick_source(network, H: int, seed: int) -> int:
@@ -107,8 +122,9 @@ def run_experiment(config: ExperimentConfig,
     if max_workers > 1:
         # Whole seeds are dealt in turn to single-process pools (lanes),
         # so each field is deployed and cached in one process only.
+        pool = getattr(sys.modules[__name__], "ProcessPoolExecutor")
         with ExitStack() as stack:
-            lanes = [stack.enter_context(ProcessPoolExecutor(max_workers=1))
+            lanes = [stack.enter_context(pool(max_workers=1))
                      for _ in range(min(max_workers, len(config.seeds)))]
             futures = [lanes[config.seeds.index(s.seed) % len(lanes)]
                        .submit(run_one, s) for s in specs]
@@ -163,11 +179,11 @@ def _env_workers() -> int:
 
 
 def _attempt(fn, *args):
-    """``fn(*args)``, or the exception it raised."""
+    """``fn(*args)``, or its exception without the frames holding a field."""
     try:
         return fn(*args)
     except Exception as exc:  # noqa: BLE001 - recorded per run
-        return exc
+        return exc.with_traceback(None)
 
 
 def emit_csv(rows: list[AggregateRow], path: str) -> None:

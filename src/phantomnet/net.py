@@ -324,9 +324,8 @@ def deploy(n_nodes: int, field_side: float, r: float, r0: float,
     check_field(n_nodes, field_side, r, r0, seed)
 
     rng = np.random.default_rng(seed)
-    sensor_pos = rng.uniform(0.0, field_side, size=(n_nodes, 2))
-    center = np.array([field_side / 2.0, field_side / 2.0])
-    positions = np.vstack([center[None, :], sensor_pos])
+    positions = np.vstack([[[field_side / 2.0] * 2],  # the sink, then sensors
+                           rng.uniform(0.0, field_side, size=(n_nodes, 2))])
 
     net = Network(positions, r, r0, field_side)
     unreachable = int(np.sum(net.hops[1:] == UNREACHABLE))
@@ -359,8 +358,9 @@ def _radius_graph(positions: np.ndarray, r: float, cell_ij: np.ndarray,
     """
     xs, ys = positions[:, 0], positions[:, 1]
     r2 = r * r
-    rows, cols = [], []
-    for di, dj in HALF_NEIGHBORHOOD:
+    n = len(positions)
+
+    def edge_keys(di: int, dj: int) -> list[np.ndarray]:
         ti, tj = cell_ij[:, 0] + di, cell_ij[:, 1] + dj
         p = np.flatnonzero((ti >= 0) & (ti < nx) & (tj < ny))
         key = tj[p] * nx + ti[p]
@@ -368,17 +368,21 @@ def _radius_graph(positions: np.ndarray, r: float, cell_ij: np.ndarray,
         counts = cell_start[key + 1] - lo
         pp = np.repeat(p, counts)
         qq = _spans(lo, counts)
-        dx = xs[pp] - xs[qq]
-        dy = ys[pp] - ys[qq]
-        keep = dx * dx + dy * dy <= r2
+        d2, dy = xs[pp], ys[pp]  # dx*dx + dy*dy, in place
+        d2 -= xs[qq]
+        d2 *= d2
+        dy -= ys[qq]
+        dy *= dy
+        d2 += dy
+        keep = d2 <= r2
         u, v = cell_nodes[pp[keep]], cell_nodes[qq[keep]]
-        rows += [u, v]
-        cols += [v, u]
-    rows = np.concatenate(rows)
-    n = len(positions)
-    indices = np.sort(rows * n + np.concatenate(cols)) % n
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return [u * n + v, v * n + u]
+
+    indices = np.concatenate([k for offset in HALF_NEIGHBORHOOD
+                              for k in edge_keys(*offset)])
+    indices.sort()
+    indptr = np.searchsorted(indices, np.arange(n + 1) * n)  # row u at u*n
+    np.remainder(indices, n, out=indices)
     indptr.setflags(write=False)
     indices.setflags(write=False)
     return indptr, indices

@@ -246,8 +246,15 @@ assert main(["analyze", "--h", "15", "--H", "60", "--r0", "3"]) == 0
 assert main(["tables"]) == 0
 """
 
+# The same commands with the process pool blocked: a run in one process
+# must not import it.
+POOL_GUARD = SCIPY_GUARD.replace(
+    'sys.modules["scipy"] = None',
+    'sys.modules["multiprocessing"] = None\n'
+    'sys.modules["concurrent.futures.process"] = None')
 
-def test_no_command_imports_scipy(tmp_path):
+
+def run_every_command(tmp_path, guard, env):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
         "n_nodes = 800\n"
@@ -260,11 +267,21 @@ def test_no_command_imports_scipy(tmp_path):
     out = tmp_path / "res.csv"
     src = Path(phantomnet.__file__).parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_GUARD, str(cfg), str(out)],
+        [sys.executable, "-c", guard, str(cfg), str(out)],
         capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": str(src)})
+        env={**env, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert len(out.read_text().splitlines()) == 5
     assert "packet_id,hop_index,node_id,phase" in proc.stdout
     assert "0.0800" in proc.stdout and "comm_overhead" in proc.stdout
     assert "282.74" in proc.stdout
+
+
+def test_no_command_imports_scipy(tmp_path):
+    run_every_command(tmp_path, SCIPY_GUARD, os.environ)
+
+
+def test_no_command_imports_the_pool_in_one_process(tmp_path):
+    assert "concurrent.futures.process" in POOL_GUARD
+    env = {k: v for k, v in os.environ.items() if k != "PHANTOMNET_THREADS"}
+    run_every_command(tmp_path, POOL_GUARD, env)

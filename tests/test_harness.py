@@ -1,5 +1,8 @@
+import concurrent.futures
+import contextlib
 import math
 import os
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 
 import phantomnet as pn
 from phantomnet.config import DEFAULTS, ExperimentConfig, load_config, parse_config
-from phantomnet.errors import InvalidParameter, ParseError
+from phantomnet.errors import HarnessError, InvalidParameter, ParseError
 from phantomnet.harness import emit_csv, pick_source, run_experiment
 
 
@@ -151,7 +154,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "run_one", run_one)
         monkeypatch.setattr(harness, "deploy", deploy)
-        harness._network.cache_clear()
+        harness._FIELD.clear()
         cfg = tiny_config(protocols=["pusbrf", "shortest-path"], h=[3, 5],
                           packets_per_run=20, seeds=[1, 2, 3, 4, 5])
         rows = run_experiment(cfg)
@@ -194,6 +197,77 @@ class TestRunExperiment:
         assert sum(visible) == sum(r.failure_paths for r in records)
         assert 0 < sum(visible) < len(visible)
 
+    def test_pool_seam_builds_every_lane(self, monkeypatch):
+        # perfbench's HarvestingPool replaces harness.ProcessPoolExecutor,
+        # a name the module imports only when it is first read.
+        from phantomnet import harness
+        assert (getattr(harness, "ProcessPoolExecutor")
+                is concurrent.futures.ProcessPoolExecutor)
+        with pytest.raises(AttributeError):
+            harness.NoSuchPool
+        built = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        cfg = tiny_config(protocols=["hbdrw"], packets_per_run=10,
+                          seeds=[1, 2, 3])
+        parallel = run_experiment(cfg, max_workers=2)
+        assert built == [{"max_workers": 1}] * 2
+        assert parallel == run_experiment(cfg, max_workers=1)
+
+    @pytest.mark.parametrize("H", [[8], [8, 500]])
+    def test_previous_field_released_before_next_deploy(self, monkeypatch, H):
+        # No node is 500 hops out, so each run at H=500 fails after its
+        # field is deployed; the error it leaves must not hold the field.
+        from phantomnet import harness
+        real_deploy = harness.deploy
+        fields, alive = [], []
+
+        def deploy(*args):
+            alive.append([ref() is not None for ref in fields])
+            net = real_deploy(*args)
+            fields.append(weakref.ref(net))
+            return net
+
+        monkeypatch.setattr(harness, "deploy", deploy)
+        harness._FIELD.clear()
+        cfg = tiny_config(protocols=["psspr", "hbdrw", "pusbrf",
+                                     "shortest-path"],
+                          H=H, packets_per_run=10, seeds=[1, 2, 3])
+        with contextlib.suppress(HarnessError):
+            run_experiment(cfg, max_workers=1)
+        assert alive == [[], [False], [False, False]]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_field_deployed_once(self, monkeypatch, tmp_path, capsys,
+                                        workers):
+        # Seed 5's field fails the connectivity check. Its error is kept
+        # in the field's place, so its four runs fail on one deploy. The
+        # patched deploy, inherited by forked workers, appends a mark to
+        # its seed's file.
+        from phantomnet import harness
+        real_deploy = harness.deploy
+
+        def deploy(*args):
+            with open(tmp_path / str(args[-1]), "a", encoding="utf-8") as fh:
+                fh.write("x")
+            return real_deploy(*args)
+
+        monkeypatch.setattr(harness, "deploy", deploy)
+        harness._FIELD.clear()
+        cfg = tiny_config(n_nodes=400, field_side=1200.0, H=[4], h=[3, 5],
+                          protocols=["pusbrf", "shortest-path"],
+                          packets_per_run=5, seeds=list(range(1, 11)))
+        rows = run_experiment(cfg, max_workers=workers)
+        assert [row.n_runs for row in rows] == [9, 9, 9, 9]
+        assert capsys.readouterr().err.startswith("4/40 runs failed: ")
+        assert {int(p.name): p.read_text(encoding="utf-8")
+                for p in tmp_path.iterdir()} == {s: "x" for s in cfg.seeds}
+
     def test_pool_deploys_each_field_in_one_process(self, monkeypatch,
                                                     tmp_path):
         # Forked workers inherit the patched deploy, which leaves one
@@ -206,7 +280,7 @@ class TestRunExperiment:
             return real_deploy(*args)
 
         monkeypatch.setattr(harness, "deploy", deploy)
-        harness._network.cache_clear()
+        harness._FIELD.clear()
         cfg = tiny_config(protocols=["hbdrw", "pusbrf"], h=[3, 5],
                           packets_per_run=10, seeds=[1, 2, 3, 4, 5])
         parallel = run_experiment(cfg, max_workers=2)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,21 @@ def test_deploy_reference_scale():
     assert len(net) == 10_001
     assert np.allclose(net.positions[pn.SINK], [3000.0, 3000.0])
     assert np.all(net.positions >= 0.0) and np.all(net.positions <= 6000.0)
+
+
+def test_deploy_peak_memory_at_paper_scale():
+    # The radius graph frees each cell offset's candidate pairs before the
+    # next and sorts its edges in place, so deploying the paper's field
+    # never holds more than twice the memory the finished field keeps.
+    pn.deploy(200, 800.0, 100.0, 300.0, seed=1)  # lazy imports go first
+    tracemalloc.start()
+    try:
+        net = pn.deploy(10_000, 6000.0, 100.0, 300.0, seed=1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(net) == 10_001
+    assert peak <= 2 * held, (peak, held)
 
 
 @pytest.mark.parametrize("bad", [
@@ -147,6 +163,8 @@ def test_adjacency_matches_kdtree_pairs(oracle_net):
     assert oracle_net.indptr.tolist() == np.cumsum(
         [0] + [len(nbrs) for nbrs in expected]).tolist()
     assert oracle_net.indices.tolist() == sum(expected, [])
+    for csr in (oracle_net.indptr, oracle_net.indices):
+        assert csr.dtype == np.int64 and not csr.flags.writeable
 
 
 def kdtree_mirror(tree, r, x, y, skip):
