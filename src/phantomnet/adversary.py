@@ -15,11 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidParameter
 from .net import Network
-from .protocols import make_router
+from .protocols import Draws, make_router
 from .trace import RouteTrace, enters_visible_area
 
 
@@ -49,7 +47,7 @@ def observe_packet(network: Network, perch: int, trace: RouteTrace) -> int:
 
 
 def run_session(network: Network, protocol: str, source: int,
-                max_packets: int, rng: np.random.Generator, *, h: int,
+                max_packets: int, rng: Draws, *, h: int,
                 omega: int, failure_path=enters_visible_area) -> RunRecord:
     """Send packets until the adversary captures the source or the cap hits.
 

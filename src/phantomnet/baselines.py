@@ -5,15 +5,13 @@ shortest-path control.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .net import Network
 from .trace import (PHASE_PHANTOM_PATH, PHASE_SHORTEST, PHASE_WALK,
                     RouteTrace, stitch)
 
 
 def hbdrw_route(network: Network, source: int, walk_hops: int,
-                rng: np.random.Generator) -> RouteTrace:
+                rng) -> RouteTrace:
     """``walk_hops``-hop directed random walk, then shortest path from the
     endpoint; ``protocols.make_router`` has checked the session.
 
@@ -37,9 +35,9 @@ def hbdrw_route(network: Network, source: int, walk_hops: int,
             if not cands:
                 break
             annotations.append(f"walk-fallback@{step}")
-        if prev is not None and len(cands) > 1:
+        if prev in cands and len(cands) > 1:
             cands = [n for n in cands if n != prev]
-        prev, cur = cur, cands[int(rng.integers(len(cands)))]
+        prev, cur = cur, cands[rng.integers(len(cands))]
         walk.append(cur)
 
     legs = [(walk, PHASE_WALK),
@@ -49,9 +47,8 @@ def hbdrw_route(network: Network, source: int, walk_hops: int,
     return out
 
 
-def pusbrf_route(network: Network, source: int, rng: np.random.Generator,
-                 source_hops: np.ndarray,
-                 source_next_hop: list[int], ring: np.ndarray) -> RouteTrace:
+def pusbrf_route(network: Network, source: int, rng, source_hops: list[int],
+                 source_next_hop: list[int], ring: list[int]) -> RouteTrace:
     """Phantom drawn uniformly from the ring exactly h source-hops away.
 
     The checked session state comes from ``protocols.make_router``:
@@ -62,7 +59,7 @@ def pusbrf_route(network: Network, source: int, rng: np.random.Generator,
     path of exactly h hops, and the phantom forwards to the sink on a
     shortest path.
     """
-    phantom = int(ring[int(rng.integers(len(ring)))])
+    phantom = ring[rng.integers(len(ring))]
 
     # Walk the source-rooted hop field down from the phantom, then flip.
     to_phantom = _descend(network, source_hops, phantom,

@@ -15,14 +15,12 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import analysis
 from .config import DEFAULTS, load_config
 from .errors import InvalidParameter, ParseError, PhantomNetError
 from .harness import emit_csv, pick_source, run_experiment
 from .net import deploy
-from .protocols import PROTOCOLS, make_router
+from .protocols import PROTOCOLS, Draws, make_router
 
 
 class _Parser(argparse.ArgumentParser):
@@ -156,8 +154,11 @@ def cmd_analyze(args) -> int:
                  f"(mc, se={se:.4f}; printed form gives "
                  f"{analysis.psspr_distance_printed(r_min, r_max, args.H):.2f})")
     for proto in ("pusbrf", "hbdrw", "psspr"):
-        lines.append(f"comm_overhead {proto:<8} = "
-                     f"{analysis.comm_overhead(proto, params, args.H):.2f} hops")
+        value = f"{analysis.comm_overhead(proto, params, args.H):.2f} hops"
+        if proto == "psspr" and args.H < r_max:     # a negative exit tail
+            value = (f"outside the formula's geometry (H={args.H} < "
+                     f"r_max={r_max}: the annulus reaches past the sink)")
+        lines.append(f"comm_overhead {proto:<8} = {value}")
     print("\n".join(lines))
     return 0
 
@@ -169,8 +170,7 @@ def cmd_trace(args) -> int:
     source = pick_source(network, args.H, args.seed)
     router = make_router(network, args.protocol, source, h=args.h,
                          omega=args.omega)
-    rng = np.random.default_rng([args.seed, args.H, args.h])
-    trace = router(rng)
+    trace = router(Draws([args.seed, args.H, args.h]))
     print("packet_id,hop_index,node_id,phase")    # one packet, id 0
     for i, (node, phase) in enumerate(zip(trace.hops, trace.phases)):
         print(f"0,{i},{node},{phase}")

@@ -20,7 +20,7 @@ from .adversary import RunRecord, run_session
 from .config import ExperimentConfig
 from .errors import HarnessError, InvalidParameter
 from .net import deploy
-from .protocols import PROTOCOLS
+from .protocols import PROTOCOLS, Draws
 from .trace import enters_visible_area
 
 
@@ -84,16 +84,14 @@ def pick_source(network, H: int, seed: int) -> int:
     if len(cands) == 0:
         raise InvalidParameter(
             f"no node within one hop of target distance H={H}")
-    rng = np.random.default_rng([seed, H, 101])
-    return int(cands[int(rng.integers(len(cands)))])
+    return int(cands[Draws([seed, H, 101]).integers(len(cands))])
 
 
 def run_one(spec: RunSpec) -> RunRecord:
     cfg = spec.config
     network = _network(cfg.n_nodes, cfg.field_side, cfg.r, cfg.r0, spec.seed)
     source = pick_source(network, spec.H, spec.seed)
-    rng = np.random.default_rng([spec.seed, spec.H, spec.h,
-                                 PROTOCOLS.index(spec.protocol)])
+    rng = Draws([spec.seed, spec.H, spec.h, PROTOCOLS.index(spec.protocol)])
     # Called by this module's names, so perfbench's wrappers see each call.
     return run_session(network, spec.protocol, source, cfg.packets_per_run,
                        rng, h=spec.h, omega=cfg.omega,

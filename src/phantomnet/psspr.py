@@ -121,8 +121,7 @@ def candidate_domain(network: Network, frame: SourceFrame,
 
 
 def select_phantom(network: Network, frame: SourceFrame, params: SectorParams,
-                   rng: np.random.Generator,
-                   domains: list[np.ndarray]) -> PhantomChoice:
+                   rng, domains: list[np.ndarray]) -> PhantomChoice:
     """Draw a pseudo-phantom pair and pick the phantom for one packet.
 
     ``domains`` is the session's ``candidate_domain``. The sector is
@@ -133,9 +132,9 @@ def select_phantom(network: Network, frame: SourceFrame, params: SectorParams,
     point, in which case the first pseudo-phantom is forced.
     """
     nonempty = [k for k, dom in enumerate(domains) if len(dom)]
-    sector = nonempty[int(rng.integers(len(nonempty)))]
+    sector = nonempty[rng.integers(len(nonempty))]
     dom = domains[sector]
-    p1 = int(dom[int(rng.integers(len(dom)))])
+    p1 = int(dom[rng.integers(len(dom))])
     xs, ys = network.xs, network.ys
     px, py = xs[p1], ys[p1]
     sx, sy = xs[frame.source], ys[frame.source]
@@ -146,7 +145,7 @@ def select_phantom(network: Network, frame: SourceFrame, params: SectorParams,
     p2 = network.nearest_in_range(2.0 * vx - px, 2.0 * vy - py,
                                   (network.sink, frame.source))
     chosen = p1
-    if p2 >= 0 and int(rng.integers(2)) == 1:
+    if p2 >= 0 and rng.integers(2) == 1:
         chosen = p2
 
     # Exit anchors may fall outside the monitored area when the outer
@@ -179,8 +178,7 @@ def same_hop_count(beta: float, params: SectorParams) -> int:
 
 
 def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
-                 rng: np.random.Generator,
-                 domains: list[np.ndarray]) -> RouteTrace:
+                 rng, domains: list[np.ndarray]) -> RouteTrace:
     """Route one packet source-to-sink through a freshly drawn phantom.
 
     ``domains`` is the session's ``candidate_domain``; a source within one
@@ -443,17 +441,36 @@ def _same_hop_leg(network: Network, start: int, h_m: int, frame: SourceFrame,
                   anchor: Point | None, prev: int | None = None,
                   keep_out: frozenset[int] | None = None
                   ) -> tuple[list[int], list[str]]:
-    """Constant-hop-count walk. Returns (nodes, annotations)."""
+    """Constant-hop-count walk. Returns (nodes, annotations).
+
+    Each step takes the first admissible ring node nearest ``anchor``
+    (after the sqrt) or the axis, and ``prev`` only if no other is; the
+    first ring with none relaxes to a hop up or down, the second aborts.
+    """
     hop = network.hop_list
     xs, ys = network.xs, network.ys
     bx, by = xs[network.sink], ys[network.sink]
     yx, yy = frame.y_axis
+    if anchor is not None:
+        ax, ay = anchor
 
-    def pick(cands: list[int]) -> int:
-        if anchor is not None:
-            return network.nearest(cands, *anchor)
-        fy = [abs((xs[n] - bx) * yx + (ys[n] - by) * yy) for n in cands]
-        return cands[fy.index(min(fy))]
+    def pick(cands, barred, prev) -> int:
+        nxt, best, bounce = -1, math.inf, False
+        for n in cands:
+            if n in barred:
+                continue
+            if n == prev:
+                bounce = True
+                continue
+            if anchor is None:
+                d = abs((xs[n] - bx) * yx + (ys[n] - by) * yy)
+            else:
+                dx = xs[n] - ax
+                dy = ys[n] - ay
+                d = math.sqrt(dx * dx + dy * dy)
+            if d < best:
+                nxt, best = n, d
+        return prev if nxt < 0 and bounce else nxt
 
     nodes = [start]
     annotations: list[str] = []
@@ -461,20 +478,18 @@ def _same_hop_leg(network: Network, start: int, h_m: int, frame: SourceFrame,
     relaxed = False
     for _ in range(h_m):
         barred = _barred(keep_out, cur)
-        ring = [n for n in network.hop_rings(cur)[1] if n not in barred]
-        # Never bounce straight back unless the ring offers nothing else.
-        cands = [n for n in ring if n != prev] or ring
-        if not cands:
+        nxt = pick(network.hop_rings(cur)[1], barred, prev)
+        if nxt < 0:
             if relaxed:
                 annotations.append(f"same-hop-aborted@{len(nodes) - 1}")
                 break
-            cands = [n for n in network.neighbors(cur)
-                     if abs(hop[n] - hop[cur]) == 1 and n not in barred]
-            if not cands:
+            nxt = pick([n for n in network.neighbors(cur)
+                        if abs(hop[n] - hop[cur]) == 1], barred, None)
+            if nxt < 0:
                 annotations.append(f"same-hop-aborted@{len(nodes) - 1}")
                 break
             relaxed = True
             annotations.append(f"same-hop-relaxed@{len(nodes)}")
-        prev, cur = cur, pick(cands)
+        prev, cur = cur, nxt
         nodes.append(cur)
     return nodes, annotations

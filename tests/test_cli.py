@@ -78,6 +78,19 @@ def test_analyze_prints_failure_probability(capsys):
     assert "comm_overhead" in out
 
 
+@pytest.mark.parametrize("H, outside", [(20, True), (23, True), (24, False)])
+def test_analyze_flags_psspr_overhead_outside_its_geometry(H, outside, capsys):
+    # h = 20 has r_max = 24: below it the exit-to-sink tail goes negative.
+    assert main(["analyze", "--h", "20", "--H", str(H)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    psspr = [line for line in lines if line.startswith("comm_overhead psspr")]
+    assert psspr == [f"comm_overhead psspr    = outside the formula's geometry "
+                     f"(H={H} < r_max=24: the annulus reaches past the sink)"
+                     if outside else "comm_overhead psspr    = 48.14 hops"]
+    assert sum(line.endswith(" hops") for line in lines
+               if line.startswith("comm_overhead")) == 3 - outside
+
+
 # A rejected input exits with the code of the first formula that rejects
 # it and prints nothing: a geometry error exits 2, a parameter error 1.
 @pytest.mark.parametrize("argv, code", [
@@ -143,6 +156,19 @@ def test_trace_network_dump(tmp_path, capsys):
     assert rc == 0
     capsys.readouterr()
     assert out.read_text().startswith("id,x,y,hop_to_sink,neighbor_count")
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_trace_prints_what_a_numpy_driven_router_prints(protocol, capsys,
+                                                        monkeypatch):
+    argv = ["trace", "--protocol", protocol, "--seed", "7", "--h", "4",
+            *SMALL_FIELD]
+    assert main(argv) == 0
+    ours = capsys.readouterr()
+    for module in ("cli", "harness"):
+        monkeypatch.setattr(f"phantomnet.{module}.Draws", np.random.default_rng)
+    assert main(argv) == 0
+    assert capsys.readouterr() == ours
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)

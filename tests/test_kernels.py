@@ -416,6 +416,62 @@ def test_keep_out_filters_before_the_bounce_trim():
     assert nodes == [1, 2]
 
 
+def same_hop_net():
+    """Sink at the origin and three level-1 sensors: node 1 on the x axis,
+    nodes 2 and 3 mirrored about it, 60 m off, out of each other's range;
+    node 4 one hop further out, in range of node 1 only."""
+    return pn.Network(np.array([[0.0, 0.0], [50.0, 0.0], [50.0, 60.0],
+                                [50.0, -60.0], [140.0, 0.0]]),
+                      r=R, r0=R, field_side=1000.0)
+
+
+def test_same_hop_geometry():
+    net = same_hop_net()
+    assert net.hop_list == [0, 1, 1, 1, 2]
+    assert net.hop_rings(1) == ((0,), (2, 3), (4,))
+    assert net.hop_rings(2) == ((0,), (1,), ())
+
+
+@pytest.mark.parametrize("prev, keep_out, want", [
+    (1, None, [2, 1]),            # the ring holds only prev: step back
+    (2, frozenset({3}), [1, 2]),  # only a barred node besides prev
+    (2, None, [1, 3]),            # prev set aside for node 3
+])
+def test_same_hop_steps_back_only_when_nothing_else_is_admissible(
+        prev, keep_out, want):
+    net = same_hop_net()
+    frame = build_frame(net, 1)
+    nodes, notes = _same_hop_leg(net, want[0], 1, frame, None, prev=prev,
+                                 keep_out=keep_out)
+    assert (nodes, notes) == (want, [])
+
+
+@pytest.mark.parametrize("anchor, step", [((140.0, 10.0), 4),
+                                          ((10.0, 10.0), 0), (None, 0)])
+def test_same_hop_relaxes_once_then_aborts(anchor, step):
+    # Node 1's whole ring is barred, a barred prev too: the step relaxes
+    # to the sink or node 4, one hop lower or higher, nearest the anchor
+    # or the axis (a tie the sink wins, first in neighbor order). Neither
+    # has a level ring.
+    net = same_hop_net()
+    frame = build_frame(net, 1)
+    for prev in (None, 2):
+        nodes, notes = _same_hop_leg(net, 1, 3, frame, anchor, prev=prev,
+                                     keep_out=frozenset({2, 3}))
+        assert (nodes, notes) == ([1, step], ["same-hop-relaxed@1",
+                                              "same-hop-aborted@1"])
+
+
+@pytest.mark.parametrize("anchor", [None, (100.0, 0.0)],
+                         ids=["projection", "anchor"])
+def test_same_hop_tie_goes_to_the_first_in_ring_order(anchor):
+    # Nodes 2 and 3 are exactly as far from the anchor and from the
+    # source-sink axis; node 2 comes first in node 1's ring.
+    net = same_hop_net()
+    frame = build_frame(net, 1)
+    assert _same_hop_leg(net, 1, 1, frame, anchor) == ([1, 2], [])
+
+
 def angle_pick(network):
     """The variable-angle leg's per-hop pick, before the ranked table."""
     xs, ys = network.xs, network.ys
