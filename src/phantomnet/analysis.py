@@ -177,6 +177,9 @@ def comm_overhead(protocol: str, params: SectorParams, H: int) -> float:
         mu = params.omega
         theta = math.pi / mu
         r_max = params.r_max
+        if H < r_max:
+            raise DomainError(f"H={H} < r_max={r_max}: the annulus reaches "
+                              f"past the sink")
         tail = H - r_max
         for i in range(1, mu // 2):
             tail += math.sqrt(H * H + r_max * r_max

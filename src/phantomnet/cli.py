@@ -4,7 +4,7 @@ Subcommands:
   simulate  run a configured experiment sweep and write the results CSV
   tables    print the three reference tables (optionally as CSV files)
   analyze   evaluate the closed-form security/overhead metrics
-  trace     route one packet and dump the annotated trace as CSV rows
+  trace     route one run's first packet and dump its trace as CSV rows
 
 Exit codes: 0 success, 1 usage/validation errors, 2 runtime errors.
 """
@@ -16,11 +16,10 @@ import os
 import sys
 
 from . import analysis
-from .config import DEFAULTS, load_config
-from .errors import InvalidParameter, ParseError, PhantomNetError
-from .harness import emit_csv, pick_source, run_experiment
-from .net import deploy
-from .protocols import PROTOCOLS, Draws, make_router
+from .config import ExperimentConfig, load_config
+from .errors import DomainError, InvalidParameter, ParseError, PhantomNetError
+from .harness import RunSpec, emit_csv, run_experiment, start_run
+from .protocols import PROTOCOLS, make_router
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,16 +52,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="visible-area radius, hops")
     p_ana.add_argument("--omega", type=int, default=6, help="sector count")
 
-    p_tr = sub.add_parser("trace", help="dump one annotated packet trace")
+    p_tr = sub.add_parser("trace", help="dump the first packet of one run")
+    p_tr.add_argument("--config", help="config file for the field and omega")
     p_tr.add_argument("--protocol", required=True, choices=PROTOCOLS)
     p_tr.add_argument("--seed", type=int, default=1)
     p_tr.add_argument("--h", type=int, default=10)
     p_tr.add_argument("--H", type=int, default=15)
-    p_tr.add_argument("--omega", type=int, default=DEFAULTS["omega"])
-    p_tr.add_argument("--n-nodes", type=int, default=DEFAULTS["n_nodes"])
-    p_tr.add_argument("--field-side", type=float, default=DEFAULTS["field_side"])
-    p_tr.add_argument("--r", type=float, default=DEFAULTS["r"])
-    p_tr.add_argument("--r0", type=float, default=DEFAULTS["r0"])
     p_tr.add_argument("--network-out", help="dump the deployed field as CSV")
     return parser
 
@@ -154,23 +149,24 @@ def cmd_analyze(args) -> int:
                  f"(mc, se={se:.4f}; printed form gives "
                  f"{analysis.psspr_distance_printed(r_min, r_max, args.H):.2f})")
     for proto in ("pusbrf", "hbdrw", "psspr"):
-        value = f"{analysis.comm_overhead(proto, params, args.H):.2f} hops"
-        if proto == "psspr" and args.H < r_max:     # a negative exit tail
-            value = (f"outside the formula's geometry (H={args.H} < "
-                     f"r_max={r_max}: the annulus reaches past the sink)")
+        try:
+            value = f"{analysis.comm_overhead(proto, params, args.H):.2f} hops"
+        except DomainError as exc:      # only the sector scheme's geometry
+            value = f"outside the formula's geometry ({exc})"
         lines.append(f"comm_overhead {proto:<8} = {value}")
     print("\n".join(lines))
     return 0
 
 
 def cmd_trace(args) -> int:
-    network = deploy(args.n_nodes, args.field_side, args.r, args.r0, args.seed)
+    config = load_config(args.config) if args.config else ExperimentConfig()
+    config.h, config.H, config.seeds = [args.h], [args.H], [args.seed]
+    network, source, rng = start_run(RunSpec(args.protocol, args.h, args.H,
+                                             args.seed, config.validate()))
     if args.network_out:
         network.dump_csv(args.network_out)
-    source = pick_source(network, args.H, args.seed)
-    router = make_router(network, args.protocol, source, h=args.h,
-                         omega=args.omega)
-    trace = router(Draws([args.seed, args.H, args.h]))
+    trace = make_router(network, args.protocol, source, h=args.h,
+                        omega=config.omega)(rng)
     print("packet_id,hop_index,node_id,phase")    # one packet, id 0
     for i, (node, phase) in enumerate(zip(trace.hops, trace.phases)):
         print(f"0,{i},{node},{phase}")

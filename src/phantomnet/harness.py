@@ -87,15 +87,20 @@ def pick_source(network, H: int, seed: int) -> int:
     return int(cands[Draws([seed, H, 101]).integers(len(cands))])
 
 
-def run_one(spec: RunSpec) -> RunRecord:
+def start_run(spec: RunSpec):
+    """A run's (network, source, rng); ``trace`` sets its run up here too."""
     cfg = spec.config
     network = _network(cfg.n_nodes, cfg.field_side, cfg.r, cfg.r0, spec.seed)
-    source = pick_source(network, spec.H, spec.seed)
-    rng = Draws([spec.seed, spec.H, spec.h, PROTOCOLS.index(spec.protocol)])
+    return network, pick_source(network, spec.H, spec.seed), Draws(
+        [spec.seed, spec.H, spec.h, PROTOCOLS.index(spec.protocol)])
+
+
+def run_one(spec: RunSpec) -> RunRecord:
+    network, source, rng = start_run(spec)
     # Called by this module's names, so perfbench's wrappers see each call.
-    return run_session(network, spec.protocol, source, cfg.packets_per_run,
-                       rng, h=spec.h, omega=cfg.omega,
-                       failure_path=enters_visible_area)
+    return run_session(network, spec.protocol, source,
+                       spec.config.packets_per_run, rng, h=spec.h,
+                       omega=spec.config.omega, failure_path=enters_visible_area)
 
 
 def run_experiment(config: ExperimentConfig,

@@ -168,6 +168,18 @@ class TestCommOverhead:
             for proto in ("pusbrf", "hbdrw", "psspr"):
                 assert an.comm_overhead(proto, params, 60) >= 60 - r_max
 
+    @pytest.mark.parametrize("H", [20, 23, 24])
+    def test_sector_scheme_keeps_to_its_geometry(self, H):
+        # h = 20 has r_max = 24: below it the exit-to-sink tail H - r_max
+        # would be negative.
+        params = an.SectorParams(20, *an.rmin_rmax_for(20), omega=6)
+        if H < params.r_max:
+            with pytest.raises(DomainError, match=(
+                    f"^H={H} < r_max=24: the annulus reaches past the sink$")):
+                an.comm_overhead("psspr", params, H)
+        else:
+            assert round(an.comm_overhead("psspr", params, H), 2) == 48.14
+
     def test_unknown_protocol(self):
         params = an.SectorParams(h=10, r_min=8, r_max=12, omega=6)
         with pytest.raises(InvalidParameter):

@@ -5,14 +5,26 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import phantomnet
+from phantomnet import adversary, harness
 from phantomnet.cli import main
+from phantomnet.config import load_config
 from phantomnet.protocols import PROTOCOLS
 
-SMALL_FIELD = ["--H", "8", "--n-nodes", "800", "--field-side", "1500"]
+SMALL_FIELD = "n_nodes = 800\nfield_side = 1500\n"
+
+
+@pytest.fixture
+def small_field(tmp_path):
+    """``trace`` arguments for the 800-node field on 1500 m, at H = 8,
+    with ``extra`` config lines added to the field's."""
+    def argv(extra=""):
+        cfg = tmp_path / "field.cfg"
+        cfg.write_text(SMALL_FIELD + extra)
+        return ["--config", str(cfg), "--H", "8"]
+    return argv
 
 # What the four commands use at session level; routers, frames and the
 # adversary's steps stay in their modules.
@@ -134,10 +146,9 @@ def test_unknown_flag_exits_one(capsys):
     assert main(["tables", "--wat"]) == 1
 
 
-def test_trace_outputs_csv(capsys):
-    rc = main(["trace", "--protocol", "pusbrf", "--seed", "7",
-               "--h", "4", "--H", "8", "--n-nodes", "800",
-               "--field-side", "1500"])
+def test_trace_outputs_csv(small_field, capsys):
+    rc = main(["trace", "--protocol", "pusbrf", "--seed", "7", "--h", "4",
+               *small_field()])
     assert rc == 0
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
@@ -148,46 +159,69 @@ def test_trace_outputs_csv(capsys):
         assert pkt == "0" and int(idx) == i
 
 
-def test_trace_network_dump(tmp_path, capsys):
+def test_trace_network_dump(tmp_path, small_field, capsys):
     out = tmp_path / "field.csv"
     rc = main(["trace", "--protocol", "shortest-path", "--seed", "7",
-               "--h", "4", "--H", "8", "--n-nodes", "800",
-               "--field-side", "1500", "--network-out", str(out)])
+               "--h", "4", *small_field(), "--network-out", str(out)])
     assert rc == 0
     capsys.readouterr()
     assert out.read_text().startswith("id,x,y,hop_to_sink,neighbor_count")
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_trace_prints_what_a_numpy_driven_router_prints(protocol, capsys,
-                                                        monkeypatch):
-    argv = ["trace", "--protocol", protocol, "--seed", "7", "--h", "4",
-            *SMALL_FIELD]
-    assert main(argv) == 0
-    ours = capsys.readouterr()
-    for module in ("cli", "harness"):
-        monkeypatch.setattr(f"phantomnet.{module}.Draws", np.random.default_rng)
-    assert main(argv) == 0
-    assert capsys.readouterr() == ours
+def test_trace_prints_the_first_packet_run_one_routes(protocol, small_field,
+                                                      capsys, monkeypatch):
+    # run_one's traces, as its session's router returns them.
+    routed = []
+    real_make_router = adversary.make_router
+
+    def make_router(*args, **kwargs):
+        router = real_make_router(*args, **kwargs)
+
+        def route(rng):
+            routed.append(router(rng))
+            return routed[-1]
+        return route
+    monkeypatch.setattr(adversary, "make_router", make_router)
+
+    argv = small_field()
+    config = load_config(argv[1])
+    for seed in (1, 7):
+        for h in (4, 6):
+            assert main(["trace", "--protocol", protocol, "--seed", str(seed),
+                         "--h", str(h), *argv]) == 0
+            printed = capsys.readouterr().out.splitlines()[1:]
+            routed.clear()
+            harness.run_one(harness.RunSpec(protocol, h, 8, seed, config))
+            first = routed[0]
+            assert printed == [f"0,{i},{node},{phase}" for i, (node, phase)
+                               in enumerate(zip(first.hops, first.phases))]
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-@pytest.mark.parametrize("flag", [("--h", "0"), ("--omega", "3")])
-def test_trace_bad_sweep_point_exits_one(protocol, flag, capsys):
-    assert main(["trace", "--protocol", protocol, *flag, *SMALL_FIELD]) == 1
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize("flag", [
+    (["--h", "0"], "", "error: h and H values must be >= 1"),
+    ([], "omega = 3\n", "error: omega must be even and >= 2, got 3"),
+    (["--h", "-1"], "", "error: h and H values must be >= 1")])
+def test_trace_bad_sweep_point_exits_one(protocol, flag, small_field, capsys):
+    args, extra, message = flag
+    assert main(["trace", "--protocol", protocol, *args,
+                 *small_field(extra)]) == 1
+    assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", [("--r", "nan"), ("--field-side", "inf")])
-def test_trace_non_finite_field_exits_one(flag, capsys):
-    assert main(["trace", "--protocol", "psspr", *SMALL_FIELD, *flag]) == 1
+@pytest.mark.parametrize("flag", [("r", "nan"), ("field_side", "inf")])
+def test_trace_non_finite_field_exits_one(flag, small_field, capsys):
+    key, value = flag
+    assert main(["trace", "--protocol", "psspr",
+                 *small_field(f"{key} = {value}\n")]) == 1
     assert "error: n_nodes, field_side, r and r0 must be finite" in (
         capsys.readouterr().err)
 
 
-def test_trace_negative_seed_exits_one(capsys):
+def test_trace_negative_seed_exits_one(small_field, capsys):
     assert main(["trace", "--protocol", "psspr", "--seed", "-1",
-                 *SMALL_FIELD]) == 1
+                 *small_field()]) == 1
     assert "error: seed must be >= 0" in capsys.readouterr().err
 
 
@@ -266,8 +300,8 @@ sys.modules["scipy"] = None
 from phantomnet.cli import main
 cfg, out = sys.argv[1:3]
 assert main(["simulate", "--config", cfg, "--out", out]) == 0
-assert main(["trace", "--protocol", "psspr", "--seed", "7", "--h", "4",
-             "--H", "8", "--n-nodes", "800", "--field-side", "1500"]) == 0
+assert main(["trace", "--config", cfg, "--protocol", "psspr", "--seed", "7",
+             "--h", "4", "--H", "8"]) == 0
 assert main(["analyze", "--h", "15", "--H", "60", "--r0", "3"]) == 0
 assert main(["tables"]) == 0
 """

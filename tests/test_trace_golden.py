@@ -12,10 +12,9 @@ to alter routes, and say so in CHANGES.md.
 
 import hashlib
 
-import numpy as np
-
 import phantomnet as pn
 from phantomnet.adversary import observe_packet
+from phantomnet.harness import RunSpec, start_run
 from phantomnet.trace import enters_visible_area
 
 TRACE_SHA256 = "549bc9e73211e42c6d4b48b3caecbc413a78e78b04f5180e82c42099854a505e"
@@ -30,15 +29,15 @@ SHAPES = [
 def packet_records():
     """One line per packet of every session of both shapes."""
     for n_nodes, side, seeds, hs, H, packets in SHAPES:
+        config = pn.ExperimentConfig(n_nodes=n_nodes, field_side=side)
         for seed in seeds:
-            network = pn.deploy(n_nodes, side, 100.0, 300.0, seed)
-            source = pn.pick_source(network, H, seed)
             for h in hs:
                 for p in pn.PROTOCOLS:
+                    # Set up as the sweep sets its run up.
+                    network, source, rng = start_run(
+                        RunSpec(p, h, H, seed, config))
                     router = pn.make_router(network, p, source, h=h,
-                                            omega=6)
-                    rng = np.random.default_rng(
-                        [seed, H, h, pn.PROTOCOLS.index(p)])
+                                            omega=config.omega)
                     visible = network.disc(source, network.r0)
                     perch = network.sink
                     for k in range(packets):
