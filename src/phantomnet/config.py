@@ -82,6 +82,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 def parse_config(text: str, origin: str = "<config>") -> ExperimentConfig:
     cfg = ExperimentConfig()
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -93,6 +94,10 @@ def parse_config(text: str, origin: str = "<config>") -> ExperimentConfig:
         value = value.strip()
         if key not in DEFAULTS:
             raise ParseError(f"{origin}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ParseError(f"{origin}:{lineno}: repeated key {key!r} "
+                             f"(first set on line {seen[key]})")
+        seen[key] = lineno
         if not value:
             raise ParseError(f"{origin}:{lineno}: empty value for {key!r}")
         try:

@@ -64,24 +64,25 @@ class Network:
         # cell_nodes[cell_start[k]:cell_start[k + 1]], k = j * nx + i, in
         # ascending id order. Sparse fields get cells wider than r, so that
         # there are no more cells than about one per node.
-        lo, hi = self.positions.min(axis=0), self.positions.max(axis=0)
-        self.origin = lo.tolist()
-        self.cell = max(self.r * (1.0 + CELL_MARGIN),
-                        float((hi - lo).max()) / math.sqrt(len(self)))
-        cell_ij = np.floor((self.positions - self.origin)
-                           / self.cell).astype(np.int64)
-        self.nx, self.ny = (cell_ij.max(axis=0) + 1).tolist()
-        keys = cell_ij[:, 1] * self.nx + cell_ij[:, 0]
-        order = np.argsort(keys, kind="stable")
-        start = np.zeros(self.nx * self.ny + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys, minlength=self.nx * self.ny),
-                  out=start[1:])
+        n = len(self)
+        x, y = self.positions[:, 0], self.positions[:, 1]
+        x0, y0 = self.origin = [float(x.min()), float(y.min())]
+        self.cell = max(self.r * (1.0 + CELL_MARGIN), float(
+            max(x.max() - x0, y.max() - y0)) / math.sqrt(n))
+        ci = np.floor((x - x0) / self.cell).astype(np.int64)
+        cj = np.floor((y - y0) / self.cell).astype(np.int64)
+        self.nx, self.ny = int(ci.max()) + 1, int(cj.max()) + 1
+        keys = cj * self.nx + ci
+        del ci, cj
+        # The id breaks every tie, and about n cells keep keys * n in int64.
+        order = np.argsort(keys * n + np.arange(n))
+        start = np.bincount(keys + 1, minlength=self.nx * self.ny + 1).cumsum()
+        keys = keys[order]
         self.cell_start = array("q", start.tobytes())
         self.cell_nodes = array("q", order.tobytes())
 
         self.indptr, self.indices = _radius_graph(
-            self.positions[order], self.r, cell_ij[order], self.nx, self.ny,
-            start, order)
+            x[order], y[order], self.r, keys, self.nx, self.ny, start, order)
         self.hops = self._flood(SINK)
         self.hops.setflags(write=False)
         self.hop_list = self.hops.tolist()
@@ -343,27 +344,27 @@ def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
             + np.repeat(starts - ends + counts, counts))
 
 
-def _radius_graph(positions: np.ndarray, r: float, cell_ij: np.ndarray,
-                  nx: int, ny: int, cell_start: np.ndarray,
+def _radius_graph(xs: np.ndarray, ys: np.ndarray, r: float,
+                  keys: np.ndarray, nx: int, ny: int, cell_start: np.ndarray,
                   cell_nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR adjacency (indptr, indices) of every pair with dx*dx + dy*dy
     <= r*r, rows sorted, so a node's neighbors come out in ascending id
     order; both arrays are read-only.
 
-    ``positions`` and ``cell_ij`` are in cell order, row p holding node
-    ``cell_nodes[p]``. Cells are at least r wide, so a pair within r sits
-    in the same or in adjacent cells: each node meets the nodes after it
-    in its own cell and those of the cells at the other offsets of
-    HALF_NEIGHBORHOOD, which meets every pair of adjacent cells once.
+    ``xs``, ``ys`` and the cell keys j * nx + i are in cell order, entry
+    p holding node ``cell_nodes[p]``. Cells are at least r wide, so a pair
+    within r sits in the same or in adjacent cells: each node meets the
+    nodes after it in its own cell and those of the cells at the other
+    offsets of HALF_NEIGHBORHOOD, which meet each adjacent cell pair once.
     """
-    xs, ys = positions[:, 0], positions[:, 1]
     r2 = r * r
-    n = len(positions)
+    n = len(xs)
+    cj, ci = np.divmod(keys, nx)
 
     def edge_keys(di: int, dj: int) -> list[np.ndarray]:
-        ti, tj = cell_ij[:, 0] + di, cell_ij[:, 1] + dj
+        ti, tj = ci + di, cj + dj
         p = np.flatnonzero((ti >= 0) & (ti < nx) & (tj < ny))
-        key = tj[p] * nx + ti[p]
+        key = keys[p] + (dj * nx + di)
         lo = p + 1 if (di, dj) == (0, 0) else cell_start[key]
         counts = cell_start[key + 1] - lo
         pp = np.repeat(p, counts)
@@ -374,15 +375,17 @@ def _radius_graph(positions: np.ndarray, r: float, cell_ij: np.ndarray,
         dy -= ys[qq]
         dy *= dy
         d2 += dy
-        keep = d2 <= r2
+        keep = np.flatnonzero(d2 <= r2)
         u, v = cell_nodes[pp[keep]], cell_nodes[qq[keep]]
         return [u * n + v, v * n + u]
 
     indices = np.concatenate([k for offset in HALF_NEIGHBORHOOD
                               for k in edge_keys(*offset)])
     indices.sort()
-    indptr = np.searchsorted(indices, np.arange(n + 1) * n)  # row u at u*n
     np.remainder(indices, n, out=indices)
+    # Every edge is stored both ways: row u has one entry per entry u.
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(indices, minlength=n), out=indptr[1:])
     indptr.setflags(write=False)
     indices.setflags(write=False)
     return indptr, indices

@@ -13,16 +13,18 @@ from phantomnet.cli import main
 from phantomnet.config import load_config
 from phantomnet.protocols import PROTOCOLS
 
-SMALL_FIELD = "n_nodes = 800\nfield_side = 1500\n"
+SMALL_FIELD = {"n_nodes": 800, "field_side": 1500}
 
 
 @pytest.fixture
 def small_field(tmp_path):
     """``trace`` arguments for the 800-node field on 1500 m, at H = 8,
-    with ``extra`` config lines added to the field's."""
-    def argv(extra=""):
+    with ``extra`` config values set over the field's (a config sets each
+    key once)."""
+    def argv(**extra):
         cfg = tmp_path / "field.cfg"
-        cfg.write_text(SMALL_FIELD + extra)
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value
+                               in {**SMALL_FIELD, **extra}.items()))
         return ["--config", str(cfg), "--H", "8"]
     return argv
 
@@ -200,13 +202,13 @@ def test_trace_prints_the_first_packet_run_one_routes(protocol, small_field,
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 @pytest.mark.parametrize("flag", [
-    (["--h", "0"], "", "error: h and H values must be >= 1"),
-    ([], "omega = 3\n", "error: omega must be even and >= 2, got 3"),
-    (["--h", "-1"], "", "error: h and H values must be >= 1")])
+    (["--h", "0"], {}, "error: h and H values must be >= 1"),
+    ([], {"omega": 3}, "error: omega must be even and >= 2, got 3"),
+    (["--h", "-1"], {}, "error: h and H values must be >= 1")])
 def test_trace_bad_sweep_point_exits_one(protocol, flag, small_field, capsys):
     args, extra, message = flag
     assert main(["trace", "--protocol", protocol, *args,
-                 *small_field(extra)]) == 1
+                 *small_field(**extra)]) == 1
     assert message in capsys.readouterr().err
 
 
@@ -214,7 +216,7 @@ def test_trace_bad_sweep_point_exits_one(protocol, flag, small_field, capsys):
 def test_trace_non_finite_field_exits_one(flag, small_field, capsys):
     key, value = flag
     assert main(["trace", "--protocol", "psspr",
-                 *small_field(f"{key} = {value}\n")]) == 1
+                 *small_field(**{key: value})]) == 1
     assert "error: n_nodes, field_side, r and r0 must be finite" in (
         capsys.readouterr().err)
 

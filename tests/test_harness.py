@@ -64,6 +64,19 @@ class TestConfigParsing:
         assert ":1:" in str(err.value)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize("text,key,first", [
+        # Without the check the last line would win without a word.
+        ("field_side = 1500\nfield_side = inf\n", "field_side", 1),
+        ("seeds = 1, 2\n# comment\nseeds = 3\n", "seeds", 1),
+        ("n_nodes = 500\nH = 20\nH = 20\n", "H", 2),
+    ])
+    def test_repeated_key_is_rejected(self, text, key, first):
+        with pytest.raises(ParseError) as err:
+            parse_config(text)
+        line = text.count("\n")
+        assert str(err.value) == (f"<config>:{line}: repeated key {key!r} "
+                                  f"(first set on line {first})")
+
     @pytest.mark.parametrize("over", [
         dict(r0=50.0),                      # r0 < r
         dict(h=[5, 10], H=[10, 20]),        # two sweep axes

@@ -3,11 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 import phantomnet as pn
 from phantomnet.errors import ConnectivityError, InvalidParameter
-from phantomnet.net import project, row_norms, unit
+from phantomnet.net import CELL_MARGIN, project, row_norms, unit
 
 from conftest import bfs_oracle, brute_force_adjacency
 
@@ -146,6 +147,86 @@ def test_adjacency_matches_brute_force(oracle_net):
         assert np.array_equal(nbrs, np.sort(adj[i]))
         assert isinstance(nbrs, tuple)      # read-only
         assert nbrs is oracle_net.neighbors(i)
+
+
+def reference_grid(positions, r):
+    """Origin, cell width, nx, ny and each node's cell key j * nx + i, by
+    the (n, 2) formula the grid was first built with."""
+    lo, hi = positions.min(axis=0), positions.max(axis=0)
+    cell = max(r * (1.0 + CELL_MARGIN),
+               float((hi - lo).max()) / math.sqrt(len(positions)))
+    cell_ij = np.floor((positions - lo.tolist()) / cell).astype(np.int64)
+    nx, ny = (cell_ij.max(axis=0) + 1).tolist()
+    return lo.tolist(), cell, nx, ny, cell_ij[:, 1] * nx + cell_ij[:, 0]
+
+
+def check_grid_and_csr(net):
+    """The grid is a stable sort of the reference cell keys, and the CSR
+    offsets are where each row starts among the sorted u * n + v edges."""
+    origin, cell, nx, ny, keys = reference_grid(net.positions, net.r)
+    assert (net.origin, net.cell, net.nx, net.ny) == (origin, cell, nx, ny)
+    assert list(net.cell_nodes) == np.argsort(keys, kind="stable").tolist()
+    assert list(net.cell_start) == [0] + np.cumsum(
+        np.bincount(keys, minlength=nx * ny)).tolist()
+    n = len(net)
+    adj = brute_force_adjacency(net.positions, net.r)
+    edges = np.sort(np.array([u * n + v for u in range(n) for v in adj[u]],
+                             dtype=np.int64))
+    assert net.indptr.tolist() == np.searchsorted(
+        edges, np.arange(n + 1) * n).tolist()
+    assert net.indices.tolist() == (edges % n).tolist()
+
+
+# Fields whose grid is degenerate, each with its r: every sensor in one
+# cell; a single row of cells; cells exactly 200 wide (1000 / sqrt(25))
+# with nodes on their boundaries, on the field's far edge and at exactly
+# r = 150 across a boundary; and two nodes.
+ONE_CELL = [[500.0, 500.0]] + (random_field(8, 40, 60.0) + 470.0).tolist()
+ONE_ROW = (random_field(9, 30, 1000.0) * [1.0, 0.05]).tolist()
+ON_BOUNDARIES = ([[0.0, 0.0], [1000.0, 1000.0], [1000.0, 0.0], [0.0, 1000.0],
+                  [200.0, 200.0], [200.0, 50.0], [290.0, 320.0],
+                  [110.0, 80.0], [400.0, 400.0], [400.0, 550.0],
+                  [600.0, 400.0], [510.0, 520.0], [800.0, 1000.0],
+                  [1000.0, 800.0], [1000.0, 650.0], [850.0, 1000.0]]
+                 + [[200.0 * a, 600.0] for a in range(5)]
+                 + [[600.0, 200.0 * b + 100.0] for b in range(4)])
+DEGENERATE_FIELDS = {
+    "one_cell": (ONE_CELL, 100.0),
+    "one_row": (ONE_ROW, 100.0),
+    "on_boundaries": (ON_BOUNDARIES, 150.0),
+    "two_nodes": ([[500.0, 500.0], [560.0, 580.0]], 100.0),
+}
+
+
+def test_grid_and_csr_match_the_reference_build(oracle_net):
+    check_grid_and_csr(oracle_net)
+
+
+@pytest.mark.parametrize("name", DEGENERATE_FIELDS)
+def test_grid_and_csr_on_degenerate_fields(name):
+    positions, r = DEGENERATE_FIELDS[name]
+    net = pn.Network(np.array(positions), r=r, r0=r, field_side=1000.0)
+    check_grid_and_csr(net)
+    if name == "one_cell":
+        assert (net.nx, net.ny) == (1, 1)
+    if name == "one_row":
+        assert net.ny == 1 < net.nx
+    if name == "on_boundaries":
+        assert net.cell == 200.0 and (net.nx, net.ny) == (6, 6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(step=st.sampled_from([25.0, 50.0, 100.0]),
+       points=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                       min_size=2, max_size=40),
+       r_steps=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+def test_grid_and_csr_on_small_lattices(step, points, r_steps):
+    # Lattice nodes tie on cell keys and, where the cell width is a
+    # multiple of the step, sit on cell boundaries; pairs at exactly r
+    # are common. Repeated points are allowed.
+    net = pn.Network(np.array(points, dtype=np.float64) * step,
+                     r=r_steps * step, r0=r_steps * step, field_side=800.0)
+    check_grid_and_csr(net)
 
 
 def kdtree_adjacency(positions, r):
