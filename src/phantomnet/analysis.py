@@ -61,10 +61,11 @@ class SectorParams:
 
 
 def rmin_rmax_for(h: int) -> tuple[int, int]:
-    """Annulus radii for a directed hop count: table presets, else +-20%."""
+    """Annulus radii for a directed hop count: table presets, else +-20%
+    with r_min < h from h = 2 on, as N_PSSPR's hx = h - r_min must be >= 1."""
     if h in RMIN_RMAX_PRESETS:
         return RMIN_RMAX_PRESETS[h]
-    r_min = max(1, round(0.8 * h))
+    r_min = max(1, min(h - 1, round(0.8 * h)))
     r_max = max(r_min + 1, round(1.2 * h))
     return r_min, r_max
 

@@ -6,8 +6,7 @@ shortest-path control.
 from __future__ import annotations
 
 from .net import Network
-from .trace import (PHASE_PHANTOM_PATH, PHASE_SHORTEST, PHASE_WALK,
-                    RouteTrace, stitch)
+from .trace import PHASE_PHANTOM_PATH, PHASE_SHORTEST, PHASE_WALK, RouteTrace
 
 
 def hbdrw_route(network: Network, source: int, walk_hops: int,
@@ -40,11 +39,9 @@ def hbdrw_route(network: Network, source: int, walk_hops: int,
         prev, cur = cur, cands[rng.integers(len(cands))]
         walk.append(cur)
 
-    legs = [(walk, PHASE_WALK),
-            (_descend_to_sink(network, cur), PHASE_SHORTEST)]
-    out = stitch(legs, delivered=True, annotations=annotations)
-    out.phantom = cur if cur != source else None
-    return out
+    legs = [(PHASE_WALK, walk),
+            (PHASE_SHORTEST, _descend_to_sink(network, cur))]
+    return RouteTrace(legs, annotations, cur if cur != source else None)
 
 
 def pusbrf_route(network: Network, source: int, rng, source_hops: list[int],
@@ -65,11 +62,9 @@ def pusbrf_route(network: Network, source: int, rng, source_hops: list[int],
     to_phantom = _descend(network, source_hops, phantom,
                           (network.xs[source], network.ys[source]),
                           source_next_hop)[::-1]
-    legs = [(to_phantom, PHASE_PHANTOM_PATH),
-            (_descend_to_sink(network, phantom), PHASE_SHORTEST)]
-    out = stitch(legs, delivered=True)
-    out.phantom = phantom
-    return out
+    legs = [(PHASE_PHANTOM_PATH, to_phantom),
+            (PHASE_SHORTEST, _descend_to_sink(network, phantom))]
+    return RouteTrace(legs, phantom=phantom)
 
 
 def shortest_path_route(network: Network, source: int) -> RouteTrace:
@@ -80,9 +75,7 @@ def shortest_path_route(network: Network, source: int) -> RouteTrace:
     the source's hop count exactly; ``protocols.make_router`` has checked
     that the sink flood reached the source.
     """
-    nodes = _descend_to_sink(network, source)
-    return RouteTrace(hops=nodes, phases=[PHASE_SHORTEST] * len(nodes),
-                      delivered=True)
+    return RouteTrace([(PHASE_SHORTEST, _descend_to_sink(network, source))])
 
 
 def _descend(network: Network, field, start: int, toward,

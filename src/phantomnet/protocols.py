@@ -76,11 +76,10 @@ def make_router(network: Network, protocol: str, source: int, *, h: int,
         raise InvalidParameter(f"source {source} is not a sensor the sink reached")
 
     if protocol == PSSPR:
+        if network.sink_dist[source] <= network.r:
+            return lambda rng: RouteTrace([(PHASE_DIRECT,
+                                            [source, network.sink])])
         frame = psspr.build_frame(network, source)
-        if frame.source_sink_distance <= network.r:
-            return lambda rng: RouteTrace(
-                hops=[source, network.sink],
-                phases=[PHASE_DIRECT, PHASE_DIRECT], delivered=True)
         domains = psspr.candidate_domain(network, frame, params)
         return partial(psspr.route_packet, network, frame, params,
                        domains=domains)

@@ -25,8 +25,7 @@ import numpy as np
 from .analysis import SectorParams
 from .errors import EmptyDomain
 from .net import UNREACHABLE, Network, project, row_norms, unit
-from .trace import (PHASE_DIRECTED, PHASE_SAME_HOP, PHASE_VAR_ANGLE,
-                    RouteTrace, stitch)
+from .trace import PHASE_DIRECTED, PHASE_SAME_HOP, PHASE_VAR_ANGLE, RouteTrace
 
 Point = tuple[float, float]     # (x, y)
 
@@ -40,11 +39,8 @@ class SourceFrame:
     center_v: Point          # midpoint of source and sink
     x_axis: Point            # unit vector, sink toward source
     y_axis: Point            # x_axis turned a quarter counterclockwise
-    h_distance: int          # minimum hop count source <-> sink
-    source_sink_distance: float
     v_x: float               # frame-x of V
     corner_reach: float      # source to the farthest field corner
-    visible: frozenset[int]  # nodes within r0 of the source
 
 
 @dataclass(frozen=True)
@@ -59,7 +55,7 @@ class PhantomChoice:
 
 
 def build_frame(network: Network, source: int) -> SourceFrame:
-    """Coordinate frame for a source: V, the axes, and the hop distance.
+    """Coordinate frame for a source: V and the axes.
 
     The source must be a sensor the sink flood reached, as
     ``protocols.make_router`` checks for a session.
@@ -77,12 +73,9 @@ def build_frame(network: Network, source: int) -> SourceFrame:
         center_v=(vx, vy),
         x_axis=(ux, uy),
         y_axis=(-uy, ux),
-        h_distance=int(network.hops[source]),
-        source_sink_distance=d,
         v_x=(vx - bx) * ux + (vy - by) * uy,
         corner_reach=max(network.dist(source, x, y) for x in corners
                          for y in corners),
-        visible=network.disc(source, network.r0),
     )
 
 
@@ -204,7 +197,7 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
     chosen_pos = (xs[choice.chosen], ys[choice.chosen])
     ring_radius = params.r_max * r
     cap = 4 * params.r_max
-    budget = 4 * frame.h_distance
+    budget = 4 * network.hop_list[source]
 
     # A plan lists legs as (phase, leg function, its arguments after the
     # start node, its keyword arguments, restart). Each leg starts where
@@ -221,7 +214,7 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
         # leg from the phantom onward steers around the visible area.
         away_radius = min(ring_radius, frame.corner_reach - r)
         away = _toward(network, (sx, sy), chosen_pos, away_radius)
-        avoid = {"keep_out": frame.visible}
+        avoid = {"keep_out": network.disc(source, network.r0)}
         plan = [
             (PHASE_DIRECTED, _directed_leg, (chosen_pos, cap), {}, False),
             (PHASE_DIRECTED, _directed_leg, (away, cap),
@@ -252,27 +245,24 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
         plan += [(PHASE_DIRECTED, _directed_leg, (target, hops),
                   {"stop_node": stop}, False) for target, hops, stop in targets]
 
-    # A first leg that misses its anchor abandons the packet undelivered.
-    # Any other leg that fails hands the packet on from where it stopped,
-    # and the last leg decides delivery. The sink-side variable-angle leg
-    # stops on entering its ring, r_max*r >= 2r, so never steps on the sink.
+    # A first leg that misses its anchor abandons the packet where it
+    # stopped. Any other leg that fails hands the packet on from there.
+    # The trace counts as delivered when its last hop is the sink. The
+    # sink-side variable-angle leg stops on entering its ring, r_max*r >=
+    # 2r, so never steps on the sink.
     cur, prev = source, None
-    delivered = False
-    legs: list[tuple[list[int], str]] = []
+    legs: list[tuple[str, list[int]]] = []
     annotations: list[str] = []
     for phase, leg, args, kwargs, restart in plan:
         nodes, out = leg(network, cur, *args, prev=prev, **kwargs)
-        legs.append((nodes, phase))
+        legs.append((phase, nodes))
         if phase == PHASE_SAME_HOP:
             annotations.extend(out)
         elif len(legs) == 1 and not out:
             break
         prev = nodes[-2] if len(nodes) > 1 else (cur if restart else prev)
         cur = nodes[-1]
-        delivered = cur == sink
-    trace = stitch(legs, delivered, annotations)
-    trace.phantom = choice.chosen
-    return trace
+    return RouteTrace(legs, annotations, choice.chosen)
 
 
 def _clamp(network: Network, x: float, y: float) -> Point:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .net import SINK
+
 # Phase tags of the sector-phantom pipeline.
 PHASE_DIRECT = "direct-to-sink"
 PHASE_DIRECTED = "directed"
@@ -18,43 +20,42 @@ PHASE_SHORTEST = "shortest-path"
 
 @dataclass
 class RouteTrace:
-    """Ordered node sequence for one packet.
+    """One packet's route, as the legs that carried it.
 
-    ``phases[i]`` tags the phase that delivered the packet to ``hops[i]``
-    (the first entry carries the tag of the first phase). ``phantom`` is
-    the node id the protocol used as its decoy destination, when it has
-    one. Undelivered packets keep their partial trace.
+    ``legs`` lists ``(phase, nodes)``; each leg starts on the node where
+    the one before it stopped, so a leg that makes no hop holds that one
+    node. ``phantom`` is the node id the protocol used as its decoy
+    destination, when it has one. Undelivered packets keep their partial
+    trace.
     """
 
-    hops: list[int]
-    phases: list[str]
-    delivered: bool
+    legs: list[tuple[str, list[int]]]
     annotations: list[str] = field(default_factory=list)
     phantom: int | None = None
+    hops: list[int] = field(init=False)     # the nodes in route order
 
     def __post_init__(self):
-        if len(self.hops) != len(self.phases):
-            raise ValueError("hops and phases must have equal length")
+        (_, hops), *rest = self.legs
+        self.hops = hops = list(hops)
+        for _, nodes in rest:
+            hops += nodes[1:]
+
+    @property
+    def phases(self) -> list[str]:
+        """``phases[i]`` tags the leg that brought the packet to
+        ``hops[i]``; the first entry carries the first leg's tag."""
+        return [self.legs[0][0]] + [phase for phase, nodes in self.legs
+                                    for _ in nodes[1:]]
+
+    @property
+    def delivered(self) -> bool:
+        """True when the last hop is the sink."""
+        return self.hops[-1:] == [SINK]
 
     @property
     def transmissions(self) -> int:
         """Number of radio transmissions the packet consumed."""
         return max(0, len(self.hops) - 1)
-
-
-def stitch(legs: list[tuple[list[int], str]], delivered: bool,
-           annotations: list[str] | None = None) -> RouteTrace:
-    """Concatenate routing legs, each starting where the one before ended.
-
-    The first node carries the first leg's phase tag; every later node
-    carries the tag of the leg that delivered the packet to it.
-    """
-    hops, phases = [legs[0][0][0]], [legs[0][1]]
-    for nodes, phase in legs:
-        hops += nodes[1:]
-        phases += [phase] * (len(nodes) - 1)
-    return RouteTrace(hops=hops, phases=phases, delivered=delivered,
-                      annotations=list(annotations or []))
 
 
 def enters_visible_area(trace: RouteTrace, network, source: int) -> bool:

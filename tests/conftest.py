@@ -68,7 +68,8 @@ def annulus_mean_radius(r_min, r_max):
 def validate_trace(network, trace, source):
     """Invariants every protocol's packet trace must satisfy."""
     assert trace.hops[0] == source
-    assert len(trace.phases) == len(trace.hops)
+    for (_, before), (_, after) in zip(trace.legs, trace.legs[1:]):
+        assert after[0] == before[-1], "a leg starts off the last one's end"
     for a, b in zip(trace.hops, trace.hops[1:]):
         assert b in network.neighbors(a), f"hop {a}->{b} is not a radio link"
     assert trace.delivered == (trace.hops[-1] == network.sink)

@@ -139,18 +139,8 @@ def test_same_hop_invariant(desk_net):
     phases = relaxed = 0
     for _ in range(500):
         t = route_packet(desk_net, frame, params, rng, domains=domains)
-        runs = []
-        cur = None
-        for node, phase in zip(t.hops, t.phases):
-            if phase == pn.trace.PHASE_SAME_HOP:
-                if cur is None:
-                    cur = []
-                cur.append(node)
-            elif cur is not None:
-                runs.append(cur)
-                cur = None
-        if cur is not None:
-            runs.append(cur)
+        runs = [nodes[1:] for phase, nodes in t.legs
+                if phase == pn.trace.PHASE_SAME_HOP and len(nodes) > 1]
         if not runs:
             continue
         phases += 1

@@ -18,8 +18,7 @@ def two_node_net():
 
 def test_one_hop_capture():
     net = two_node_net()
-    trace = RouteTrace(hops=[1, pn.SINK], phases=[PHASE_SHORTEST] * 2,
-                       delivered=True)
+    trace = RouteTrace([(PHASE_SHORTEST, [1, pn.SINK])])
     perch = observe_packet(net, pn.SINK, trace)
     assert perch == 1
     assert perch in net.disc(1, net.r0)
@@ -30,8 +29,7 @@ def test_short_traces_leave_the_perch_unchanged():
     # range of the perch.
     net = two_node_net()
     for perch, hops in product((pn.SINK, 1), ([], [0], [1])):
-        trace = RouteTrace(hops=hops, phases=[PHASE_SHORTEST] * len(hops),
-                           delivered=hops == [pn.SINK])
+        trace = RouteTrace([(PHASE_SHORTEST, hops)])
         assert observe_packet(net, perch, trace) == perch
 
 
@@ -42,8 +40,7 @@ def test_out_of_range_trace_leaves_state_unchanged(dense_net):
     far = ids[np.linalg.norm(pos[ids] - pos[pn.SINK], axis=1) > 900]
     a = int(far[0])
     b = int(dense_net.neighbors(a)[0])
-    trace = RouteTrace(hops=[a, b], phases=[PHASE_SHORTEST] * 2,
-                       delivered=False)
+    trace = RouteTrace([(PHASE_SHORTEST, [a, b])])
     assert observe_packet(dense_net, pn.SINK, trace) == pn.SINK
 
 
@@ -254,7 +251,7 @@ def test_enters_visible_area_matches_onset_reference(desk_net):
                                                        int(source))
             outcomes.add(got)
     assert outcomes == {True, False}
-    empty = RouteTrace(hops=[], phases=[], delivered=False)
+    empty = RouteTrace([(PHASE_SHORTEST, [])])
     assert not enters_visible_area(empty, desk_net, 1)
 
 
@@ -272,8 +269,7 @@ def test_replays_follow_the_reference_norms_at_the_radius():
     assert plain_distance(pos[2], pos[pn.SINK]) == net.r
     heard = {}
     for sender in (1, 2):
-        trace = RouteTrace(hops=[sender, pn.SINK],
-                           phases=[PHASE_SHORTEST] * 2, delivered=True)
+        trace = RouteTrace([(PHASE_SHORTEST, [sender, pn.SINK])])
         new = observe_packet(net, pn.SINK, trace)
         assert new == observe_packet_loop(net, pn.SINK, trace)
         heard[sender] = new == sender

@@ -47,8 +47,7 @@ class TestHbdrw:
         rng = np.random.default_rng(3)
         for _ in range(60):
             t = hbdrw_route(dense_net, src, 5, rng)
-            walk = [n for n, p in zip(t.hops, t.phases)
-                    if p == pn.trace.PHASE_WALK]
+            walk = dict(t.legs)[pn.trace.PHASE_WALK]
             fallback_steps = {int(a.split("@")[1]) for a in t.annotations}
             deltas = [int(dense_net.hops[b]) - int(dense_net.hops[a])
                       for a, b in zip(walk, walk[1:])]

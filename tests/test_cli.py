@@ -107,16 +107,21 @@ def test_analyze_flags_psspr_overhead_outside_its_geometry(H, outside, capsys):
 
 # A rejected input exits with the code of the first formula that rejects
 # it and prints nothing: a geometry error exits 2, a parameter error 1.
+# At h = 2 the default r_min is 1, so r0 = 1 is accepted with hx = 1.
 @pytest.mark.parametrize("argv, code", [
     (["--h", "15", "--H", "60", "--r0", "61"], 2),     # r0 past a path leg
     (["--h", "8", "--H", "60", "--rmin", "8", "--rmax", "12"], 1),  # hx = 0
     (["--h", "1", "--H", "60"], 2),                    # r0 = 3 past h = 1
     (["--h", "2"], 2),                                 # r0 = 3 past h = 2
-    (["--h", "2", "--r0", "1"], 1),                    # hx = 0 at r_min = 2
+    (["--h", "2", "--r0", "1"], 0),                    # hx = 1 at r_min = 1
 ], ids=["r0-past-leg", "hx-zero", "h1", "h2", "h2-r0-1"])
 def test_analyze_domain_error_exit_code(argv, code, capsys):
     assert main(["analyze", *argv]) == code
     captured = capsys.readouterr()
+    if code == 0:
+        assert "phantom_count_psspr  = 12.57" in captured.out.splitlines()
+        assert captured.err == ""
+        return
     assert captured.out == ""
     assert captured.err.startswith("runtime error: " if code == 2 else "error: ")
 

@@ -24,7 +24,7 @@ from phantomnet.baselines import _descend, _descend_to_sink, hbdrw_route
 from phantomnet.net import unit
 from phantomnet.psspr import (_directed_leg, _same_hop_leg, _var_angle_leg,
                               _walk, build_frame)
-from phantomnet.trace import PHASE_SHORTEST, PHASE_WALK, stitch
+from phantomnet.trace import PHASE_SHORTEST, PHASE_WALK, RouteTrace
 
 R = 100.0
 
@@ -212,10 +212,8 @@ def hbdrw_route_ref(network, source, walk_hops, rng):
         prev, cur = cur, int(cands[int(rng.integers(len(cands)))])
         walk.append(cur)
     tail = descend_ref(network, network.hops, cur, network.positions[pn.SINK])
-    out = stitch([(walk, PHASE_WALK), (tail, PHASE_SHORTEST)],
-                 delivered=True, annotations=annotations)
-    out.phantom = cur if cur != source else None
-    return out
+    return RouteTrace([(PHASE_WALK, walk), (PHASE_SHORTEST, tail)],
+                      annotations, cur if cur != source else None)
 
 
 def lattice_net():
@@ -325,10 +323,9 @@ def test_same_hop_leg_matches_numpy_reference(field):
 def test_visible_area_is_the_r0_disc_around_the_source(field):
     ids = field.reachable_sensor_ids()
     for src in ids[::97]:
-        frame = build_frame(field, int(src))
-        assert frame.visible == inside(field, (field.positions[src],
-                                               field.r0))
-        assert int(src) in frame.visible
+        visible = field.disc(int(src), field.r0)
+        assert visible == inside(field, (field.positions[src], field.r0))
+        assert int(src) in visible
 
 
 def test_hbdrw_route_matches_numpy_reference(field):

@@ -7,13 +7,16 @@ stays deterministic and leaves nothing on disk.
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import phantomnet as pn
 from conftest import validate_trace
 from phantomnet.errors import (ConnectivityError, EmptyDomain, EmptyRing,
                                InvalidParameter)
-from phantomnet.trace import PHASE_SAME_HOP, PHASE_VAR_ANGLE
+from phantomnet.trace import (PHASE_DIRECT, PHASE_DIRECTED,
+                              PHASE_PHANTOM_PATH, PHASE_SAME_HOP,
+                              PHASE_SHORTEST, PHASE_VAR_ANGLE, PHASE_WALK,
+                              RouteTrace)
 
 PACKETS = 10
 SETUP_ERRORS = (ConnectivityError, InvalidParameter, EmptyDomain, EmptyRing)
@@ -27,28 +30,15 @@ def route_session(network, protocol, source, h, omega, seed):
 
 
 def same_hop_runs(trace):
-    """Each same-hop run with the node it started from."""
-    runs, i = [], 0
-    while i < len(trace.phases):
-        if trace.phases[i] != PHASE_SAME_HOP:
-            i += 1
-            continue
-        j = i
-        while j < len(trace.phases) and trace.phases[j] == PHASE_SAME_HOP:
-            j += 1
-        runs.append(trace.hops[max(0, i - 1):j])
-        i = j
-    return runs
+    """Each same-hop leg, with the node it started from."""
+    return [nodes for phase, nodes in trace.legs if phase == PHASE_SAME_HOP]
 
 
 def opening_var_angle_run(trace):
-    """The hops of a trace's opening variable-angle run when another
-    phase follows it, else an empty list."""
-    rest = [i for i, phase in enumerate(trace.phases)
-            if phase != PHASE_VAR_ANGLE]
-    if trace.phases[0] != PHASE_VAR_ANGLE or not rest:
-        return []
-    return trace.hops[:rest[0]]
+    """The nodes of a trace's opening variable-angle leg when another
+    leg follows it, else an empty list."""
+    (phase, nodes), *rest = trace.legs
+    return nodes if phase == PHASE_VAR_ANGLE and rest else []
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -76,3 +66,47 @@ def test_route_invariants(n, seed, h, H, omega, protocol):
 
     again = route_session(network, protocol, source, h, omega, seed)
     assert [t.hops for t in again] == [t.hops for t in traces]
+
+
+def stitch_oracle(legs):
+    """Reference per-hop views of a leg list: the legs concatenated, each
+    starting where the one before ended. The first node carries the
+    first leg's tag; every later node carries the tag of the leg that
+    brought the packet to it."""
+    hops, phases = [legs[0][1][0]], [legs[0][0]]
+    for phase, nodes in legs:
+        hops += nodes[1:]
+        phases += [phase] * (len(nodes) - 1)
+    return hops, phases
+
+
+TAGS = [PHASE_DIRECT, PHASE_DIRECTED, PHASE_SAME_HOP, PHASE_VAR_ANGLE,
+        PHASE_WALK, PHASE_PHANTOM_PATH, PHASE_SHORTEST]
+
+
+@st.composite
+def leg_lists(draw):
+    """Legs on nodes 0..9 (0 is the sink), each starting where the one
+    before it stopped; a leg of one node makes no hop."""
+    start = draw(st.integers(0, 9))
+    legs = []
+    for phase in draw(st.lists(st.sampled_from(TAGS), min_size=1,
+                               max_size=6)):
+        nodes = [start] + draw(st.lists(st.integers(0, 9), max_size=4))
+        legs.append((phase, nodes))
+        start = nodes[-1]
+    return legs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(legs=leg_lists())
+@example(legs=[(PHASE_DIRECT, [3])])
+@example(legs=[(PHASE_DIRECTED, [3]), (PHASE_SAME_HOP, [3]),
+               (PHASE_VAR_ANGLE, [3, pn.SINK])])
+def test_legs_give_the_stitched_hops_and_phases(legs):
+    kept = [(phase, list(nodes)) for phase, nodes in legs]
+    trace = RouteTrace(legs)
+    assert (trace.hops, trace.phases) == stitch_oracle(legs)
+    assert trace.delivered == (trace.hops[-1] == pn.SINK)
+    assert trace.transmissions == len(trace.hops) - 1
+    assert trace.legs == kept       # deriving the views copies, not edits

@@ -24,7 +24,7 @@ class TestFrame:
         frame = build_frame(net, 1)
         assert np.allclose(frame.center_v, [4000, 3000])
         assert np.allclose(frame.x_axis, [1, 0])
-        assert frame.h_distance == 1
+        assert net.hop_list[1] == 1
 
     def test_vertical_source(self):
         net = make_line_network([[3000, 3000], [3000, 5000]], r=2100.0)
@@ -223,12 +223,10 @@ class TestVariableAngle:
         ok = 0
         for _ in range(100):
             s = int(pool[rng.integers(len(pool))])
-            frame = build_frame(dense_net, s)
-            nodes, reached = _var_angle_leg(dense_net, s,
-                                            4 * frame.h_distance)
+            h = dense_net.hop_list[s]
+            nodes, reached = _var_angle_leg(dense_net, s, 4 * h)
             assert reached
-            if (nodes[-1] == pn.SINK
-                    and frame.h_distance <= len(nodes) - 1 <= 1.5 * frame.h_distance):
+            if nodes[-1] == pn.SINK and h <= len(nodes) - 1 <= 1.5 * h:
                 ok += 1
         assert ok >= 90
 
@@ -285,6 +283,14 @@ class TestRoutePacket:
             np.random.default_rng(0))
         assert t.hops == [1, pn.SINK]
         assert t.phases == [PHASE_DIRECT, PHASE_DIRECT]
+        assert t.delivered
+
+    def test_direct_send_from_the_sinks_position(self):
+        # No source frame exists at distance 0, and none is built.
+        net = make_line_network([[500, 500], [500, 500], [560, 500]],
+                                r=100.0, field_side=1000.0)
+        t = pn.make_router(net, "psspr", 1, h=1, omega=2)(None)
+        assert t.legs == [(PHASE_DIRECT, [1, pn.SINK])]
         assert t.delivered
 
     def test_delivered_trace_endpoints(self, dense_net):
