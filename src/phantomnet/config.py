@@ -1,8 +1,8 @@
 """Experiment configuration: flat key = value files with # comments.
 
 An empty file yields the desk-scale defaults: the published field is
-10000 nodes on 6000m x 6000m with r = 100m, and the defaults keep that
-node density on a 2700m x 2700m field so full sweeps finish on a desk.
+10000 nodes on 6000m x 6000m with r = 100m (``configs/paper.cfg``), and
+the defaults keep that node density on a 2700m x 2700m field.
 Arrays are comma-separated; exactly one of ``h`` and ``H`` may be a list
 and becomes the sweep axis.
 """

@@ -26,8 +26,8 @@ UNREACHABLE = -1
 # index can never put two nodes at exactly r in cells two apart.
 CELL_MARGIN = 1e-6
 
-# Cell offsets (di, dj) that meet every neighboring cell pair once.
-HALF_NEIGHBORHOOD = ((0, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
+# Nodes per block of the radius graph's pair test, which bounds its memory.
+GRAPH_BLOCK = 512
 
 
 class Network:
@@ -36,10 +36,9 @@ class Network:
     Holds node positions, a uniform grid of cells at least r wide with
     the nodes binned into it, the radius-r neighbor graph built from
     that grid (CSR arrays ``indptr``/``indices``, each row sorted), and
-    the flooded minimum hop counts, with Python copies for the per-hop
-    kernels: ``xs``/``ys`` (``array('d')`` columns), ``sink_dist`` (each
-    node's distance to the sink, equal to ``dist(n, *sink)``) and
-    ``hop_list``.
+    the flooded minimum hop counts, with Python forms for the per-hop
+    kernels: memoryviews of the CSR arrays, ``xs``/``ys`` (``array('d')``
+    columns), ``sink_dist`` (equal to ``dist(n, *sink)``) and ``hop_list``.
     Its only mutable parts are per-node tables, each filled the first
     time a walk or replay asks for a node: the neighbor tuples, the two
     sink orderings, the hop rings, the discs, and ``sink_next_hop``, each
@@ -83,6 +82,7 @@ class Network:
 
         self.indptr, self.indices = _radius_graph(
             x[order], y[order], self.r, keys, self.nx, self.ny, start, order)
+        self._ptr, self._ind = map(memoryview, (self.indptr, self.indices))
         self.hops = self._flood(SINK)
         self.hops.setflags(write=False)
         self.hop_list = self.hops.tolist()
@@ -103,9 +103,8 @@ class Network:
         first use; ``node`` is not range-checked (every hop calls this)."""
         nbrs = self._neighbors[node]
         if nbrs is None:
-            lo, hi = self.indptr[node:node + 2].tolist()
-            nbrs = self._neighbors[node] = tuple(
-                self.indices[lo:hi].tolist())
+            lo, hi = self._ptr[node:node + 2]
+            nbrs = self._neighbors[node] = tuple(self._ind[lo:hi])
         return nbrs
 
     # Stable sorts and filters of the neighbor tuple: the first admissible
@@ -128,21 +127,21 @@ class Network:
             xs, ys = self.xs, self.ys
             cx, cy = xs[node], ys[node]
             tx, ty = unit(xs[SINK] - cx, ys[SINK] - cy)
-
-            def key(n: int) -> float:
-                if n == SINK:
-                    # Its angle is zero by definition; no rounding of its
-                    # cosine may rank another neighbor ahead of it.
-                    return -2.0
+            pairs = []  # (key, id): equal keys keep the ids' order
+            for n in self.neighbors(node):
                 vx = xs[n] - cx
                 vy = ys[n] - cy
                 length = math.sqrt(vx * vx + vy * vy)
                 if length == 0.0:
                     raise InvalidParameter(
                         f"nodes {node} and {n} share a position")
-                return -min(1.0, max(-1.0, (vx * tx + vy * ty) / length))
-            ranked = self._by_sink_angle[node] = tuple(
-                sorted(self.neighbors(node), key=key))
+                cos = (vx * tx + vy * ty) / length
+                # The sink ranks first whatever its cosine rounds to; the
+                # rest by -min(1.0, max(-1.0, cos)), without the two calls.
+                pairs.append((-2.0 if n == SINK else -cos if -1.0 < cos < 1.0
+                              else -1.0 if cos >= 1.0 else 1.0, n))
+            pairs.sort()
+            ranked = self._by_sink_angle[node] = tuple([n for _, n in pairs])
         return ranked
 
     def hop_rings(self, node: int) -> tuple[tuple[int, ...], ...]:
@@ -340,8 +339,7 @@ def deploy(n_nodes: int, field_side: float, r: float, r0: float,
 def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenated ``range(s, s + c)`` for each pair of the two arrays."""
     ends = np.cumsum(counts)
-    return (np.arange(ends[-1] if len(ends) else 0)
-            + np.repeat(starts - ends + counts, counts))
+    return np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
 
 
 def _radius_graph(xs: np.ndarray, ys: np.ndarray, r: float,
@@ -353,36 +351,38 @@ def _radius_graph(xs: np.ndarray, ys: np.ndarray, r: float,
 
     ``xs``, ``ys`` and the cell keys j * nx + i are in cell order, entry
     p holding node ``cell_nodes[p]``. Cells are at least r wide, so a pair
-    within r sits in the same or in adjacent cells: each node meets the
-    nodes after it in its own cell and those of the cells at the other
-    offsets of HALF_NEIGHBORHOOD, which meet each adjacent cell pair once.
+    within r sits in the same or in adjacent cells. Entry p meets each
+    such pair once, in two runs of the cell order: the rest of its own
+    cell with the next cell of its row, and the up to three cells of the
+    row above. GRAPH_BLOCK entries are tested at a time.
     """
-    r2 = r * r
     n = len(xs)
-    cj, ci = np.divmod(keys, nx)
-
-    def edge_keys(di: int, dj: int) -> list[np.ndarray]:
-        ti, tj = ci + di, cj + dj
-        p = np.flatnonzero((ti >= 0) & (ti < nx) & (tj < ny))
-        key = keys[p] + (dj * nx + di)
-        lo = p + 1 if (di, dj) == (0, 0) else cell_start[key]
-        counts = cell_start[key + 1] - lo
-        pp = np.repeat(p, counts)
-        qq = _spans(lo, counts)
-        d2, dy = xs[pp], ys[pp]  # dx*dx + dy*dy, in place
-        d2 -= xs[qq]
-        d2 *= d2
-        dy -= ys[qq]
-        dy *= dy
-        d2 += dy
-        keep = np.flatnonzero(d2 <= r2)
-        u, v = cell_nodes[pp[keep]], cell_nodes[qq[keep]]
-        return [u * n + v, v * n + u]
-
-    indices = np.concatenate([k for offset in HALF_NEIGHBORHOOD
-                              for k in edge_keys(*offset)])
+    ci = keys % nx
+    right = ci < nx - 1
+    # (start, end) of each entry's two runs; past the top row the row
+    # above clips to the empty run at the end.
+    runs = np.stack([np.arange(1, n + 1), cell_start[keys + 1 + right],
+                     cell_start[np.minimum(keys + nx - (ci > 0), nx * ny)],
+                     cell_start[np.minimum(keys + nx + 1 + right, nx * ny)]],
+                    axis=1).reshape(2 * n, 2)
+    runs[:, 1] -= runs[:, 0]  # (start, count)
+    counts = runs[:, 1].reshape(n, 2).sum(axis=1)
+    # An edge's key is u << bits | v: sorted, the keys run by u, then v.
+    bits = n.bit_length()
+    found = []
+    for b in range(0, n, GRAPH_BLOCK):
+        e = b + GRAPH_BLOCK
+        c = counts[b:e]
+        qq = _spans(runs[2 * b:2 * e, 0], runs[2 * b:2 * e, 1])
+        dx = np.repeat(xs[b:e], c) - xs[qq]
+        dy = np.repeat(ys[b:e], c) - ys[qq]
+        keep = np.flatnonzero(dx * dx + dy * dy <= r * r)
+        u, v = np.repeat(cell_nodes[b:e], c)[keep], cell_nodes[qq[keep]]
+        found += [(u << bits) | v, (v << bits) | u]
+    indices = np.concatenate(found)
+    del found
     indices.sort()
-    np.remainder(indices, n, out=indices)
+    np.bitwise_and(indices, (1 << bits) - 1, out=indices)
     # Every edge is stored both ways: row u has one entry per entry u.
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(indices, minlength=n), out=indptr[1:])

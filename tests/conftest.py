@@ -32,15 +32,19 @@ def sweep_rows():
 
 
 def brute_force_adjacency(positions, r):
-    """Quadratic all-pairs adjacency, the oracle for the cell-grid CSR graph."""
+    """Quadratic all-pairs adjacency, the oracle for the cell-grid CSR graph.
+
+    The squared distances are computed 256 rows at a time, so a field of
+    a few thousand nodes stays a few MB."""
     n = len(positions)
-    diff = positions[:, None, :] - positions[None, :, :]
-    d2 = np.sum(diff * diff, axis=2)
     out = []
-    for i in range(n):
-        mask = d2[i] <= r * r
-        mask[i] = False
-        out.append(np.flatnonzero(mask))
+    for lo in range(0, n, 256):
+        diff = positions[lo:lo + 256, None, :] - positions[None, :, :]
+        d2 = np.sum(diff * diff, axis=2)
+        for i in range(lo, min(lo + 256, n)):
+            mask = d2[i - lo] <= r * r
+            mask[i] = False
+            out.append(np.flatnonzero(mask))
     return out
 
 

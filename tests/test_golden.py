@@ -6,6 +6,9 @@ the move to the scipy-free cell grid. Any change to deployment,
 adjacency, flooding, routing, the adversary or aggregation that moves a
 single output byte fails here. Regenerate the file only for a change
 that means to alter results, and say so in CHANGES.md.
+
+``configs/paper.cfg``, the published scale, is pinned by the SHA-256 of
+its CSV.
 """
 
 import hashlib
@@ -13,11 +16,13 @@ from pathlib import Path
 
 import pytest
 
-from phantomnet.config import ExperimentConfig
+from phantomnet.config import ExperimentConfig, load_config
 from phantomnet.harness import emit_csv, run_experiment
 
 GOLDEN = Path(__file__).parent / "data" / "golden_small.csv"
 GOLDEN_SHA256 = "b7067addb6c123fae6438fe9e936aa4be283af9c5321034a892c274e187adc6c"
+PAPER = Path(__file__).parents[1] / "configs" / "paper.cfg"
+PAPER_SHA256 = "273aaecbf0135e8b4a3ce8deb21de8f73a262a14dd86e6a1400da13b63c90c7d"
 
 
 def test_golden_file_is_intact():
@@ -33,3 +38,11 @@ def test_small_sweep_matches_golden_bytes(tmp_path, max_workers):
     out = tmp_path / "golden.csv"
     emit_csv(run_experiment(cfg, max_workers=max_workers), str(out))
     assert out.read_bytes() == GOLDEN.read_bytes()
+
+
+def test_paper_scale_sweep_matches_pinned_hash(tmp_path):
+    # 720 runs on 30 fields of 10,000 nodes; two workers halve the wait,
+    # and the worker count moves no byte (the golden test runs both).
+    out = tmp_path / "paper.csv"
+    emit_csv(run_experiment(load_config(str(PAPER)), max_workers=2), str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PAPER_SHA256

@@ -8,7 +8,8 @@ from scipy.spatial import cKDTree
 
 import phantomnet as pn
 from phantomnet.errors import ConnectivityError, InvalidParameter
-from phantomnet.net import CELL_MARGIN, project, row_norms, unit
+from phantomnet.net import (CELL_MARGIN, GRAPH_BLOCK, project, row_norms,
+                            unit)
 
 from conftest import bfs_oracle, brute_force_adjacency
 
@@ -183,6 +184,7 @@ def check_grid_and_csr(net):
 # r = 150 across a boundary; and two nodes.
 ONE_CELL = [[500.0, 500.0]] + (random_field(8, 40, 60.0) + 470.0).tolist()
 ONE_ROW = (random_field(9, 30, 1000.0) * [1.0, 0.05]).tolist()
+ONE_COLUMN = (random_field(10, 30, 1000.0) * [0.05, 1.0]).tolist()
 ON_BOUNDARIES = ([[0.0, 0.0], [1000.0, 1000.0], [1000.0, 0.0], [0.0, 1000.0],
                   [200.0, 200.0], [200.0, 50.0], [290.0, 320.0],
                   [110.0, 80.0], [400.0, 400.0], [400.0, 550.0],
@@ -193,6 +195,7 @@ ON_BOUNDARIES = ([[0.0, 0.0], [1000.0, 1000.0], [1000.0, 0.0], [0.0, 1000.0],
 DEGENERATE_FIELDS = {
     "one_cell": (ONE_CELL, 100.0),
     "one_row": (ONE_ROW, 100.0),
+    "one_column": (ONE_COLUMN, 100.0),
     "on_boundaries": (ON_BOUNDARIES, 150.0),
     "two_nodes": ([[500.0, 500.0], [560.0, 580.0]], 100.0),
 }
@@ -211,8 +214,27 @@ def test_grid_and_csr_on_degenerate_fields(name):
         assert (net.nx, net.ny) == (1, 1)
     if name == "one_row":
         assert net.ny == 1 < net.nx
+    if name == "one_column":
+        assert net.nx == 1 < net.ny
     if name == "on_boundaries":
         assert net.cell == 200.0 and (net.nx, net.ny) == (6, 6)
+
+
+# Fields of more nodes than one block of the radius graph, so that
+# candidate pairs meet across a block seam: many blocks, and one block
+# plus a last block of a single node.
+BLOCK_SEAM_FIELDS = {
+    "many_blocks": (random_field(11, 2500, 1500.0, on_edges=10), 60.0),
+    "block_plus_one": (random_field(12, GRAPH_BLOCK + 1, 1000.0), 73.0),
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_SEAM_FIELDS)
+def test_grid_and_csr_across_block_seams(name):
+    positions, r = BLOCK_SEAM_FIELDS[name]
+    net = pn.Network(np.array(positions), r=r, r0=r, field_side=1500.0)
+    assert len(net) > GRAPH_BLOCK
+    check_grid_and_csr(net)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -446,8 +468,40 @@ def test_co_located_sensors_raise_a_named_error():
     net = pn.Network(np.array([[0.0, 0.0], [150.0, 0.0], [150.0, 0.0],
                                [80.0, 0.0]]),
                      r=100.0, r0=100.0, field_side=150.0)
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(InvalidParameter,
+                       match=r"^nodes 1 and 2 share a position$"):
         net.by_sink_angle(1)
+    # Two neighbors share node 3's position: the lower id is named.
+    with pytest.raises(InvalidParameter,
+                       match=r"^nodes 3 and 1 share a position$"):
+        pn.Network(np.array([[0.0, 0.0], [150.0, 0.0], [150.0, 0.0],
+                             [150.0, 0.0]]),
+                   r=100.0, r0=100.0, field_side=150.0).by_sink_angle(3)
+
+
+@pytest.mark.parametrize("above", [2, 3])
+def test_equal_angles_keep_id_order(above):
+    # Node 1 looks straight at the sink along +x. Nodes 2 and 3 mirror
+    # each other across that line, so their cosines are the same float
+    # (their products with ty = 0.0 are 0.0 and -0.0); node 4 is on the
+    # line, and node 5 beside node 1. Whichever of 2 and 3 is above, the
+    # lower id comes first, after the sink and the collinear node.
+    below = 5 - above
+    pts = np.zeros((6, 2))
+    pts[[0, 1, above, below, 4, 5]] = [[500.0, 500.0], [400.0, 500.0],
+                                       [450.0, 530.0], [450.0, 470.0],
+                                       [450.0, 500.0], [400.0, 560.0]]
+    net = pn.Network(pts, r=100.0, r0=100.0, field_side=1000.0)
+    assert net.neighbors(1) == (pn.SINK, 2, 3, 4, 5)
+    assert net.by_sink_angle(1) == (pn.SINK, 4, 2, 3, 5)
+
+
+def test_neighbor_tuples_are_csr_rows_of_python_ints(oracle_net):
+    indptr, indices = oracle_net.indptr.tolist(), oracle_net.indices.tolist()
+    for node in range(len(oracle_net)):
+        nbrs = oracle_net.neighbors(node)
+        assert list(nbrs) == indices[indptr[node]:indptr[node + 1]]
+        assert all(type(n) is int for n in nbrs)
 
 
 def test_tables_are_built_once(small_net):
