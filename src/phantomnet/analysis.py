@@ -175,8 +175,7 @@ def comm_overhead(protocol: str, params: SectorParams, H: int) -> float:
         return R + (v1 + v2) / (2.0 * gamma)
 
     if protocol == "psspr":
-        mu = params.omega
-        theta = math.pi / mu
+        mu, theta = params.omega, params.theta
         r_max = params.r_max
         if H < r_max:
             raise DomainError(f"H={H} < r_max={r_max}: the annulus reaches "
@@ -201,24 +200,21 @@ def _quad(f, a: float, b: float) -> float:
     return half * float(weights @ [f(mid + half * t) for t in nodes])
 
 
-def make_tables(mc_samples: int = 200_000) -> dict[str, list[dict]]:
-    """Regenerate the three reference tables over h in {5,...,30}, each
-    as its rows, a row mapping each column name to its value."""
-    tables: dict[str, list[dict]] = {"table2": [], "table3": [], "table4": []}
+def make_tables() -> list[dict]:
+    """Regenerate the reference tables over h in {5,...,30}: one row per
+    preset (h, r_min, r_max), mapping every column of tables 2-4 to its
+    value."""
+    rows: list[dict] = []
     for h, (r_min, r_max) in RMIN_RMAX_PRESETS.items():
-        keys = {"h": h, "r_min": r_min, "r_max": r_max}
-        tables["table2"].append({
-            **keys, "hbdrw_over_pusbrf": ratio_hbdrw_over_pusbrf(h),
-            "pusbrf_over_psspr": ratio_pusbrf_over_psspr(h, r_min, r_max)})
-        mc, _ = psspr_distance_mc(r_min, r_max, n_samples=mc_samples,
-                                  rng=np.random.default_rng(h))
-        tables["table3"].append({
-            **keys,
+        mc, _ = psspr_distance_mc(r_min, r_max, rng=np.random.default_rng(h))
+        rows.append({
+            "h": h, "r_min": r_min, "r_max": r_max,
+            "hbdrw_over_pusbrf": ratio_hbdrw_over_pusbrf(h),
+            "pusbrf_over_psspr": ratio_pusbrf_over_psspr(h, r_min, r_max),
             "distance_mc": mc,  # authoritative annulus mean, hop units
             # the broken printed integral, shown for contrast
-            "distance_printed": psspr_distance_printed(r_min, r_max, H_PRINTED)})
-        tables["table4"].append({
-            **keys, "n_hbdrw": phantom_count_hbdrw(h),
+            "distance_printed": psspr_distance_printed(r_min, r_max, H_PRINTED),
+            "n_hbdrw": phantom_count_hbdrw(h),
             "n_pusbrf": phantom_count_pusbrf(h),
             "n_psspr": phantom_count_psspr(r_min, r_max, h - r_min)})
-    return tables
+    return rows

@@ -18,7 +18,7 @@ import sys
 from . import analysis
 from .config import ExperimentConfig, load_config
 from .errors import DomainError, InvalidParameter, ParseError, PhantomNetError
-from .harness import RunSpec, emit_csv, run_experiment, start_run
+from .harness import RunSpec, emit_csv, run_experiment, start_run, write_csv
 from .protocols import PROTOCOLS, make_router
 
 
@@ -98,25 +98,23 @@ _TABLES = (
 
 
 def cmd_tables(args) -> int:
-    tables = analysis.make_tables()
+    rows = analysis.make_tables()
     for k, (name, title, cols) in enumerate(_TABLES):
         if k:
             print()
         print(title)
         print(" ".join(f"{label:>{width}}" for _, label, width, _ in cols))
-        for row in tables[name]:
+        for row in rows:
             print(" ".join(f"{row[field]:>{width}{fmt}}"
                            for field, _, width, fmt in cols))
 
     if args.csv_dir:
         os.makedirs(args.csv_dir, exist_ok=True)
         for name, _, cols in _TABLES:
-            with open(os.path.join(args.csv_dir, f"{name}.csv"), "w",
-                      encoding="utf-8") as fh:
-                fh.write(",".join(field for field, *_ in cols) + "\n")
-                for row in tables[name]:
-                    fh.write(",".join(f"{row[field]:{fmt}}"
-                                      for field, _, _, fmt in cols) + "\n")
+            write_csv(os.path.join(args.csv_dir, f"{name}.csv"),
+                      [field for field, *_ in cols],
+                      ([f"{row[field]:{fmt}}" for field, _, _, fmt in cols]
+                       for row in rows))
     return 0
 
 
@@ -164,7 +162,12 @@ def cmd_trace(args) -> int:
     network, source, rng = start_run(RunSpec(args.protocol, args.h, args.H,
                                              args.seed, config.validate()))
     if args.network_out:
-        network.dump_csv(args.network_out)
+        degree = (network.indptr[1:] - network.indptr[:-1]).tolist()
+        write_csv(args.network_out,
+                  ["id", "x", "y", "hop_to_sink", "neighbor_count"],
+                  ([str(i), f"{x:.6f}", f"{y:.6f}", str(hop), str(deg)]
+                   for i, (x, y, hop, deg) in enumerate(zip(
+                       network.xs, network.ys, network.hop_list, degree))))
     trace = make_router(network, args.protocol, source, h=args.h,
                         omega=config.omega)(rng)
     print("packet_id,hop_index,node_id,phase")    # one packet, id 0

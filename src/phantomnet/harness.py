@@ -1,4 +1,4 @@
-"""Experiment orchestration: seed sweeps, aggregation, and CSV emission.
+"""Experiment orchestration: seed sweeps, aggregation, and the CSV writer.
 
 Runs are independent (protocol x sweep point x seed) and may execute in
 parallel, each worker process taking every run of the seeds dealt to
@@ -12,7 +12,8 @@ from __future__ import annotations
 import os
 import sys
 from contextlib import ExitStack
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -189,15 +190,21 @@ def _attempt(fn, *args):
         return exc.with_traceback(None)
 
 
+def write_csv(path: str, header: Sequence[str],
+              rows: Iterable[Sequence[str]]) -> None:
+    """Write a CSV file: the header line, then one line per row, each
+    cell already formatted as text."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
 def emit_csv(rows: list[AggregateRow], path: str) -> None:
     """Write aggregate rows under a header of their field names, floats
     with 6 decimals."""
     if not rows:
         raise InvalidParameter("refusing to write an empty results file")
-    names = [f.name for f in fields(AggregateRow)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in rows:
-            values = (getattr(row, name) for name in names)
-            fh.write(",".join(f"{v:.6f}" if isinstance(v, float) else str(v)
-                              for v in values) + "\n")
+    write_csv(path, [f.name for f in fields(AggregateRow)],
+              ([f"{v:.6f}" if isinstance(v, float) else str(v)
+                for v in astuple(row)] for row in rows))

@@ -259,16 +259,6 @@ class Network:
         ids = np.flatnonzero(self.hops != UNREACHABLE)
         return ids[ids != SINK]
 
-    def dump_csv(self, path) -> None:
-        """One row per node: id, x, y, hop_to_sink, neighbor_count."""
-        degree = np.diff(self.indptr)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("id,x,y,hop_to_sink,neighbor_count\n")
-            for i in range(len(self.positions)):
-                x, y = self.positions[i]
-                fh.write(f"{i},{x:.6f},{y:.6f},{int(self.hops[i])},"
-                         f"{degree[i]}\n")
-
 
 # Distances are sqrt(x*x + y*y) and projections x*ux + y*uy, each product
 # and sum rounded on its own: Python floats and numpy's elementwise ufuncs

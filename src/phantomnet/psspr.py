@@ -199,13 +199,29 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
     cap = 4 * params.r_max
     budget = 4 * network.hop_list[source]
 
-    # A plan lists legs as (phase, leg function, its arguments after the
-    # start node, its keyword arguments, restart). Each leg starts where
-    # the one before it stopped and is told the relay the packet came
-    # from, so as not to bounce straight back. A leg that makes no hop
-    # hands that relay on; with restart it hands on its own start, which
-    # the next leg can never step to. Only the away leg restarts, and the
-    # pinned traces depend on it.
+    # Each leg starts where the one before it stopped and is told the
+    # relay the packet came from, so as not to bounce straight back. A leg
+    # that makes no hop hands that relay on; with restart it hands on its
+    # own start, which the next leg can never step to. Only the away leg
+    # restarts, and the pinned traces depend on it.
+    cur, prev = source, None
+    legs: list[tuple[str, list[int]]] = []
+
+    def leg(phase, walk, *args, restart=False, **kwargs):
+        """Run one leg from where the packet stands and hand the packet
+        on; returns the walk's second result (reached, or the same-hop
+        annotations)."""
+        nonlocal cur, prev
+        nodes, out = walk(network, cur, *args, prev=prev, **kwargs)
+        legs.append((phase, nodes))
+        prev = nodes[-2] if len(nodes) > 1 else (cur if restart else prev)
+        cur = nodes[-1]
+        return out
+
+    # A first leg that misses its anchor abandons the packet where it
+    # stopped. Any other leg that fails hands the packet on from there.
+    # The trace counts as delivered when its last hop is the sink.
+    annotations: list[str] = []
     fx, fy = frame.x_axis
     if (chosen_pos[0] - bx) * fx + (chosen_pos[1] - by) * fy > frame.v_x:
         # Phantom on the source side of V: directed first, then away from
@@ -214,54 +230,37 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
         # leg from the phantom onward steers around the visible area.
         away_radius = min(ring_radius, frame.corner_reach - r)
         away = _toward(network, (sx, sy), chosen_pos, away_radius)
-        avoid = {"keep_out": network.disc(source, network.r0)}
-        plan = [
-            (PHASE_DIRECTED, _directed_leg, (chosen_pos, cap), {}, False),
-            (PHASE_DIRECTED, _directed_leg, (away, cap),
-             {"min_dist_from": ((sx, sy), away_radius), **avoid}, True),
-            (PHASE_SAME_HOP, _same_hop_leg, (h_m, frame, None), avoid, False),
-            (PHASE_VAR_ANGLE, _var_angle_leg, (budget,), avoid, False)]
+        keep_out = network.disc(source, network.r0)
+        if leg(PHASE_DIRECTED, _directed_leg, chosen_pos, cap):
+            leg(PHASE_DIRECTED, _directed_leg, away, cap, restart=True,
+                min_dist_from=((sx, sy), away_radius), keep_out=keep_out)
+            annotations = leg(PHASE_SAME_HOP, _same_hop_leg, h_m, frame, None,
+                              keep_out=keep_out)
+            leg(PHASE_VAR_ANGLE, _var_angle_leg, budget, keep_out=keep_out)
     else:
         # Phantom on the sink side of V: mirrored phase order. Variable-
-        # angle routing runs until the packet enters the mirrored ring, the
-        # same-hop walk slides along it toward the mirror anchor, and
-        # directed routing passes the anchor and the phantom into the sink.
-        # These legs run before the phantom, so the visible-area keep-out
-        # does not bind them; the phantom-to-sink tail near the sink cannot
-        # reach the source's disc in the first place.
-        plan = [(PHASE_VAR_ANGLE, _var_angle_leg, (budget,),
-                 {"ring": ring_radius}, False),
-                (PHASE_SAME_HOP, _same_hop_leg, (h_m, frame, choice.a_mirror),
-                 {}, False)]
-        # Visit the mirror anchor only when it physically exists in the
-        # field; a mirrored ring wider than the field has no node near it.
-        vx, vy = frame.center_v
-        ux, uy = unit(xs[choice.p1] - sx, ys[choice.p1] - sy)
-        raw = (2.0 * vx - sx - ring_radius * ux,
-               2.0 * vy - sy - ring_radius * uy)
-        targets = [(chosen_pos, cap, choice.chosen), ((bx, by), budget, sink)]
-        if _clamp(network, *raw) == raw:    # inside the field
-            targets.insert(0, (choice.a_mirror, cap, None))
-        plan += [(PHASE_DIRECTED, _directed_leg, (target, hops),
-                  {"stop_node": stop}, False) for target, hops, stop in targets]
-
-    # A first leg that misses its anchor abandons the packet where it
-    # stopped. Any other leg that fails hands the packet on from there.
-    # The trace counts as delivered when its last hop is the sink. The
-    # sink-side variable-angle leg stops on entering its ring, r_max*r >=
-    # 2r, so never steps on the sink.
-    cur, prev = source, None
-    legs: list[tuple[str, list[int]]] = []
-    annotations: list[str] = []
-    for phase, leg, args, kwargs, restart in plan:
-        nodes, out = leg(network, cur, *args, prev=prev, **kwargs)
-        legs.append((phase, nodes))
-        if phase == PHASE_SAME_HOP:
-            annotations.extend(out)
-        elif len(legs) == 1 and not out:
-            break
-        prev = nodes[-2] if len(nodes) > 1 else (cur if restart else prev)
-        cur = nodes[-1]
+        # angle routing runs until the packet enters the mirrored ring
+        # (r_max*r >= 2r, so it never steps on the sink), the same-hop walk
+        # slides along it toward the mirror anchor, and directed routing
+        # passes the anchor and the phantom into the sink. These legs run
+        # before the phantom, so the visible-area keep-out does not bind
+        # them; the phantom-to-sink tail near the sink cannot reach the
+        # source's disc in the first place.
+        if leg(PHASE_VAR_ANGLE, _var_angle_leg, budget, ring=ring_radius):
+            annotations = leg(PHASE_SAME_HOP, _same_hop_leg, h_m, frame,
+                              choice.a_mirror)
+            # Visit the mirror anchor only when it lies in the field; a
+            # mirrored ring wider than the field has no node near it.
+            vx, vy = frame.center_v
+            ux, uy = unit(xs[choice.p1] - sx, ys[choice.p1] - sy)
+            raw = (2.0 * vx - sx - ring_radius * ux,
+                   2.0 * vy - sy - ring_radius * uy)
+            if _clamp(network, *raw) == raw:    # inside the field
+                leg(PHASE_DIRECTED, _directed_leg, choice.a_mirror, cap)
+            leg(PHASE_DIRECTED, _directed_leg, chosen_pos, cap,
+                stop_node=choice.chosen)
+            leg(PHASE_DIRECTED, _directed_leg, (bx, by), budget,
+                stop_node=sink)
     return RouteTrace(legs, annotations, choice.chosen)
 
 

@@ -59,8 +59,7 @@ class Check:
 
 def test_table4_regeneration():
     c = Check("table-4 phantom counts", 1.0)
-    tables = an.make_tables(mc_samples=10_000)
-    for row in tables["table4"]:
+    for row in an.make_tables():
         exp = TABLE4[row["h"]]
         for got, want, label in ((row["n_hbdrw"], exp[0], "hbdrw"),
                                  (row["n_pusbrf"], exp[1], "pusbrf"),

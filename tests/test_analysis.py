@@ -188,17 +188,16 @@ class TestCommOverhead:
 
 class TestTables:
     def test_table3_presets_literal(self):
-        tables = an.make_tables(mc_samples=20_000)
-        presets = {(row["h"], row["r_min"], row["r_max"])
-                   for row in tables["table3"]}
+        rows = an.make_tables()
+        presets = {(row["h"], row["r_min"], row["r_max"]) for row in rows}
         assert presets == {(5, 4, 6), (10, 8, 12), (15, 12, 18),
                            (20, 16, 24), (25, 22, 28), (30, 26, 32)}
-        for row in tables["table3"]:
+        for row in rows:
             assert row["r_min"] <= row["distance_mc"] <= row["r_max"]
 
     def test_tables_are_deterministic(self):
-        a = an.make_tables(mc_samples=20_000)
-        b = an.make_tables(mc_samples=20_000)
+        a = an.make_tables()
+        b = an.make_tables()
         assert a == b
 
     def test_rmin_rmax_pattern_for_off_table_h(self):

@@ -166,13 +166,24 @@ def test_trace_outputs_csv(small_field, capsys):
         assert pkt == "0" and int(idx) == i
 
 
+# sha256 of the --network-out dump of the 800-node field on 1500 m, seed 7.
+NETWORK_DUMP_SHA256 = (
+    "f88a047ce048475975567ddc791dcd01cdcd0c7e7b2e27105f6257fe94219adb")
+
+
 def test_trace_network_dump(tmp_path, small_field, capsys):
     out = tmp_path / "field.csv"
     rc = main(["trace", "--protocol", "shortest-path", "--seed", "7",
                "--h", "4", *small_field(), "--network-out", str(out)])
     assert rc == 0
     capsys.readouterr()
-    assert out.read_text().startswith("id,x,y,hop_to_sink,neighbor_count")
+    lines = out.read_text().splitlines()
+    assert lines[0] == "id,x,y,hop_to_sink,neighbor_count"
+    # The header, then one row per node: the sink and every sensor.
+    assert len(lines) == 1 + 1 + SMALL_FIELD["n_nodes"]
+    sink = lines[1].split(",")
+    assert sink[0] == "0" and sink[3] == "0"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == NETWORK_DUMP_SHA256
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)

@@ -344,16 +344,6 @@ def test_deterministic_deployment(seed):
         assert np.array_equal(a.neighbors(i), b.neighbors(i))
 
 
-def test_network_dump_csv(small_net, tmp_path):
-    path = tmp_path / "net.csv"
-    small_net.dump_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "id,x,y,hop_to_sink,neighbor_count"
-    assert len(lines) == len(small_net) + 1
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[3] == "0"
-
-
 # Offsets of length exactly r = 100 (60-80-100 triangles and the axes),
 # in every sign combination.
 EXACT_R_OFFSETS = [(sx * a, sy * b) for a, b in

@@ -11,8 +11,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import phantomnet as pn
 from conftest import validate_trace
+from phantomnet.analysis import rmin_rmax_for
 from phantomnet.errors import (ConnectivityError, EmptyDomain, EmptyRing,
                                InvalidParameter)
+from phantomnet.psspr import build_frame
 from phantomnet.trace import (PHASE_DIRECT, PHASE_DIRECTED,
                               PHASE_PHANTOM_PATH, PHASE_SAME_HOP,
                               PHASE_SHORTEST, PHASE_VAR_ANGLE, PHASE_WALK,
@@ -41,12 +43,9 @@ def opening_var_angle_run(trace):
     return nodes if phase == PHASE_VAR_ANGLE and rest else []
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(300, 900), seed=st.integers(0, 2**16),
-       h=st.integers(2, 8), H=st.integers(3, 9),
-       omega=st.sampled_from([2, 4, 6, 8]),
-       protocol=st.sampled_from(pn.PROTOCOLS))
-def test_route_invariants(n, seed, h, H, omega, protocol):
+def random_session(n, seed, h, H, omega, protocol):
+    """(network, source, traces) of one session on a random field of
+    density 3.5e-4 per m^2, or no example when the set-up fails."""
     side = math.sqrt(n / 3.5e-4)
     try:
         network = pn.deploy(n, side, 100.0, 300.0, seed)
@@ -54,7 +53,18 @@ def test_route_invariants(n, seed, h, H, omega, protocol):
         traces = route_session(network, protocol, source, h, omega, seed)
     except SETUP_ERRORS:
         assume(False)
+    return network, source, traces
 
+
+FIELDS = dict(n=st.integers(300, 900), seed=st.integers(0, 2**16),
+              h=st.integers(2, 8), H=st.integers(3, 9),
+              omega=st.sampled_from([2, 4, 6, 8]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(**FIELDS, protocol=st.sampled_from(pn.PROTOCOLS))
+def test_route_invariants(n, seed, h, H, omega, protocol):
+    network, source, traces = random_session(n, seed, h, H, omega, protocol)
     for trace in traces:
         validate_trace(network, trace, source)
         if not any(a.startswith("same-hop-relaxed") for a in trace.annotations):
@@ -66,6 +76,41 @@ def test_route_invariants(n, seed, h, H, omega, protocol):
 
     again = route_session(network, protocol, source, h, omega, seed)
     assert [t.hops for t in again] == [t.hops for t in traces]
+
+
+# PSSPR's two phase orders, set by the phantom's side of the center node
+# V, and where each stops when its first leg misses.
+SOURCE_SIDE = ([PHASE_DIRECTED],
+               [PHASE_DIRECTED, PHASE_DIRECTED, PHASE_SAME_HOP, PHASE_VAR_ANGLE])
+SINK_SIDE = ([PHASE_VAR_ANGLE],
+             [PHASE_VAR_ANGLE, PHASE_SAME_HOP, PHASE_DIRECTED, PHASE_DIRECTED],
+             [PHASE_VAR_ANGLE, PHASE_SAME_HOP] + [PHASE_DIRECTED] * 3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(**FIELDS)
+def test_psspr_leg_order_follows_the_phantoms_side(n, seed, h, H, omega):
+    network, source, traces = random_session(n, seed, h, H, omega, "psspr")
+    ring = rmin_rmax_for(h)[1] * network.r
+    for trace in traces:
+        tags = [phase for phase, _ in trace.legs]
+        if trace.phantom is None:
+            assert tags == [PHASE_DIRECT]
+            continue
+        frame = build_frame(network, source)
+        (fx, fy), sink = frame.x_axis, network.sink
+        px, py = network.xs[trace.phantom], network.ys[trace.phantom]
+        x = (px - network.xs[sink]) * fx + (py - network.ys[sink]) * fy
+        # The packet goes on past its first leg exactly when that leg
+        # reached the phantom (source side) or entered the mirrored ring.
+        first_end = trace.legs[0][1][-1]
+        if x > frame.v_x:
+            assert tags in SOURCE_SIDE
+            assert (len(tags) > 1) == (
+                network.dist(first_end, px, py) <= network.r)
+        else:
+            assert tags in SINK_SIDE
+            assert (len(tags) > 1) == (network.sink_dist[first_end] <= ring)
 
 
 def stitch_oracle(legs):
