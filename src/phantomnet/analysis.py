@@ -117,16 +117,13 @@ def phantom_count_psspr(r_min: int, r_max: int, hx: int) -> float:
     return 2.0 * math.pi * h * sum(range(hx, r_max - r_min + 1)) / hx
 
 
-def psspr_distance_mc(r_min: float, r_max: float, n_samples: int = 200_000,
-                      rng: np.random.Generator | None = None
-                      ) -> tuple[float, float]:
+def psspr_distance_mc(r_min: float, r_max: float, rng: np.random.Generator,
+                      n_samples: int = 200_000) -> tuple[float, float]:
     """Monte-Carlo mean source-to-phantom distance over the annulus.
 
     Samples points area-uniformly between the two radii and returns
     (mean, standard error over MC_BATCHES batch means) in hop units.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     radii = np.sqrt(rng.uniform(r_min ** 2, r_max ** 2, size=n_samples))
     mean = float(radii.mean())
     usable = (n_samples // MC_BATCHES) * MC_BATCHES
@@ -206,7 +203,7 @@ def make_tables() -> list[dict]:
     value."""
     rows: list[dict] = []
     for h, (r_min, r_max) in RMIN_RMAX_PRESETS.items():
-        mc, _ = psspr_distance_mc(r_min, r_max, rng=np.random.default_rng(h))
+        mc, _ = psspr_distance_mc(r_min, r_max, np.random.default_rng(h))
         rows.append({
             "h": h, "r_min": r_min, "r_max": r_max,
             "hbdrw_over_pusbrf": ratio_hbdrw_over_pusbrf(h),

@@ -15,6 +15,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import analysis
 from .config import ExperimentConfig, load_config
 from .errors import DomainError, InvalidParameter, ParseError, PhantomNetError
@@ -141,7 +143,9 @@ def cmd_analyze(args) -> int:
     lines.append(f"phantom_count_pusbrf = {analysis.phantom_count_pusbrf(args.h):.2f}")
     lines.append(f"phantom_count_psspr  = "
                  f"{analysis.phantom_count_psspr(r_min, r_max, args.h - r_min):.2f}")
-    mc, se = analysis.psspr_distance_mc(r_min, r_max)
+    # Seeded with h, as Table 3 draws it, so both print one value.
+    mc, se = analysis.psspr_distance_mc(r_min, r_max,
+                                        np.random.default_rng(args.h))
     lines.append(f"avg_phantom_distance hbdrw/pusbrf = {args.h:.2f} hops")
     lines.append(f"avg_phantom_distance psspr = {mc:.2f} hops "
                  f"(mc, se={se:.4f}; printed form gives "

@@ -218,6 +218,16 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
         cur = nodes[-1]
         return out
 
+    # Directed legs walk toward a point; variable-angle legs step down
+    # ``by_sink_angle`` (the sink when in range, else the smallest angle to
+    # it), where not revisiting relays breaks the orbits an angle-greedy
+    # walk falls into around voids. The leg into the sink scans
+    # ``by_sink_distance``: the relays a walk toward the sink's position
+    # picks, ranked once per node.
+    def within_r(point: Point) -> Callable[[int], bool]:
+        px, py = point
+        return lambda node: network.dist(node, px, py) <= r
+
     # A first leg that misses its anchor abandons the packet where it
     # stopped. Any other leg that fails hands the packet on from there.
     # The trace counts as delivered when its last hop is the sink.
@@ -231,12 +241,16 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
         away_radius = min(ring_radius, frame.corner_reach - r)
         away = _toward(network, (sx, sy), chosen_pos, away_radius)
         keep_out = network.disc(source, network.r0)
-        if leg(PHASE_DIRECTED, _directed_leg, chosen_pos, cap):
-            leg(PHASE_DIRECTED, _directed_leg, away, cap, restart=True,
-                min_dist_from=((sx, sy), away_radius), keep_out=keep_out)
+        if leg(PHASE_DIRECTED, _walk, cap, within_r(chosen_pos),
+               target=chosen_pos):
+            leg(PHASE_DIRECTED, _walk, cap,
+                lambda n: (network.dist(n, sx, sy) >= away_radius
+                           or network.dist(n, *away) <= r),
+                target=away, keep_out=keep_out, restart=True)
             annotations = leg(PHASE_SAME_HOP, _same_hop_leg, h_m, frame, None,
                               keep_out=keep_out)
-            leg(PHASE_VAR_ANGLE, _var_angle_leg, budget, keep_out=keep_out)
+            leg(PHASE_VAR_ANGLE, _walk, budget, lambda n: n == sink,
+                order=network.by_sink_angle, keep_out=keep_out)
     else:
         # Phantom on the sink side of V: mirrored phase order. Variable-
         # angle routing runs until the packet enters the mirrored ring
@@ -246,7 +260,9 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
         # before the phantom, so the visible-area keep-out does not bind
         # them; the phantom-to-sink tail near the sink cannot reach the
         # source's disc in the first place.
-        if leg(PHASE_VAR_ANGLE, _var_angle_leg, budget, ring=ring_radius):
+        if leg(PHASE_VAR_ANGLE, _walk, budget,
+               lambda n: n == sink or network.sink_dist[n] <= ring_radius,
+               order=network.by_sink_angle):
             annotations = leg(PHASE_SAME_HOP, _same_hop_leg, h_m, frame,
                               choice.a_mirror)
             # Visit the mirror anchor only when it lies in the field; a
@@ -256,11 +272,12 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
             raw = (2.0 * vx - sx - ring_radius * ux,
                    2.0 * vy - sy - ring_radius * uy)
             if _clamp(network, *raw) == raw:    # inside the field
-                leg(PHASE_DIRECTED, _directed_leg, choice.a_mirror, cap)
-            leg(PHASE_DIRECTED, _directed_leg, chosen_pos, cap,
-                stop_node=choice.chosen)
-            leg(PHASE_DIRECTED, _directed_leg, (bx, by), budget,
-                stop_node=sink)
+                leg(PHASE_DIRECTED, _walk, cap, within_r(choice.a_mirror),
+                    target=choice.a_mirror)
+            leg(PHASE_DIRECTED, _walk, cap, lambda n: n == choice.chosen,
+                target=chosen_pos)
+            leg(PHASE_DIRECTED, _walk, budget, lambda n: n == sink,
+                order=network.by_sink_distance)
     return RouteTrace(legs, annotations, choice.chosen)
 
 
@@ -370,62 +387,6 @@ def _walk(network: Network, start: int, budget: int,
     return nodes, False
 
 
-def _directed_leg(network: Network, start: int, target: Point,
-                  max_hops: int, prev: int | None = None,
-                  stop_node: int | None = None,
-                  min_dist_from: tuple[Point, float] | None = None,
-                  keep_out: frozenset[int] | None = None
-                  ) -> tuple[list[int], bool]:
-    """Greedy geographic walk toward ``target``. Returns (nodes, reached).
-
-    Each step moves to the unvisited neighbor closest to the target; the
-    walk into the sink's position scans ``Network.by_sink_distance``
-    instead. The leg ends at ``stop_node`` when one is given; otherwise on
-    reaching a node within r of the target or, with ``min_dist_from``, at
-    least the given distance from its origin.
-    """
-    tx, ty = target
-    if min_dist_from is not None:
-        (ox, oy), away = min_dist_from
-
-    order, aim = None, (tx, ty)
-    if aim == (network.xs[network.sink], network.ys[network.sink]):
-        order, aim = network.by_sink_distance, None
-
-    def done(node: int) -> bool:
-        if stop_node is not None:
-            return node == stop_node
-        if min_dist_from is not None and network.dist(node, ox, oy) >= away:
-            return True
-        return network.dist(node, tx, ty) <= network.r
-
-    return _walk(network, start, max_hops, done, prev=prev,
-                 keep_out=keep_out, order=order, target=aim)
-
-
-def _var_angle_leg(network: Network, start: int, budget: int,
-                   prev: int | None = None, ring: float | None = None,
-                   keep_out: frozenset[int] | None = None
-                   ) -> tuple[list[int], bool]:
-    """Smallest-angle forwarding toward the sink. Returns (nodes, reached).
-
-    Each step forwards along the candidate hop with the smallest angle
-    to the direction of the sink, the first of equals, as ranked by
-    ``Network.by_sink_angle``: the sink itself when it is in range, else
-    the largest cosine. The leg ends at the sink or, with ``ring``, at
-    the first node within that distance of the sink. Not revisiting
-    relays breaks the orbit cycles a memoryless angle-greedy walk falls
-    into around routing voids.
-    """
-    sink, sink_dist = network.sink, network.sink_dist
-
-    def done(node: int) -> bool:
-        return node == sink or (ring is not None and sink_dist[node] <= ring)
-
-    return _walk(network, start, budget, done, prev=prev, keep_out=keep_out,
-                 order=network.by_sink_angle)
-
-
 def _same_hop_leg(network: Network, start: int, h_m: int, frame: SourceFrame,
                   anchor: Point | None, prev: int | None = None,
                   keep_out: frozenset[int] | None = None
@@ -468,17 +429,15 @@ def _same_hop_leg(network: Network, start: int, h_m: int, frame: SourceFrame,
     for _ in range(h_m):
         barred = _barred(keep_out, cur)
         nxt = pick(network.hop_rings(cur)[1], barred, prev)
-        if nxt < 0:
-            if relaxed:
-                annotations.append(f"same-hop-aborted@{len(nodes) - 1}")
-                break
+        if nxt < 0 and not relaxed:
             nxt = pick([n for n in network.neighbors(cur)
                         if abs(hop[n] - hop[cur]) == 1], barred, None)
-            if nxt < 0:
-                annotations.append(f"same-hop-aborted@{len(nodes) - 1}")
-                break
-            relaxed = True
-            annotations.append(f"same-hop-relaxed@{len(nodes)}")
+            relaxed = nxt >= 0
+            if relaxed:
+                annotations.append(f"same-hop-relaxed@{len(nodes)}")
+        if nxt < 0:
+            annotations.append(f"same-hop-aborted@{len(nodes) - 1}")
+            break
         prev, cur = cur, nxt
         nodes.append(cur)
     return nodes, annotations

@@ -9,6 +9,7 @@ import pytest
 
 import phantomnet
 from phantomnet import adversary, harness
+from phantomnet.analysis import make_tables
 from phantomnet.cli import main
 from phantomnet.config import load_config
 from phantomnet.protocols import PROTOCOLS
@@ -83,6 +84,16 @@ def test_tables_bytes_pinned(tmp_path, capsys):
                for name in ("table2.csv", "table3.csv", "table4.csv"))
     assert {name: hashlib.sha256(body).hexdigest()
             for name, body in got.items()} == TABLES_SHA256
+
+
+def test_analyze_prints_table3_phantom_distance(capsys):
+    # One Monte-Carlo draw per preset h, the same in both commands.
+    for row in make_tables():
+        assert main(["analyze", "--h", str(row["h"])]) == 0
+        line, = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("avg_phantom_distance psspr")]
+        assert line.startswith(
+            f"avg_phantom_distance psspr = {row['distance_mc']:.2f} hops")
 
 
 def test_analyze_prints_failure_probability(capsys):

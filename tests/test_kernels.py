@@ -22,8 +22,7 @@ import phantomnet as pn
 from conftest import walk_oracle
 from phantomnet.baselines import _descend, _descend_to_sink, hbdrw_route
 from phantomnet.net import unit
-from phantomnet.psspr import (_directed_leg, _same_hop_leg, _var_angle_leg,
-                              _walk, build_frame)
+from phantomnet.psspr import _same_hop_leg, _walk, build_frame
 from phantomnet.trace import PHASE_SHORTEST, PHASE_WALK, RouteTrace
 
 R = 100.0
@@ -269,28 +268,39 @@ def leg_calls(network, n_calls, seed):
 
 
 def test_directed_leg_matches_numpy_reference(field):
+    """``_walk`` toward a point, under each stop rule a directed leg of
+    ``route_packet`` uses: within r of the point, at least a distance
+    from an origin or within r, and on one node."""
     pos = field.positions
     for start, prev, target, disc, _ in leg_calls(field, 60, 1):
         kw = dict(prev=prev, keep_out=inside(field, disc))
         ref = dict(prev=prev, avoid_near=disc)
-        assert (_directed_leg(field, start, target, 40, **kw)
+        tx, ty = target
+        assert (_walk(field, start, 40,
+                      lambda n: field.dist(n, tx, ty) <= field.r,
+                      target=target, **kw)
                 == directed_leg_ref(field, start, target, 40, **ref))
-        away = (pos[start], 350.0)
-        assert (_directed_leg(field, start, target, 40, min_dist_from=away,
-                              **kw)
+        ox, oy = pos[start]
+        assert (_walk(field, start, 40,
+                      lambda n: (field.dist(n, ox, oy) >= 350.0
+                                 or field.dist(n, tx, ty) <= field.r),
+                      target=target, **kw)
                 == directed_leg_ref(field, start, target, 40,
-                                    min_dist_from=away, **ref))
-        assert (_directed_leg(field, start, target, 25, stop_node=pn.SINK,
-                              **kw)
+                                    min_dist_from=(pos[start], 350.0), **ref))
+        assert (_walk(field, start, 25, lambda n: n == pn.SINK,
+                      target=target, **kw)
                 == directed_leg_ref(field, start, target, 25,
                                     stop_node=pn.SINK, **ref))
-        # Toward the sink's position the walk scans the ranked table.
-        sink = pos[pn.SINK]
-        for stop in (pn.SINK, None):
-            assert (_directed_leg(field, start, sink, 25, stop_node=stop,
-                                  **kw)
-                    == directed_leg_ref(field, start, sink, 25,
-                                        stop_node=stop, **ref))
+        # Toward the sink's position, the target scan and the ranked
+        # table walk alike.
+        bx, by = sink = pos[pn.SINK]
+        for stop, rule in ((pn.SINK, lambda n: n == pn.SINK),
+                           (None, lambda n: field.dist(n, bx, by) <= field.r)):
+            want = directed_leg_ref(field, start, sink, 25, stop_node=stop,
+                                    **ref)
+            assert _walk(field, start, 25, rule, target=sink, **kw) == want
+            assert _walk(field, start, 25, rule,
+                         order=field.by_sink_distance, **kw) == want
 
 
 # The line pins the ring test's "within": a leg that reaches the relay
@@ -301,12 +311,15 @@ def test_var_angle_leg_matches_numpy_reference(field):
     for start, prev, _, disc, frame in leg_calls(field, 60, 2):
         kw = dict(prev=prev, keep_out=inside(field, disc))
         ref = dict(prev=prev, avoid_near=disc)
-        assert (_var_angle_leg(field, start, 60, **kw)
+        assert (_walk(field, start, 60, lambda n: n == pn.SINK,
+                      order=field.by_sink_angle, **kw)
                 == var_angle_leg_ref(field, start, frame, 60, **ref))
 
         def entered(node):
             return dist_ref(field, node, pos[pn.SINK]) <= 400.0
-        assert (_var_angle_leg(field, start, 60, ring=400.0, **kw)
+        assert (_walk(field, start, 60,
+                      lambda n: n == pn.SINK or field.sink_dist[n] <= 400.0,
+                      order=field.by_sink_angle, **kw)
                 == var_angle_leg_ref(field, start, frame, 60,
                                      stop_fn=entered, **ref))
 
@@ -381,7 +394,7 @@ def test_tie_geometry():
 
 def test_picks_compare_square_roots_and_keep_the_first_of_equals():
     net = tie_net()
-    nodes, _ = _directed_leg(net, 1, T, 1)
+    nodes, _ = _walk(net, 1, 1, lambda n: net.dist(n, *T) <= net.r, target=T)
     assert nodes == [1, 2]
     frame = build_frame(net, 1)
     nodes, _ = _same_hop_leg(net, 1, 1, frame, T)
@@ -395,7 +408,8 @@ def test_var_angle_pick_keeps_the_first_of_equal_angles():
     net = pn.Network(np.array([[0.0, 0.0], [300.0, 0.0], [220.0, 0.0],
                                [250.0, 0.0], [80.0, 0.0], [160.0, 0.0]]),
                      r=R, r0=R, field_side=400.0)
-    nodes, _ = _var_angle_leg(net, 1, 1)
+    nodes, _ = _walk(net, 1, 1, lambda n: n == pn.SINK,
+                     order=net.by_sink_angle)
     assert nodes == [1, 2]
 
 
@@ -408,8 +422,8 @@ def test_keep_out_filters_before_the_bounce_trim():
                      r=R, r0=R, field_side=1000.0)
     keep_out = inside(net, ((360.0, 500.0), 100.0))
     assert keep_out == {3}
-    nodes, _ = _directed_leg(net, 1, (300.0, 500.0), 1, prev=2,
-                             keep_out=keep_out)
+    nodes, _ = _walk(net, 1, 1, lambda n: net.dist(n, 300.0, 500.0) <= net.r,
+                     prev=2, keep_out=keep_out, target=(300.0, 500.0))
     assert nodes == [1, 2]
 
 

@@ -4,6 +4,7 @@ Hypothesis runs derandomized with no example database, so the suite
 stays deterministic and leaves nothing on disk.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -11,10 +12,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import phantomnet as pn
 from conftest import validate_trace
-from phantomnet.analysis import rmin_rmax_for
+from phantomnet.analysis import SectorParams, rmin_rmax_for
 from phantomnet.errors import (ConnectivityError, EmptyDomain, EmptyRing,
                                InvalidParameter)
-from phantomnet.psspr import build_frame
+from phantomnet.net import unit
+from phantomnet.psspr import (build_frame, candidate_domain, route_packet,
+                              select_phantom)
 from phantomnet.trace import (PHASE_DIRECT, PHASE_DIRECTED,
                               PHASE_PHANTOM_PATH, PHASE_SAME_HOP,
                               PHASE_SHORTEST, PHASE_VAR_ANGLE, PHASE_WALK,
@@ -90,15 +93,34 @@ SINK_SIDE = ([PHASE_VAR_ANGLE],
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(**FIELDS)
 def test_psspr_leg_order_follows_the_phantoms_side(n, seed, h, H, omega):
+    """The legs follow the phantom's side, and each directed and
+    variable-angle leg ends on the first node where its stop rule holds,
+    with its hop budget spent, or back on its start."""
     network, source, traces = random_session(n, seed, h, H, omega, "psspr")
-    ring = rmin_rmax_for(h)[1] * network.r
+    if network.sink_dist[source] <= network.r:
+        assert all(t.legs == [(PHASE_DIRECT, [source, network.sink])]
+                   and t.phantom is None for t in traces)
+        return
+    params = SectorParams(h, *rmin_rmax_for(h), omega)
+    frame = build_frame(network, source)
+    domains = candidate_domain(network, frame, params)
+    r, sink, side = network.r, network.sink, network.field_side
+    ring = params.r_max * r
+    cap, budget = 4 * params.r_max, 4 * network.hop_list[source]
+    sx, sy = network.xs[source], network.ys[source]
+    fx, fy = frame.x_axis
+
+    def near(x, y):
+        return lambda n: network.dist(n, x, y) <= r
+
+    rng = np.random.default_rng(seed)
     for trace in traces:
+        # A replay of the packet's draws on a copy gives its mirror
+        # anchor; routing it again keeps the rng in step.
+        choice = select_phantom(network, frame, params, copy.deepcopy(rng),
+                                domains)
+        assert route_packet(network, frame, params, rng, domains) == trace
         tags = [phase for phase, _ in trace.legs]
-        if trace.phantom is None:
-            assert tags == [PHASE_DIRECT]
-            continue
-        frame = build_frame(network, source)
-        (fx, fy), sink = frame.x_axis, network.sink
         px, py = network.xs[trace.phantom], network.ys[trace.phantom]
         x = (px - network.xs[sink]) * fx + (py - network.ys[sink]) * fy
         # The packet goes on past its first leg exactly when that leg
@@ -108,9 +130,31 @@ def test_psspr_leg_order_follows_the_phantoms_side(n, seed, h, H, omega):
             assert tags in SOURCE_SIDE
             assert (len(tags) > 1) == (
                 network.dist(first_end, px, py) <= network.r)
+            radius = min(ring, frame.corner_reach - r)
+            ux, uy = unit(px - sx, py - sy)
+            away = near(min(max(sx + radius * ux, 0.0), side),
+                        min(max(sy + radius * uy, 0.0), side))
+            rules = [(near(px, py), cap),
+                     (lambda n: network.dist(n, sx, sy) >= radius
+                      or away(n), cap),
+                     None,
+                     (lambda n: n == sink, budget)]
         else:
             assert tags in SINK_SIDE
             assert (len(tags) > 1) == (network.sink_dist[first_end] <= ring)
+            rules = ([(lambda n: n == sink or network.sink_dist[n] <= ring,
+                       budget), None]
+                     + [(near(*choice.a_mirror), cap)] * (len(tags) == 5)
+                     + [(lambda n: n == trace.phantom, cap),
+                        (lambda n: n == sink, budget)])
+        for (phase, nodes), rule in zip(trace.legs, rules):
+            assert (rule is None) == (phase == PHASE_SAME_HOP)
+            if rule is None:
+                continue
+            done, hops = rule
+            assert not any(done(node) for node in nodes[:-1])
+            assert (done(nodes[-1]) or len(nodes) - 1 == hops
+                    or nodes[-1] == nodes[0])
 
 
 def stitch_oracle(legs):

@@ -6,9 +6,9 @@ import pytest
 import phantomnet as pn
 from phantomnet.errors import EmptyDomain, InvalidParameter
 from phantomnet.net import project
-from phantomnet.psspr import (SectorParams, _directed_leg, _same_hop_leg,
-                              _var_angle_leg, build_frame, candidate_domain,
-                              route_packet, same_hop_count, select_phantom)
+from phantomnet.psspr import (SectorParams, _same_hop_leg, _walk,
+                              build_frame, candidate_domain, route_packet,
+                              same_hop_count, select_phantom)
 from phantomnet.trace import PHASE_DIRECT, enters_visible_area
 
 
@@ -165,8 +165,10 @@ class TestSameHopCount:
 class TestDirectedRoute:
     def test_zero_hops_at_target(self, dense_net):
         node = int(dense_net.reachable_sensor_ids()[0])
-        nodes, reached = _directed_leg(dense_net, node,
-                                       dense_net.positions[node], 5)
+        tx, ty = target = dense_net.positions[node]
+        nodes, reached = _walk(
+            dense_net, node, 5,
+            lambda n: dense_net.dist(n, tx, ty) <= dense_net.r, target=target)
         assert nodes == [node]
         assert reached
 
@@ -177,8 +179,11 @@ class TestDirectedRoute:
         near_center = ids[np.linalg.norm(center, axis=1) < 400]
         for k in range(20):
             node = int(near_center[rng.integers(len(near_center))])
-            target = dense_net.positions[node] + [500.0, 0.0]
-            nodes, _ = _directed_leg(dense_net, node, target, 30)
+            tx, ty = target = dense_net.positions[node] + [500.0, 0.0]
+            nodes, _ = _walk(
+                dense_net, node, 30,
+                lambda n: dense_net.dist(n, tx, ty) <= dense_net.r,
+                target=target)
             final = dense_net.positions[nodes[-1]]
             assert np.linalg.norm(final - target) <= dense_net.r
 
@@ -186,9 +191,12 @@ class TestDirectedRoute:
         src = pn.pick_source(dense_net, 10, 11)
         spos = dense_net.positions[src]
         ring = 600.0  # 6 hops
-        target = spos + [0.0, ring]
-        nodes, reached = _directed_leg(dense_net, src, target, 40,
-                                       min_dist_from=(spos, ring))
+        tx, ty = target = spos + [0.0, ring]
+        nodes, reached = _walk(
+            dense_net, src, 40,
+            lambda n: (dense_net.dist(n, *spos) >= ring
+                       or dense_net.dist(n, tx, ty) <= dense_net.r),
+            target=target)
         assert reached
         assert np.linalg.norm(dense_net.positions[nodes[-1]] - spos) >= ring - dense_net.r
 
@@ -200,7 +208,9 @@ class TestDirectedRoute:
             [[0, 5000], [1000, 1000], [1090, 1000], [1000, 1090],
              [1000, 1180]],
             r=100.0)
-        nodes, reached = _directed_leg(net, 1, np.array([2000.0, 1000.0]), 50)
+        nodes, reached = _walk(net, 1, 50,
+                               lambda n: net.dist(n, 2000.0, 1000.0) <= net.r,
+                               target=(2000.0, 1000.0))
         assert nodes == [1, 2, 1, 3, 4, 3, 1]
         assert not reached
 
@@ -213,7 +223,8 @@ class TestVariableAngle:
             [[3000, 1000], [0, 1000], [150, 1000], [0, 1150],
              [2900, 1000]],
             r=200.0, field_side=4000.0)
-        nodes, _ = _var_angle_leg(net, 1, budget=1)
+        nodes, _ = _walk(net, 1, 1, lambda n: n == pn.SINK,
+                         order=net.by_sink_angle)
         assert nodes[1] == 2
 
     def test_delivers_near_shortest(self, dense_net):
@@ -224,7 +235,9 @@ class TestVariableAngle:
         for _ in range(100):
             s = int(pool[rng.integers(len(pool))])
             h = dense_net.hop_list[s]
-            nodes, reached = _var_angle_leg(dense_net, s, 4 * h)
+            nodes, reached = _walk(dense_net, s, 4 * h,
+                                   lambda n: n == pn.SINK,
+                                   order=dense_net.by_sink_angle)
             assert reached
             if nodes[-1] == pn.SINK and h <= len(nodes) - 1 <= 1.5 * h:
                 ok += 1
