@@ -197,21 +197,26 @@ def _quad(f, a: float, b: float) -> float:
     return half * float(weights @ [f(mid + half * t) for t in nodes])
 
 
+def closed_form(h: int, r_min: int, r_max: int, H: int) -> dict:
+    """One reference-table row, the printed distance form taken at ``H``.
+    It runs in ``analyze``'s print order: the first formula to reject raises."""
+    row = {"h": h, "r_min": r_min, "r_max": r_max,
+           "hbdrw_over_pusbrf": ratio_hbdrw_over_pusbrf(h),
+           "pusbrf_over_psspr": ratio_pusbrf_over_psspr(h, r_min, r_max),
+           "n_hbdrw": phantom_count_hbdrw(h),
+           "n_pusbrf": phantom_count_pusbrf(h),
+           "n_psspr": phantom_count_psspr(r_min, r_max, h - r_min)}
+    # The authoritative annulus mean in hop units, seeded with h so that
+    # every caller prints one draw per h.
+    row["distance_mc"], row["distance_se"] = psspr_distance_mc(
+        r_min, r_max, np.random.default_rng(h))
+    # the broken printed integral, shown for contrast
+    row["distance_printed"] = psspr_distance_printed(r_min, r_max, H)
+    return row
+
+
 def make_tables() -> list[dict]:
-    """Regenerate the reference tables over h in {5,...,30}: one row per
-    preset (h, r_min, r_max), mapping every column of tables 2-4 to its
-    value."""
-    rows: list[dict] = []
-    for h, (r_min, r_max) in RMIN_RMAX_PRESETS.items():
-        mc, _ = psspr_distance_mc(r_min, r_max, np.random.default_rng(h))
-        rows.append({
-            "h": h, "r_min": r_min, "r_max": r_max,
-            "hbdrw_over_pusbrf": ratio_hbdrw_over_pusbrf(h),
-            "pusbrf_over_psspr": ratio_pusbrf_over_psspr(h, r_min, r_max),
-            "distance_mc": mc,  # authoritative annulus mean, hop units
-            # the broken printed integral, shown for contrast
-            "distance_printed": psspr_distance_printed(r_min, r_max, H_PRINTED),
-            "n_hbdrw": phantom_count_hbdrw(h),
-            "n_pusbrf": phantom_count_pusbrf(h),
-            "n_psspr": phantom_count_psspr(r_min, r_max, h - r_min)})
-    return rows
+    """Regenerate the reference tables over h in {5,...,30}: one
+    ``closed_form`` row per preset (h, r_min, r_max), at ``H_PRINTED``."""
+    return [closed_form(h, r_min, r_max, H_PRINTED)
+            for h, (r_min, r_max) in RMIN_RMAX_PRESETS.items()]

@@ -15,8 +15,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import analysis
 from .config import ExperimentConfig, load_config
 from .errors import DomainError, InvalidParameter, ParseError, PhantomNetError
@@ -101,6 +99,15 @@ _TABLES = (
 
 def cmd_tables(args) -> int:
     rows = analysis.make_tables()
+    # The files come first, so an unusable --csv-dir prints nothing.
+    if args.csv_dir:
+        os.makedirs(args.csv_dir, exist_ok=True)
+        for name, _, cols in _TABLES:
+            write_csv(os.path.join(args.csv_dir, f"{name}.csv"),
+                      [field for field, *_ in cols],
+                      ([f"{row[field]:{fmt}}" for field, _, _, fmt in cols]
+                       for row in rows))
+
     for k, (name, title, cols) in enumerate(_TABLES):
         if k:
             print()
@@ -109,14 +116,6 @@ def cmd_tables(args) -> int:
         for row in rows:
             print(" ".join(f"{row[field]:>{width}{fmt}}"
                            for field, _, width, fmt in cols))
-
-    if args.csv_dir:
-        os.makedirs(args.csv_dir, exist_ok=True)
-        for name, _, cols in _TABLES:
-            write_csv(os.path.join(args.csv_dir, f"{name}.csv"),
-                      [field for field, *_ in cols],
-                      ([f"{row[field]:{fmt}}" for field, _, _, fmt in cols]
-                       for row in rows))
     return 0
 
 
@@ -134,22 +133,17 @@ def cmd_analyze(args) -> int:
     lines = [f"parameters: h={args.h} H={args.H} r_min={r_min} r_max={r_max} "
              f"r0={args.r0} omega={args.omega}"]
     p_fail = analysis.failure_path_probability(args.r0, args.H, args.h)
+    row = analysis.closed_form(args.h, r_min, r_max, args.H)
     lines.append(f"failure_path_probability = {p_fail:.4f}")
-    lines.append(f"ratio_hbdrw_over_pusbrf = "
-                 f"{analysis.ratio_hbdrw_over_pusbrf(args.h):.2f} %")
-    lines.append(f"ratio_pusbrf_over_psspr = "
-                 f"{analysis.ratio_pusbrf_over_psspr(args.h, r_min, r_max):.2f} %")
-    lines.append(f"phantom_count_hbdrw  = {analysis.phantom_count_hbdrw(args.h):.2f}")
-    lines.append(f"phantom_count_pusbrf = {analysis.phantom_count_pusbrf(args.h):.2f}")
-    lines.append(f"phantom_count_psspr  = "
-                 f"{analysis.phantom_count_psspr(r_min, r_max, args.h - r_min):.2f}")
-    # Seeded with h, as Table 3 draws it, so both print one value.
-    mc, se = analysis.psspr_distance_mc(r_min, r_max,
-                                        np.random.default_rng(args.h))
+    lines.append(f"ratio_hbdrw_over_pusbrf = {row['hbdrw_over_pusbrf']:.2f} %")
+    lines.append(f"ratio_pusbrf_over_psspr = {row['pusbrf_over_psspr']:.2f} %")
+    lines.append(f"phantom_count_hbdrw  = {row['n_hbdrw']:.2f}")
+    lines.append(f"phantom_count_pusbrf = {row['n_pusbrf']:.2f}")
+    lines.append(f"phantom_count_psspr  = {row['n_psspr']:.2f}")
     lines.append(f"avg_phantom_distance hbdrw/pusbrf = {args.h:.2f} hops")
-    lines.append(f"avg_phantom_distance psspr = {mc:.2f} hops "
-                 f"(mc, se={se:.4f}; printed form gives "
-                 f"{analysis.psspr_distance_printed(r_min, r_max, args.H):.2f})")
+    lines.append(f"avg_phantom_distance psspr = {row['distance_mc']:.2f} hops "
+                 f"(mc, se={row['distance_se']:.4f}; printed form gives "
+                 f"{row['distance_printed']:.2f})")
     for proto in ("pusbrf", "hbdrw", "psspr"):
         try:
             value = f"{analysis.comm_overhead(proto, params, args.H):.2f} hops"

@@ -52,6 +52,7 @@ class PhantomChoice:
     beta: float              # degrees, drives the same-hop hop count
     a_mirror: Point          # point reflection through V of the exit
                              # anchor, r_max*r from the source toward p1
+    mirror_in_field: bool    # that reflection, unclamped, lies in the field
 
 
 def build_frame(network: Network, source: int) -> SourceFrame:
@@ -63,10 +64,9 @@ def build_frame(network: Network, source: int) -> SourceFrame:
     xs, ys = network.xs, network.ys
     sx, sy = xs[source], ys[source]
     bx, by = xs[network.sink], ys[network.sink]
-    dx, dy = sx - bx, sy - by
-    d = math.sqrt(dx * dx + dy * dy)
+    d = network.sink_dist[source]
     vx, vy = (sx + bx) / 2.0, (sy + by) / 2.0
-    ux, uy = dx / d, dy / d
+    ux, uy = (sx - bx) / d, (sy - by) / d
     corners = (0.0, network.field_side)
     return SourceFrame(
         source=source,
@@ -144,8 +144,11 @@ def select_phantom(network: Network, frame: SourceFrame, params: SectorParams,
     # Exit anchors may fall outside the monitored area when the outer
     # radius is large; forwarding can only ever stop at the field edge,
     # so the aiming points are clamped to it.
-    ax, ay = _toward(network, (sx, sy), (px, py), params.r_max * network.r)
+    ux, uy = unit(px - sx, py - sy)
+    reach = params.r_max * network.r
+    ax, ay = _clamp(network, sx + reach * ux, sy + reach * uy)
     mx, my = _clamp(network, 2.0 * vx - ax, 2.0 * vy - ay)
+    raw = (2.0 * vx - sx - reach * ux, 2.0 * vy - sy - reach * uy)
 
     # The two anchored angle forms are equal by the point symmetry
     # through V; each is the non-degenerate triangle for one member of
@@ -158,7 +161,8 @@ def select_phantom(network: Network, frame: SourceFrame, params: SectorParams,
         bx, by = xs[network.sink], ys[network.sink]
         beta = _angle_deg(mx - bx, my - by, cx - bx, cy - by)
 
-    return PhantomChoice(p1=p1, chosen=chosen, beta=beta, a_mirror=(mx, my))
+    return PhantomChoice(p1=p1, chosen=chosen, beta=beta, a_mirror=(mx, my),
+                         mirror_in_field=_clamp(network, *raw) == raw)
 
 
 def same_hop_count(beta: float, params: SectorParams) -> int:
@@ -239,7 +243,8 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
         # and the walk can only get as far as the field holds nodes. Every
         # leg from the phantom onward steers around the visible area.
         away_radius = min(ring_radius, frame.corner_reach - r)
-        away = _toward(network, (sx, sy), chosen_pos, away_radius)
+        ux, uy = unit(chosen_pos[0] - sx, chosen_pos[1] - sy)
+        away = _clamp(network, sx + away_radius * ux, sy + away_radius * uy)
         keep_out = network.disc(source, network.r0)
         if leg(PHASE_DIRECTED, _walk, cap, within_r(chosen_pos),
                target=chosen_pos):
@@ -267,11 +272,7 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
                               choice.a_mirror)
             # Visit the mirror anchor only when it lies in the field; a
             # mirrored ring wider than the field has no node near it.
-            vx, vy = frame.center_v
-            ux, uy = unit(xs[choice.p1] - sx, ys[choice.p1] - sy)
-            raw = (2.0 * vx - sx - ring_radius * ux,
-                   2.0 * vy - sy - ring_radius * uy)
-            if _clamp(network, *raw) == raw:    # inside the field
+            if choice.mirror_in_field:
                 leg(PHASE_DIRECTED, _walk, cap, within_r(choice.a_mirror),
                     target=choice.a_mirror)
             leg(PHASE_DIRECTED, _walk, cap, lambda n: n == choice.chosen,
@@ -285,13 +286,6 @@ def _clamp(network: Network, x: float, y: float) -> Point:
     """The point clipped to the field's extent [0, side]^2."""
     side = network.field_side
     return min(max(x, 0.0), side), min(max(y, 0.0), side)
-
-
-def _toward(network: Network, origin: Point, through: Point,
-            dist: float) -> Point:
-    """``dist`` from ``origin`` toward ``through``, clamped to the field."""
-    ux, uy = unit(through[0] - origin[0], through[1] - origin[1])
-    return _clamp(network, origin[0] + dist * ux, origin[1] + dist * uy)
 
 
 def _angle_deg(ax: float, ay: float, bx: float, by: float) -> float:
@@ -397,7 +391,6 @@ def _same_hop_leg(network: Network, start: int, h_m: int, frame: SourceFrame,
     (after the sqrt) or the axis, and ``prev`` only if no other is; the
     first ring with none relaxes to a hop up or down, the second aborts.
     """
-    hop = network.hop_list
     xs, ys = network.xs, network.ys
     bx, by = xs[network.sink], ys[network.sink]
     yx, yy = frame.y_axis
@@ -428,10 +421,10 @@ def _same_hop_leg(network: Network, start: int, h_m: int, frame: SourceFrame,
     relaxed = False
     for _ in range(h_m):
         barred = _barred(keep_out, cur)
-        nxt = pick(network.hop_rings(cur)[1], barred, prev)
+        lower, same, upper = network.hop_rings(cur)
+        nxt = pick(same, barred, prev)
         if nxt < 0 and not relaxed:
-            nxt = pick([n for n in network.neighbors(cur)
-                        if abs(hop[n] - hop[cur]) == 1], barred, None)
+            nxt = pick(sorted(lower + upper), barred, None)
             relaxed = nxt >= 0
             if relaxed:
                 annotations.append(f"same-hop-relaxed@{len(nodes)}")

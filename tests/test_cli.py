@@ -87,10 +87,18 @@ def test_tables_bytes_pinned(tmp_path, capsys):
 
 
 def test_analyze_prints_table3_phantom_distance(capsys):
-    # One Monte-Carlo draw per preset h, the same in both commands.
+    # One Monte-Carlo draw per preset h, the same in both commands, and
+    # the same table 2 ratios and table 4 counts.
     for row in make_tables():
         assert main(["analyze", "--h", str(row["h"])]) == 0
-        line, = [line for line in capsys.readouterr().out.splitlines()
+        lines = capsys.readouterr().out.splitlines()
+        assert {
+            f"ratio_hbdrw_over_pusbrf = {row['hbdrw_over_pusbrf']:.2f} %",
+            f"ratio_pusbrf_over_psspr = {row['pusbrf_over_psspr']:.2f} %",
+            f"phantom_count_hbdrw  = {row['n_hbdrw']:.2f}",
+            f"phantom_count_pusbrf = {row['n_pusbrf']:.2f}",
+            f"phantom_count_psspr  = {row['n_psspr']:.2f}"} <= set(lines)
+        line, = [line for line in lines
                  if line.startswith("avg_phantom_distance psspr")]
         assert line.startswith(
             f"avg_phantom_distance psspr = {row['distance_mc']:.2f} hops")
@@ -114,6 +122,16 @@ def test_analyze_flags_psspr_overhead_outside_its_geometry(H, outside, capsys):
                      if outside else "comm_overhead psspr    = 48.14 hops"]
     assert sum(line.endswith(" hops") for line in lines
                if line.startswith("comm_overhead")) == 3 - outside
+
+
+@pytest.mark.parametrize("csv_dir", ["file", "file/sub"],
+                         ids=["file-exists", "not-a-directory"])
+def test_tables_unusable_csv_dir_prints_nothing(tmp_path, csv_dir, capsys):
+    (tmp_path / "file").write_text("")
+    assert main(["tables", "--csv-dir", str(tmp_path / csv_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("runtime error: ")
 
 
 # A rejected input exits with the code of the first formula that rejects

@@ -399,6 +399,11 @@ def test_discs_match_brute_force(oracle_net):
         for node in range(len(oracle_net)):
             assert (oracle_net.disc(node, radius)
                     == disc_oracle(oracle_net, node, radius))
+    # The eavesdropper hears through the disc's sqrt test and radios link
+    # by the CSR's squared one: both must give one relation.
+    for node in range(len(oracle_net)):
+        assert (oracle_net.disc(node, oracle_net.r)
+                == {node, *oracle_net.neighbors(node)})
 
 
 def test_discs_keep_exact_radii_across_cell_boundaries():

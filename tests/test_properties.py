@@ -121,6 +121,13 @@ def test_psspr_leg_order_follows_the_phantoms_side(n, seed, h, H, omega):
                                 domains)
         assert route_packet(network, frame, params, rng, domains) == trace
         tags = [phase for phase, _ in trace.legs]
+        # The mirror flag is the in-field test of the exit anchor's
+        # reflection through V, taken before any clamp.
+        ux, uy = unit(network.xs[choice.p1] - sx, network.ys[choice.p1] - sy)
+        vx, vy = frame.center_v
+        mx, my = 2.0 * vx - sx - ring * ux, 2.0 * vy - sy - ring * uy
+        assert choice.mirror_in_field == (0.0 <= mx <= side
+                                          and 0.0 <= my <= side)
         px, py = network.xs[trace.phantom], network.ys[trace.phantom]
         x = (px - network.xs[sink]) * fx + (py - network.ys[sink]) * fy
         # The packet goes on past its first leg exactly when that leg
@@ -142,9 +149,12 @@ def test_psspr_leg_order_follows_the_phantoms_side(n, seed, h, H, omega):
         else:
             assert tags in SINK_SIDE
             assert (len(tags) > 1) == (network.sink_dist[first_end] <= ring)
+            # Past its first leg, the packet visits the mirror anchor
+            # exactly when the flag holds.
+            assert len(tags) == 1 or (len(tags) == 5) == choice.mirror_in_field
             rules = ([(lambda n: n == sink or network.sink_dist[n] <= ring,
                        budget), None]
-                     + [(near(*choice.a_mirror), cap)] * (len(tags) == 5)
+                     + [(near(*choice.a_mirror), cap)] * choice.mirror_in_field
                      + [(lambda n: n == trace.phantom, cap),
                         (lambda n: n == sink, budget)])
         for (phase, nodes), rule in zip(trace.legs, rules):
