@@ -1,9 +1,9 @@
 """Patient backtracking adversary and the per-session simulation loop.
 
-The adversary starts at the sink, passively overhears transmissions
-within its eavesdrop radius (equal to the communication radius r), and
-relocates once per packet: to the sender of the earliest transmission in
-that packet's journey that happened within range of its perch. Scanning
+The adversary starts at the sink, passively overhears the radio
+neighbors of its perch (its eavesdrop radius is the communication radius
+r), and relocates once per packet: to the sender of the earliest
+transmission in that packet's journey that its perch could hear. Scanning
 in transmission order makes that sender the most source-ward audible
 one, which is what walking a path backward means; the hunter is slower
 than the radio, so the rest of the packet's journey is gone by the time
@@ -35,13 +35,13 @@ class RunRecord:
 def observe_packet(network: Network, perch: int, trace: RouteTrace) -> int:
     """Replay one packet's transmissions past the adversary at ``perch``.
 
-    Returns the new perch: the sender of the first transmission within
-    radius r of the old one. Packets that never come within range leave
-    it exactly where it was.
+    Returns the new perch: the first sender that is a radio neighbor of
+    the old one, so each move crosses one radio link. Packets that never
+    come within range leave it exactly where it was.
     """
-    heard = network.disc(perch, network.r)
+    heard = frozenset(network.neighbors(perch))
     for sender in trace.hops[:-1]:
-        if sender != perch and sender in heard:
+        if sender in heard:
             return sender
     return perch
 
@@ -58,7 +58,7 @@ def run_session(network: Network, protocol: str, source: int,
     if max_packets < 1:
         raise InvalidParameter(f"max_packets must be >= 1, got {max_packets}")
     router = make_router(network, protocol, source, h=h, omega=omega)
-    visible = network.disc(source, network.r0)
+    visible = network.visible(source)
     perch = network.sink
     total_hops = delivered = failures = 0
 

@@ -3,9 +3,9 @@
 The sink always gets node id 0 and sits at the exact field center; sensor
 nodes get ids 1..n. Hop counts are assigned by breadth-first flooding from
 the sink, which is exactly the minimum-hop-count beacon exchange a real
-deployment would run at startup. Adjacency and the mirror lookup come
-from binning the nodes into a grid of cells at least r wide; the module
-needs numpy only.
+deployment would run at startup. Reach within r between nodes is the
+radio graph; reach to a point, and the r0 visible area, go through a
+grid of cells at least r wide. The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ class Network:
     columns), ``sink_dist`` (equal to ``dist(n, *sink)``) and ``hop_list``.
     Its only mutable parts are per-node tables, each filled the first
     time a walk or replay asks for a node: the neighbor tuples, the two
-    sink orderings, the hop rings, the discs, and ``sink_next_hop``, each
-    node's relay on the shortest-path descent to the sink (-1 until
-    known, see ``baselines``). All are fixed functions of the field, so
-    every run writes the same values and an instance can still be shared
-    across concurrently executing runs.
+    sink orderings, the hop rings, the visible areas, and
+    ``sink_next_hop``, each node's relay on the shortest-path descent to
+    the sink (-1 until known, see ``baselines``). All are fixed functions
+    of the field, so every run writes the same values and an instance can
+    still be shared across concurrently executing runs.
     """
 
     def __init__(self, positions: np.ndarray, r: float, r0: float,
@@ -93,7 +93,7 @@ class Network:
         self._by_sink_distance = self._neighbors.copy()
         self._by_sink_angle = self._neighbors.copy()
         self._hop_rings: list = self._neighbors.copy()
-        self._discs: dict[tuple[int, float], frozenset[int]] = {}
+        self._visible: dict[int, frozenset[int]] = {}   # sources only
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -157,15 +157,15 @@ class Network:
                 tuple(n for n in nbrs if hop[n] > level))
         return rings
 
-    def disc(self, node: int, radius: float) -> frozenset[int]:
-        """Ids of the nodes within ``radius`` of ``node``, itself included,
-        by the sqrt(dx*dx + dy*dy) <= radius test on the cells it spans."""
-        found = self._discs.get((node, radius))
+    def visible(self, node: int) -> frozenset[int]:
+        """Ids within r0 of ``node``, itself included (its visible area),
+        by the sqrt(dx*dx + dy*dy) <= r0 test on the cells it spans."""
+        found = self._visible.get(node)
         if found is None:
             x, y = self.xs[node], self.ys[node]
-            found = self._discs[node, radius] = frozenset(
-                n for n in self._scan(x, y, radius)
-                if self.dist(n, x, y) <= radius)
+            found = self._visible[node] = frozenset(
+                n for n in self._scan(x, y, self.r0)
+                if self.dist(n, x, y) <= self.r0)
         return found
 
     def _scan(self, x: float, y: float, radius: float):

@@ -63,12 +63,12 @@ def make_router(network: Network, protocol: str, source: int, *, h: int,
     This is the only place a session is checked and its state built, so
     the routers never re-check it: (h, omega) must give valid sector
     parameters, whatever the protocol, and the source must be a sensor,
-    not the sink, that the sink flood reached. A sector-phantom source
-    within r of the sink sends directly; any other reuses its frame and
-    candidate domains for the whole session. The restricted-flooding
-    router reuses the source-rooted hop field, flooded h hops out, its
-    phantom ring (EmptyRing when no node sits exactly h hops out) and
-    the memo of its descent.
+    not the sink, that the sink flood reached. A sector-phantom source one
+    hop from the sink (a radio neighbor of it) sends directly; any other
+    reuses its frame and candidate domains for the whole session. The
+    restricted-flooding router reuses the source-rooted hop field, flooded
+    h hops out, its phantom ring (EmptyRing when no node sits exactly h
+    hops out) and the memo of its descent.
     """
     params = SectorParams(h, *rmin_rmax_for(h), omega)
     if not (0 <= source < len(network) and source != network.sink
@@ -76,7 +76,7 @@ def make_router(network: Network, protocol: str, source: int, *, h: int,
         raise InvalidParameter(f"source {source} is not a sensor the sink reached")
 
     if protocol == PSSPR:
-        if network.sink_dist[source] <= network.r:
+        if network.hop_list[source] == 1:
             return lambda rng: RouteTrace([(PHASE_DIRECT,
                                             [source, network.sink])])
         frame = psspr.build_frame(network, source)

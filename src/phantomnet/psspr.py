@@ -178,10 +178,10 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
                  rng, domains: list[np.ndarray]) -> RouteTrace:
     """Route one packet source-to-sink through a freshly drawn phantom.
 
-    ``domains`` is the session's ``candidate_domain``; a source within one
-    communication radius of the sink never gets here, as
-    ``protocols.make_router`` has it send directly. A phantom on the
-    source side of V is reached by directed routing, which then continues
+    ``domains`` is the session's ``candidate_domain``; a source one hop
+    from the sink never gets here, as ``protocols.make_router`` has it
+    send directly. A phantom on the source side of V is reached, on it or
+    on a radio neighbor of it, by directed routing, which then continues
     away from the source to the r_max ring, hands over to the same-hop
     walk, and finishes with variable-angle routing to the sink. A phantom
     on the sink side runs the mirrored order: variable-angle until the
@@ -228,9 +228,6 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
     # walk falls into around voids. The leg into the sink scans
     # ``by_sink_distance``: the relays a walk toward the sink's position
     # picks, ranked once per node.
-    def within_r(point: Point) -> Callable[[int], bool]:
-        px, py = point
-        return lambda node: network.dist(node, px, py) <= r
 
     # A first leg that misses its anchor abandons the packet where it
     # stopped. Any other leg that fails hands the packet on from there.
@@ -245,8 +242,9 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
         away_radius = min(ring_radius, frame.corner_reach - r)
         ux, uy = unit(chosen_pos[0] - sx, chosen_pos[1] - sy)
         away = _clamp(network, sx + away_radius * ux, sy + away_radius * uy)
-        keep_out = network.disc(source, network.r0)
-        if leg(PHASE_DIRECTED, _walk, cap, within_r(chosen_pos),
+        keep_out = network.visible(source)
+        at_phantom = {choice.chosen, *network.neighbors(choice.chosen)}
+        if leg(PHASE_DIRECTED, _walk, cap, at_phantom.__contains__,
                target=chosen_pos):
             leg(PHASE_DIRECTED, _walk, cap,
                 lambda n: (network.dist(n, sx, sy) >= away_radius
@@ -273,7 +271,8 @@ def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
             # Visit the mirror anchor only when it lies in the field; a
             # mirrored ring wider than the field has no node near it.
             if choice.mirror_in_field:
-                leg(PHASE_DIRECTED, _walk, cap, within_r(choice.a_mirror),
+                leg(PHASE_DIRECTED, _walk, cap,
+                    lambda n: network.dist(n, *choice.a_mirror) <= r,
                     target=choice.a_mirror)
             leg(PHASE_DIRECTED, _walk, cap, lambda n: n == choice.chosen,
                 target=chosen_pos)

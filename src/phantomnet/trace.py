@@ -62,13 +62,13 @@ def enters_visible_area(trace: RouteTrace, network, source: int) -> bool:
     """True when the phantom-to-sink leg passes within r0 of the source.
 
     A failure path is a phantom-to-sink transmission path crossing the
-    source's visible area. The leg begins the first time the packet
-    comes within one communication radius of its phantom; packets that
-    never got there cannot produce one, and one without a phantom at all
-    (plain shortest path) forwards sink-ward from the source itself. So
-    the leg must begin by the last hop inside the visible area.
+    source's visible area. The leg begins at the first hop that is the
+    phantom or one of its radio neighbors; packets that never got there
+    cannot produce one, and one without a phantom at all (plain shortest
+    path) forwards sink-ward from the source itself. So the leg must
+    begin by the last hop inside the visible area.
     """
-    visible = network.disc(source, network.r0)
+    visible = network.visible(source)
     hops = trace.hops
     entered = not visible.isdisjoint(hops)
     if not entered or trace.phantom is None:
@@ -76,6 +76,5 @@ def enters_visible_area(trace: RouteTrace, network, source: int) -> bool:
     last = len(hops)
     while hops[last - 1] not in visible:
         last -= 1
-    px, py = network.xs[trace.phantom], network.ys[trace.phantom]
-    return any(network.dist(node, px, py) <= network.r
-               for node in hops[:last])
+    near = {trace.phantom, *network.neighbors(trace.phantom)}
+    return not near.isdisjoint(hops[:last])

@@ -21,7 +21,7 @@ def test_one_hop_capture():
     trace = RouteTrace([(PHASE_SHORTEST, [1, pn.SINK])])
     perch = observe_packet(net, pn.SINK, trace)
     assert perch == 1
-    assert perch in net.disc(1, net.r0)
+    assert perch in net.visible(1)
 
 
 def test_short_traces_leave_the_perch_unchanged():
@@ -63,7 +63,7 @@ def test_adversary_never_teleports(desk_net):
     src = pn.pick_source(desk_net, 15, 2)
     router = pn.make_router(desk_net, "psspr", src, h=10, omega=6)
     rng = np.random.default_rng(4)
-    visible = desk_net.disc(src, desk_net.r0)
+    visible = desk_net.visible(src)
     perch = pn.SINK
     for _ in range(80):
         moved = observe_packet(desk_net, perch, router(rng))
@@ -232,7 +232,7 @@ def test_observe_packet_matches_per_sender_loop(desk_net):
             assert new == observe_packet_loop(desk_net, at, trace)
             moved += new != at
             for source in (src, trace.hops[0]):
-                assert ((new in desk_net.disc(source, desk_net.r0))
+                assert ((new in desk_net.visible(source))
                         == in_visible_area_loop(desk_net, new, source))
     assert moved > 50
 

@@ -215,6 +215,33 @@ def test_trace_network_dump(tmp_path, small_field, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == NETWORK_DUMP_SHA256
 
 
+# sha256 over the argv, exit code, stdout and stderr of each CLI_CALLS
+# call, in order: the first packet of every protocol on the default
+# field, PSSPR from hop-1 and farther sources (seeds 1-20 at H = 1), and
+# `analyze` across h, H and both annulus choices, error exits included.
+CLI_SHA256 = (
+    "9a4c42c176354f02902234f3ee3a16dc973855c10f08de86dda0bdc8dddcd7e6")
+CLI_CALLS = (
+    [["trace", "--protocol", p, "--seed", str(seed)]
+     for p in PROTOCOLS for seed in (1, 7)]
+    + [["trace", "--protocol", "psspr", "--H", "1", "--h", "5",
+        "--seed", str(seed)] for seed in range(1, 21)]
+    + [["analyze", "--h", str(h), "--H", str(H), *annulus]
+       for h in (0, 1, 2, 5, 10, 12, 15, 20, 25, 30) for H in (1, 20, 60)
+       for annulus in ([], ["--rmin", "3", "--rmax", "9"])])
+
+
+def test_cli_outputs_pinned(capsys):
+    assert len(CLI_CALLS) == 88
+    digest = hashlib.sha256()
+    for argv in CLI_CALLS:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        for part in (" ".join(argv), str(code), out, err):
+            digest.update(part.encode() + b"\0")
+    assert digest.hexdigest() == CLI_SHA256
+
+
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_trace_prints_the_first_packet_run_one_routes(protocol, small_field,
                                                       capsys, monkeypatch):

@@ -35,6 +35,9 @@ pin                       hash in             regenerated by
                                               shortest-path --seed 7 --h 4
                                               --H 8 --network-out f.csv``,
                                               field.cfg holding SMALL_FIELD
+``CLI_SHA256``            test_cli            the digest its test computes
+                                              over the 88 ``main(argv)``
+                                              calls of CLI_CALLS
 ``REFERENCE_SHA256``,     perfbench/run.py    ``python3 perfbench/run.py
 ``SWEEP_SHA256``                              --workload NAME``; part of
                                               the benchmark, changed only

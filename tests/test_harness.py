@@ -4,6 +4,7 @@ import math
 import os
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ import pytest
 import phantomnet as pn
 from phantomnet.config import DEFAULTS, ExperimentConfig, load_config, parse_config
 from phantomnet.errors import HarnessError, InvalidParameter, ParseError
-from phantomnet.harness import emit_csv, pick_source, run_experiment
+from phantomnet.harness import (RunSpec, emit_csv, pick_source, run_experiment,
+                                run_one)
 
 
 def tiny_config(**over):
@@ -351,3 +353,36 @@ class TestPickSource:
     def test_error_when_no_candidate(self, desk_net):
         with pytest.raises(InvalidParameter):
             pick_source(desk_net, 500, 2)
+
+
+CONFIGS = Path(__file__).parents[1] / "configs"
+
+
+class TestUncappedConfigs:
+    @pytest.mark.parametrize("name, reference", [
+        ("desk_uncapped.cfg", None), ("paper_uncapped.cfg", "paper.cfg")])
+    def test_only_the_packet_cap_differs(self, name, reference):
+        uncapped = load_config(str(CONFIGS / name))
+        base = (load_config(str(CONFIGS / reference)) if reference
+                else ExperimentConfig())
+        assert uncapped.packets_per_run == 3000
+        assert replace(uncapped, packets_per_run=base.packets_per_run) == base
+
+    def test_capped_run_is_the_uncapped_run_cut_short(self):
+        # A session's packets do not depend on its cap, so the 400-packet
+        # run of every desk cell ends where the 3000-packet run would have
+        # stood at packet 400.
+        capped = ExperimentConfig(seeds=[1, 2, 3, 4]).validate()
+        uncapped = load_config(str(CONFIGS / "desk_uncapped.cfg"))
+        cap = capped.packets_per_run
+        past_cap = 0
+        for seed in capped.seeds:
+            for protocol in capped.protocols:
+                for h, H in capped.sweep_points:
+                    short = run_one(RunSpec(protocol, h, H, seed, capped))
+                    long = run_one(RunSpec(protocol, h, H, seed, uncapped))
+                    assert short.safety_time == min(long.safety_time, cap)
+                    assert short.captured == (long.captured
+                                              and long.safety_time <= cap)
+                    past_cap += long.safety_time > cap
+        assert past_cap     # some run does outlast the cap

@@ -336,7 +336,7 @@ def test_same_hop_leg_matches_numpy_reference(field):
 def test_visible_area_is_the_r0_disc_around_the_source(field):
     ids = field.reachable_sensor_ids()
     for src in ids[::97]:
-        visible = field.disc(int(src), field.r0)
+        visible = field.visible(int(src))
         assert visible == inside(field, (field.positions[src], field.r0))
         assert int(src) in visible
 
@@ -528,9 +528,9 @@ def test_tables_match_their_per_hop_forms(field):
             tuple(nbrs[m].tolist()) for m in (hops[nbrs] < level,
                                              hops[nbrs] == level,
                                              hops[nbrs] > level))
-        for radius in (field.r, field.r0):
-            assert field.disc(node, radius) == inside(field,
-                                                      (pos[node], radius))
+        assert field.visible(node) == inside(field, (pos[node], field.r0))
+        assert {node, *field.neighbors(node)} == inside(field, (pos[node],
+                                                                field.r))
         # The first admissible entry of a ranked table is the per-hop pick
         # over the admissible neighbors.
         for _ in range(3):

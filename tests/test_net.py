@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 import phantomnet as pn
+from phantomnet.config import ExperimentConfig, load_config
 from phantomnet.errors import ConnectivityError, InvalidParameter
 from phantomnet.net import (CELL_MARGIN, GRAPH_BLOCK, project, row_norms,
                             unit)
@@ -394,16 +396,23 @@ def disc_oracle(network, node, radius):
     return frozenset(np.flatnonzero(inside).tolist())
 
 
+def with_r0(network, r0):
+    """The same field, with visible areas of radius ``r0``."""
+    return pn.Network(network.positions, network.r, r0, network.field_side)
+
+
 def test_discs_match_brute_force(oracle_net):
     for radius in (oracle_net.r, 3.0 * oracle_net.r, 0.5 * oracle_net.r):
-        for node in range(len(oracle_net)):
-            assert (oracle_net.disc(node, radius)
-                    == disc_oracle(oracle_net, node, radius))
-    # The eavesdropper hears through the disc's sqrt test and radios link
-    # by the CSR's squared one: both must give one relation.
-    for node in range(len(oracle_net)):
-        assert (oracle_net.disc(node, oracle_net.r)
-                == {node, *oracle_net.neighbors(node)})
+        net = with_r0(oracle_net, radius)
+        for node in range(len(net)):
+            assert net.visible(node) == disc_oracle(net, node, radius)
+    # At r0 = r the visible area's sqrt test and the radio graph's squared
+    # one give one relation, the closed neighborhood: reading the graph for
+    # reach within r (the adversary, the failure-path onset, PSSPR's
+    # to-phantom rule) gives what a sqrt test at r would.
+    net = with_r0(oracle_net, oracle_net.r)
+    for node in range(len(net)):
+        assert net.visible(node) == {node, *net.neighbors(node)}
 
 
 def test_discs_keep_exact_radii_across_cell_boundaries():
@@ -414,11 +423,12 @@ def test_discs_keep_exact_radii_across_cell_boundaries():
     cells = np.floor((net.positions - net.origin) / net.cell)
     crossed = {}
     for radius in (net.r, net.r0):
+        area = with_r0(net, radius)
         for i in range(len(net)):
             d = net.positions - net.positions[i]
             exact = np.flatnonzero(
                 np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) == radius)
-            assert set(exact.tolist()) <= net.disc(i, radius)
+            assert set(exact.tolist()) <= area.visible(i)
             for j in exact:
                 key = (radius, bool((cells[i] != cells[j]).any()))
                 crossed[key] = crossed.get(key, 0) + 1
@@ -430,8 +440,44 @@ def test_discs_keep_exact_radii_across_cell_boundaries():
                                [38.715009983841995, 92.2016702774468],
                                [12.748076127660413, 99.18410434663095]]),
                      r=100.0, r0=100.0, field_side=200.0)
-    assert net.disc(pn.SINK, 100.0) == {pn.SINK, 2}
-    assert pn.SINK not in net.disc(1, 100.0)
+    assert net.visible(pn.SINK) == {pn.SINK, 2}
+    assert pn.SINK not in net.visible(1)
+
+
+def doubles_around(value, count):
+    """``value`` and the ``count`` doubles on each side of it, ascending:
+    a nextafter walk, one ulp a step."""
+    walk = [np.nextafter.accumulate(np.array([value] + [bound] * count))
+            for bound in (0.0, np.inf)]
+    return np.concatenate([walk[0][::-1], walk[1][1:]])
+
+
+def sqrt_and_square_disagree(r, count=20_000):
+    """Offsets in ulps from fl(r*r) of the squared distances d2 at which
+    the radio test d2 <= r*r and the sqrt test sqrt(d2) <= r differ."""
+    d2 = doubles_around(r * r, count)
+    return (np.flatnonzero((d2 <= r * r) != (np.sqrt(d2) <= r))
+            - count).tolist()
+
+
+@pytest.mark.parametrize("config", ["defaults", "paper"])
+def test_radio_and_sqrt_tests_agree_at_the_configured_r(config):
+    # Both tests compare the same dx*dx + dy*dy; at these radii no double
+    # tells them apart, so the radio graph and a sqrt test at r give the
+    # same reach. numpy's sqrt is correctly rounded, as math.sqrt is.
+    r = (ExperimentConfig() if config == "defaults" else load_config(
+        str(Path(__file__).parents[1] / "configs" / "paper.cfg"))).r
+    assert sqrt_and_square_disagree(r) == []
+    # The walk does find the one double above fl(r*r) where they part at
+    # some other radii.
+    assert sqrt_and_square_disagree(10.0) == [1]
+
+
+@pytest.mark.parametrize("name", ["desk_net", "dense_net"])
+def test_hop_one_is_within_r_of_the_sink(name, request):
+    net = request.getfixturevalue(name)
+    for s in net.reachable_sensor_ids().tolist():
+        assert (net.hop_list[s] == 1) == (net.sink_dist[s] <= net.r)
 
 
 def test_sink_leads_the_angle_ordering(small_net):
@@ -504,5 +550,4 @@ def test_tables_are_built_once(small_net):
     for table in (small_net.by_sink_distance, small_net.by_sink_angle,
                   small_net.hop_rings, small_net.neighbors):
         assert table(node) is table(node)
-    assert small_net.disc(node, small_net.r0) is small_net.disc(node,
-                                                                small_net.r0)
+    assert small_net.visible(node) is small_net.visible(node)

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import phantomnet as pn
 from conftest import validate_trace
+from phantomnet.adversary import observe_packet
 from phantomnet.analysis import SectorParams, rmin_rmax_for
 from phantomnet.errors import (ConnectivityError, EmptyDomain, EmptyRing,
                                InvalidParameter)
@@ -79,6 +80,18 @@ def test_route_invariants(n, seed, h, H, omega, protocol):
 
     again = route_session(network, protocol, source, h, omega, seed)
     assert [t.hops for t in again] == [t.hops for t in traces]
+
+    # The adversary, replayed from the sink, moves along one radio link
+    # at most per packet: to the first sender in hop order within r of
+    # its perch, by the plain geometric test.
+    perch = network.sink
+    for trace in traces:
+        moved = observe_packet(network, perch, trace)
+        assert moved == perch or moved in network.neighbors(perch)
+        px, py = network.xs[perch], network.ys[perch]
+        assert moved == next((s for s in trace.hops[:-1] if s != perch
+                              and network.dist(s, px, py) <= network.r), perch)
+        perch = moved
 
 
 # PSSPR's two phase orders, set by the phantom's side of the center node

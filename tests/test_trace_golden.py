@@ -38,7 +38,7 @@ def packet_records():
                         RunSpec(p, h, H, seed, config))
                     router = pn.make_router(network, p, source, h=h,
                                             omega=config.omega)
-                    visible = network.disc(source, network.r0)
+                    visible = network.visible(source)
                     perch = network.sink
                     for k in range(packets):
                         t = router(rng)
