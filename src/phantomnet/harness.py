@@ -51,17 +51,19 @@ class RunSpec:
 
 
 # Runs execute seed-major (per process), so one field at a time is in use:
-# the last one deployed, or the error its deploy raised.
+# the last one deployed (or the error its deploy raised), with the sources
+# drawn on it by H; they go with it, and a failed draw is not kept.
 _FIELD: dict = {}
 
 
-def _network(*key):
+def _field(*key):
     if key not in _FIELD:
         _FIELD.clear()  # the previous field goes before the next is built
-        _FIELD[key] = _attempt(deploy, *key)
-    if isinstance(_FIELD[key], Exception):
-        raise _FIELD[key].with_traceback(None)
-    return _FIELD[key]
+        _FIELD[key] = _attempt(deploy, *key), {}
+    network, sources = _FIELD[key]
+    if isinstance(network, Exception):
+        raise network.with_traceback(None)
+    return network, sources
 
 
 def __getattr__(name: str):
@@ -77,7 +79,8 @@ def pick_source(network, H: int, seed: int) -> int:
     """Uniform choice among reachable nodes with hop count within H +- 1.
 
     Seeded by (deployment seed, H) only, so every protocol at a sweep
-    point sees the same source on the same field.
+    point sees the same source on the same field; ``start_run`` draws it
+    once per field and H.
     """
     hops = network.hops
     ids = network.reachable_sensor_ids()
@@ -91,8 +94,11 @@ def pick_source(network, H: int, seed: int) -> int:
 def start_run(spec: RunSpec):
     """A run's (network, source, rng); ``trace`` sets its run up here too."""
     cfg = spec.config
-    network = _network(cfg.n_nodes, cfg.field_side, cfg.r, cfg.r0, spec.seed)
-    return network, pick_source(network, spec.H, spec.seed), Draws(
+    network, sources = _field(cfg.n_nodes, cfg.field_side, cfg.r, cfg.r0,
+                              spec.seed)
+    if spec.H not in sources:
+        sources[spec.H] = pick_source(network, spec.H, spec.seed)
+    return network, sources[spec.H], Draws(
         [spec.seed, spec.H, spec.h, PROTOCOLS.index(spec.protocol)])
 
 

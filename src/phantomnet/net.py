@@ -5,7 +5,8 @@ nodes get ids 1..n. Hop counts are assigned by breadth-first flooding from
 the sink, which is exactly the minimum-hop-count beacon exchange a real
 deployment would run at startup. Reach within r between nodes is the
 radio graph; reach to a point, and the r0 visible area, go through a
-grid of cells at least r wide. The module needs numpy only.
+grid of cells at least r wide. The module needs numpy only; the per-hop
+kernels read Python lists and tuples, made once per field or per node.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ class Network:
     the nodes binned into it, the radius-r neighbor graph built from
     that grid (CSR arrays ``indptr``/``indices``, each row sorted), and
     the flooded minimum hop counts, with Python forms for the per-hop
-    kernels: memoryviews of the CSR arrays, ``xs``/``ys`` (``array('d')``
-    columns), ``sink_dist`` (equal to ``dist(n, *sink)``) and ``hop_list``.
+    kernels: memoryviews of the CSR arrays, ``xs``/``ys`` (lists of the
+    coordinates as floats, which a scan reads per neighbor), ``sink_dist``
+    (an ``array('d')`` equal to ``dist(n, *sink)``) and ``hop_list``.
     Its only mutable parts are per-node tables, each filled the first
     time a walk or replay asks for a node: the neighbor tuples, the two
     sink orderings, the hop rings, the visible areas, and
@@ -52,8 +54,11 @@ class Network:
                  field_side: float):
         self.positions = np.asarray(positions, dtype=np.float64)
         self.positions.setflags(write=False)
-        self.xs = array("d", self.positions[:, 0].tobytes())
-        self.ys = array("d", self.positions[:, 1].tobytes())
+        # Lists: a read returns the stored float, where an array('d') read
+        # allocates one. Scans read xs and ys per neighbor; sink_dist, read
+        # about once per hop, stays an array, which is cheaper to build.
+        self.xs = self.positions[:, 0].tolist()
+        self.ys = self.positions[:, 1].tolist()
         self.r = float(r)
         self.r0 = float(r0)
         self.field_side = float(field_side)
@@ -149,12 +154,14 @@ class Network:
         an equal and a larger sink hop count."""
         rings = self._hop_rings[node]
         if rings is None:
-            hop, nbrs = self.hop_list, self.neighbors(node)
+            hop = self.hop_list
             level = hop[node]
+            lower, same, upper = [], [], []
+            for n in self.neighbors(node):
+                h = hop[n]
+                (lower if h < level else same if h == level else upper).append(n)
             rings = self._hop_rings[node] = (
-                tuple(n for n in nbrs if hop[n] < level),
-                tuple(n for n in nbrs if hop[n] == level),
-                tuple(n for n in nbrs if hop[n] > level))
+                tuple(lower), tuple(same), tuple(upper))
         return rings
 
     def visible(self, node: int) -> frozenset[int]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Collection, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -297,18 +297,6 @@ def _angle_deg(ax: float, ay: float, bx: float, by: float) -> float:
     return math.degrees(math.acos(max(-1.0, min(1.0, c))))
 
 
-def _barred(keep_out: frozenset[int] | None,
-            cur: int) -> Collection[int]:
-    """The keep-out nodes, given as ids, a relay at ``cur`` may not pick.
-
-    The phases that carry a packet from the phantom to the sink steer
-    around the source's visible area hop by hop. The rule binds only
-    while the walk itself is outside the area, so a phase that starts
-    inside (the mirrored flow leaves from the source) can still get out.
-    """
-    return () if keep_out is None or cur in keep_out else keep_out
-
-
 def _walk(network: Network, start: int, budget: int,
           done: Callable[[int], bool], prev: int | None = None,
           keep_out: frozenset[int] | None = None,
@@ -318,8 +306,11 @@ def _walk(network: Network, start: int, budget: int,
 
     Each step scans the neighbors of the current node once, in the
     sequence ``order`` gives (``network.neighbors`` by default). A
-    neighbor is admissible unless the walk has visited it or it is
-    ``_barred`` by ``keep_out``. On the first step the relay ``prev``
+    neighbor is admissible unless the walk has visited it or, while the
+    walk stands outside ``keep_out``, it lies in it: the phases from the
+    phantom to the sink steer around the source's visible area hop by
+    hop, and a phase that starts inside (the mirrored flow leaves from
+    the source) can still get out. On the first step the relay ``prev``
     the packet came from is taken only when nothing else is admissible,
     so the packet does not bounce straight back. With a ``target`` the
     next relay is the admissible neighbor nearest that point, the first
@@ -341,11 +332,12 @@ def _walk(network: Network, start: int, budget: int,
     if target is not None:
         xs, ys = network.xs, network.ys
         tx, ty = target
+    sqrt = math.sqrt
     cur = start
     seen = {start}
     stack = [start]
     while len(nodes) - 1 < budget:
-        barred = _barred(keep_out, cur)
+        barred = () if keep_out is None or cur in keep_out else keep_out
         nxt, best_d, bounce = -1, math.inf, False
         for n in order(cur):
             if n in seen or n in barred:
@@ -358,7 +350,7 @@ def _walk(network: Network, start: int, budget: int,
             else:
                 dx = xs[n] - tx
                 dy = ys[n] - ty
-                d = math.sqrt(dx * dx + dy * dy)
+                d = sqrt(dx * dx + dy * dy)
                 if d < best_d:
                     nxt, best_d = n, d
         if nxt < 0 and bounce:
@@ -389,6 +381,7 @@ def _same_hop_leg(network: Network, start: int, h_m: int, frame: SourceFrame,
     Each step takes the first admissible ring node nearest ``anchor``
     (after the sqrt) or the axis, and ``prev`` only if no other is; the
     first ring with none relaxes to a hop up or down, the second aborts.
+    ``keep_out`` bars ring nodes as in ``_walk``.
     """
     xs, ys = network.xs, network.ys
     bx, by = xs[network.sink], ys[network.sink]
@@ -419,7 +412,7 @@ def _same_hop_leg(network: Network, start: int, h_m: int, frame: SourceFrame,
     cur = start
     relaxed = False
     for _ in range(h_m):
-        barred = _barred(keep_out, cur)
+        barred = () if keep_out is None or cur in keep_out else keep_out
         lower, same, upper = network.hop_rings(cur)
         nxt = pick(same, barred, prev)
         if nxt < 0 and not relaxed:

@@ -13,7 +13,8 @@ import phantomnet as pn
 from phantomnet.config import DEFAULTS, ExperimentConfig, load_config, parse_config
 from phantomnet.errors import HarnessError, InvalidParameter, ParseError
 from phantomnet.harness import (RunSpec, emit_csv, pick_source, run_experiment,
-                                run_one)
+                                run_one, start_run)
+from phantomnet.protocols import PROTOCOLS
 
 
 def tiny_config(**over):
@@ -353,6 +354,28 @@ class TestPickSource:
     def test_error_when_no_candidate(self, desk_net):
         with pytest.raises(InvalidParameter):
             pick_source(desk_net, 500, 2)
+
+    def test_start_run_draws_one_source_per_field_and_H(self):
+        # start_run keeps each H's source next to its field. Fields come
+        # and go in turn, as in a seed-major sweep, and each must get the
+        # source drawn on a fresh deploy of its seed; no node is 500 hops
+        # out, and that failure is raised for every protocol, not kept.
+        from phantomnet import harness
+        harness._FIELD.clear()
+        cfg = tiny_config()
+        for seed in range(1, 15):
+            fresh = pn.deploy(cfg.n_nodes, cfg.field_side, cfg.r, cfg.r0,
+                              seed)
+            want = {H: pick_source(fresh, H, seed) for H in (3, 5)}
+            del fresh
+            for H in (3, 500, 5):
+                for p in PROTOCOLS:
+                    spec = RunSpec(p, 5, H, seed, cfg)
+                    if H == 500:
+                        with pytest.raises(InvalidParameter):
+                            start_run(spec)
+                    else:
+                        assert start_run(spec)[1] == want[H]
 
 
 CONFIGS = Path(__file__).parents[1] / "configs"

@@ -385,8 +385,16 @@ def test_distance_helpers_keep_exact_r_inclusive():
 
 
 def test_scalar_columns_mirror_the_arrays(small_net):
-    assert list(small_net.xs) == small_net.positions[:, 0].tolist()
-    assert list(small_net.ys) == small_net.positions[:, 1].tolist()
+    # Scans read the coordinates per neighbor from lists of Python floats;
+    # every column holds, bit for bit, the doubles of its numpy form.
+    pos = small_net.positions
+    columns = {"xs": pos[:, 0], "ys": pos[:, 1],
+               "sink_dist": row_norms(pos - pos[pn.SINK])}
+    for name, want in columns.items():
+        got = getattr(small_net, name)
+        assert np.array(got).tobytes() == want.tobytes(), name
+    for got in (small_net.xs, small_net.ys):
+        assert type(got) is list and {type(v) for v in got} == {float}
     assert small_net.hop_list == small_net.hops.tolist()
 
 
