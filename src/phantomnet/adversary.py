@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidParameter
-from .net import Network
-from .protocols import Draws, make_router
+from .net import Draws, Network
+from .protocols import make_router
 from .trace import RouteTrace, enters_visible_area
 
 

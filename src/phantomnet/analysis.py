@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidParameter
+from .net import Draws
 
 # Directed-routing hop counts paired with their annulus radii: the rows
 # of every reference table.
@@ -117,12 +118,13 @@ def phantom_count_psspr(r_min: int, r_max: int, hx: int) -> float:
     return 2.0 * math.pi * h * sum(range(hx, r_max - r_min + 1)) / hx
 
 
-def psspr_distance_mc(r_min: float, r_max: float, rng: np.random.Generator,
+def psspr_distance_mc(r_min: float, r_max: float, rng: Draws,
                       n_samples: int = 200_000) -> tuple[float, float]:
     """Monte-Carlo mean source-to-phantom distance over the annulus.
 
     Samples points area-uniformly between the two radii and returns
     (mean, standard error over MC_BATCHES batch means) in hop units.
+    ``rng`` is anything with ``uniform(low, high, size)``, such as Draws.
     """
     radii = np.sqrt(rng.uniform(r_min ** 2, r_max ** 2, size=n_samples))
     mean = float(radii.mean())
@@ -209,7 +211,7 @@ def closed_form(h: int, r_min: int, r_max: int, H: int) -> dict:
     # The authoritative annulus mean in hop units, seeded with h so that
     # every caller prints one draw per h.
     row["distance_mc"], row["distance_se"] = psspr_distance_mc(
-        r_min, r_max, np.random.default_rng(h))
+        r_min, r_max, Draws(h))
     # the broken printed integral, shown for contrast
     row["distance_printed"] = psspr_distance_printed(r_min, r_max, H)
     return row

@@ -20,8 +20,8 @@ import numpy as np
 from .adversary import RunRecord, run_session
 from .config import ExperimentConfig
 from .errors import HarnessError, InvalidParameter
-from .net import deploy
-from .protocols import PROTOCOLS, Draws
+from .net import Draws, deploy
+from .protocols import PROTOCOLS
 from .trace import enters_visible_area
 
 

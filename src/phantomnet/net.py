@@ -5,8 +5,9 @@ nodes get ids 1..n. Hop counts are assigned by breadth-first flooding from
 the sink, which is exactly the minimum-hop-count beacon exchange a real
 deployment would run at startup. Reach within r between nodes is the
 radio graph; reach to a point, and the r0 visible area, go through a
-grid of cells at least r wide. The module needs numpy only; the per-hop
-kernels read Python lists and tuples, made once per field or per node.
+grid of cells at least r wide. ``Draws`` is the one source of random
+numbers. The module needs numpy only; the per-hop kernels read Python
+lists and tuples, made once per field or per node.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 from array import array
 
 import numpy as np
+from numpy.random import PCG64  # numpy loads numpy.random lazily: load it here
 
 from .errors import ConnectivityError, InvalidParameter
 
@@ -290,6 +292,50 @@ def project(d: np.ndarray, u) -> np.ndarray:
     return d[..., 0] * u[0] + d[..., 1] * u[1]
 
 
+class Draws:
+    """The one source of random numbers: every draw is made from the raw
+    words of ``PCG64(seed_words)``, which NumPy keeps stable across
+    releases, unlike the output of a generator method (NEP 19). Each
+    method returns, call for call, what numpy's default generator seeded
+    with the same words returns, and the tests hold it to that.
+
+    ``integers(n)`` splits each word into 32-bit halves, low half first,
+    as numpy does below 2**32, and rejects by Lemire's method ("Fast
+    Random Integer Generation in an Interval", ACM TOMACS 2019).
+    ``uniform(low, high, size)`` is numpy's ``next_double`` of each whole
+    word, scaled as its ``random_uniform`` does; like numpy's, it leaves
+    a buffered upper half to the next ``integers``. The README lists
+    every stream's seed words."""
+
+    __slots__ = ("_raw", "_high")
+
+    def __init__(self, seed_words):
+        self._raw = PCG64(seed_words).random_raw
+        self._high = None   # the unused upper half of the last word
+
+    def integers(self, n: int) -> int:
+        if not 0 < n < 1 << 32:
+            raise ValueError(f"n must be in [1, 2**32), got {n}")
+        if n == 1:
+            return 0    # numpy draws no word either
+        while True:
+            low = self._high
+            if low is None:
+                word = self._raw()
+                low, self._high = word & 0xFFFFFFFF, word >> 32
+            else:
+                self._high = None
+            m = low * n
+            low = m & 0xFFFFFFFF
+            if low >= n or low >= ((1 << 32) - n) % n:
+                return m >> 32
+
+    def uniform(self, low: float, high: float, size) -> np.ndarray:
+        low, high = float(low), float(high)
+        # Each step rounds on its own, as numpy's C does.
+        return low + (high - low) * ((self._raw(size) >> 11) * 2.0 ** -53)
+
+
 def check_field(n_nodes: int, field_side: float, r: float, r0: float,
                 seed: int) -> None:
     """Raise InvalidParameter unless ``deploy`` can place this field."""
@@ -320,9 +366,9 @@ def deploy(n_nodes: int, field_side: float, r: float, r0: float,
     """
     check_field(n_nodes, field_side, r, r0, seed)
 
-    rng = np.random.default_rng(seed)
     positions = np.vstack([[[field_side / 2.0] * 2],  # the sink, then sensors
-                           rng.uniform(0.0, field_side, size=(n_nodes, 2))])
+                           Draws(seed).uniform(0.0, field_side,
+                                               size=(n_nodes, 2))])
 
     net = Network(positions, r, r0, field_side)
     unreachable = int(np.sum(net.hops[1:] == UNREACHABLE))

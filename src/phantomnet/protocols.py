@@ -1,4 +1,4 @@
-"""Protocol dispatch: per-session packet routers and per-run draw streams."""
+"""Protocol dispatch: per-session packet routers, each drawing from Draws."""
 
 from __future__ import annotations
 
@@ -6,12 +6,11 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from numpy.random import PCG64  # numpy loads numpy.random lazily: load it here
 
 from . import baselines, psspr
 from .analysis import SectorParams, rmin_rmax_for
 from .errors import EmptyRing, InvalidParameter
-from .net import UNREACHABLE, Network
+from .net import UNREACHABLE, Draws, Network
 from .trace import PHASE_DIRECT, RouteTrace
 
 PSSPR = "psspr"
@@ -21,38 +20,7 @@ SHORTEST_PATH = "shortest-path"
 
 PROTOCOLS = (PSSPR, HBDRW, PUSBRF, SHORTEST_PATH)
 
-Router = Callable[["Draws"], RouteTrace]
-
-
-class Draws:
-    """One run's random integers: ``integers(n)`` returns, call for call,
-    ``int(np.random.default_rng(seed_words).integers(n))`` without a numpy
-    call. As numpy does below 2**32, it splits each PCG64 word into 32-bit
-    halves, low half first, and rejects by Lemire's method ("Fast Random
-    Integer Generation in an Interval", ACM TOMACS 2019)."""
-
-    __slots__ = ("_raw", "_high")
-
-    def __init__(self, seed_words):
-        self._raw = PCG64(seed_words).random_raw
-        self._high = None   # the unused upper half of the last word
-
-    def integers(self, n: int) -> int:
-        if not 0 < n < 1 << 32:
-            raise ValueError(f"n must be in [1, 2**32), got {n}")
-        if n == 1:
-            return 0    # numpy draws no word either
-        while True:
-            low = self._high
-            if low is None:
-                word = self._raw()
-                low, self._high = word & 0xFFFFFFFF, word >> 32
-            else:
-                self._high = None
-            m = low * n
-            low = m & 0xFFFFFFFF
-            if low >= n or low >= ((1 << 32) - n) % n:
-                return m >> 32
+Router = Callable[[Draws], RouteTrace]
 
 
 def make_router(network: Network, protocol: str, source: int, *, h: int,

@@ -77,6 +77,7 @@ def test_tables_csv_dir(tmp_path, capsys):
     assert "10,8,12,18.04,62.83,282.74" in body
 
 
+@pytest.mark.pin
 def test_tables_bytes_pinned(tmp_path, capsys):
     assert main(["tables", "--csv-dir", str(tmp_path)]) == 0
     got = {"stdout": capsys.readouterr().out.encode()}
@@ -200,6 +201,7 @@ NETWORK_DUMP_SHA256 = (
     "f88a047ce048475975567ddc791dcd01cdcd0c7e7b2e27105f6257fe94219adb")
 
 
+@pytest.mark.pin
 def test_trace_network_dump(tmp_path, small_field, capsys):
     out = tmp_path / "field.csv"
     rc = main(["trace", "--protocol", "shortest-path", "--seed", "7",
@@ -231,6 +233,7 @@ CLI_CALLS = (
        for annulus in ([], ["--rmin", "3", "--rmax", "9"])])
 
 
+@pytest.mark.pin
 def test_cli_outputs_pinned(capsys):
     assert len(CLI_CALLS) == 88
     digest = hashlib.sha256()

@@ -43,6 +43,10 @@ pin                       hash in             regenerated by
                                               the benchmark, changed only
                                               with it
 ========================  ==================  ============================
+
+``pytest -m pin`` runs the Tier-1 check of every pin above but the
+perfbench ones (which ``perfbench/run.py`` checks on every call): each
+such test carries the ``pin`` marker.
 """
 
 import hashlib
@@ -61,10 +65,12 @@ DEFAULT_SWEEP_SHA256 = (
     "964dadc2c10abb5288e1596c33dc7ac9a403dd6847fce7e8ca34b00c1afd69cc")
 
 
+@pytest.mark.pin
 def test_golden_file_is_intact():
     assert hashlib.sha256(GOLDEN.read_bytes()).hexdigest() == GOLDEN_SHA256
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("max_workers", [1, 2])
 def test_small_sweep_matches_golden_bytes(tmp_path, max_workers):
     cfg = ExperimentConfig(
@@ -76,6 +82,7 @@ def test_small_sweep_matches_golden_bytes(tmp_path, max_workers):
     assert out.read_bytes() == GOLDEN.read_bytes()
 
 
+@pytest.mark.pin
 def test_paper_scale_sweep_matches_pinned_hash(tmp_path):
     # 720 runs on 30 fields of 10,000 nodes; two workers halve the wait,
     # and the worker count moves no byte (the golden test runs both).
@@ -84,6 +91,7 @@ def test_paper_scale_sweep_matches_pinned_hash(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PAPER_SHA256
 
 
+@pytest.mark.pin
 def test_default_sweep_matches_pinned_hash(tmp_path, sweep_rows):
     # The rows the acceptance criteria share, so this costs no extra run.
     out = tmp_path / "sweep.csv"

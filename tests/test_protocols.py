@@ -1,16 +1,22 @@
 """Session set-up: ``make_router`` checks a session's source once, when
-the session is built, for every protocol; and the per-run draw stream
-the routers take, which must repeat numpy's call for call."""
+the session is built, for every protocol; and ``Draws``, the one kind of
+draw stream, whose integers and uniforms must repeat numpy's call for
+call."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import phantomnet as pn
 from phantomnet import harness
+from phantomnet.analysis import RMIN_RMAX_PRESETS, make_tables
 from phantomnet.config import ExperimentConfig
 from phantomnet.errors import InvalidParameter
 from phantomnet.protocols import Draws
 from phantomnet.trace import enters_visible_area
+
+GOLDEN = Path(__file__).parent / "data" / "golden_small.csv"
 
 
 def field_with_stray():
@@ -47,6 +53,68 @@ def test_draws_repeat_numpy_integers_call_for_call():
         for k in range(60):
             n = EDGE_N[k // 2 % 8] if k % 2 else int(meta.integers(1, 1000))
             assert ours.integers(n) == int(numpy.integers(n)), (words, k, n)
+
+
+def same_bits(ours, numpy):
+    return np.array_equal(ours.view(np.uint64), numpy.view(np.uint64))
+
+
+# (n_nodes, field_side) of the fields the configs, tests and benchmark
+# deploy: the simulator's default, perfbench's desk, the small sweep and
+# the published scale.
+DEPLOY_SHAPES = ((2000, 2700.0), (2400, 2700.0), (800, 1500.0),
+                 (10_000, 6000.0))
+
+
+@pytest.mark.parametrize("n_nodes, side", DEPLOY_SHAPES)
+def test_draws_repeat_numpy_uniform_for_every_deploy_shape(n_nodes, side):
+    for seed in range(200):
+        want = np.random.default_rng(seed).uniform(0.0, side,
+                                                   size=(n_nodes, 2))
+        got = Draws(seed).uniform(0.0, side, size=(n_nodes, 2))
+        assert got.shape == want.shape and same_bits(got, want), seed
+
+
+@pytest.mark.parametrize("h", sorted(RMIN_RMAX_PRESETS))
+def test_draws_repeat_numpy_uniform_for_every_table_row(h):
+    r_min, r_max = RMIN_RMAX_PRESETS[h]
+    want = np.random.default_rng(h).uniform(r_min ** 2, r_max ** 2,
+                                            size=200_000)
+    assert same_bits(Draws(h).uniform(r_min ** 2, r_max ** 2, size=200_000),
+                     want)
+
+
+def test_draws_mix_integers_and_uniform_as_numpy_does():
+    """``uniform`` reads whole words and leaves a buffered upper half to
+    the next ``integers``, so a mixed stream stays in step with numpy's."""
+    for words in ([7], [3, 20, 20, 1], [2019, 5]):
+        for n_before in range(4):   # odd counts leave an upper half
+            ours, numpy = Draws(words), np.random.default_rng(words)
+            for k in range(n_before):
+                assert ours.integers(6 + k) == int(numpy.integers(6 + k))
+            assert same_bits(ours.uniform(-1.5, 40.0, size=5),
+                             numpy.uniform(-1.5, 40.0, size=5))
+            for n in (2, 3, 1000, 2**31 + 1, 6):
+                assert ours.integers(n) == int(numpy.integers(n)), (words, n)
+
+
+def test_every_draw_is_made_without_a_numpy_generator(monkeypatch, tmp_path):
+    """A deploy, the reference tables and a sweep run with numpy's
+    ``default_rng`` gone, and the sweep still writes the golden bytes."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a draw went through np.random.default_rng")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(harness, "_FIELD", {})  # so the sweep deploys
+    pn.deploy(500, 1500.0, 100.0, 300.0, seed=7)
+    make_tables()
+    cfg = ExperimentConfig(
+        n_nodes=800, field_side=1500.0,
+        protocols=["psspr", "hbdrw", "pusbrf", "shortest-path"],
+        h=[4, 6], H=[8], packets_per_run=40, seeds=[1, 2, 3]).validate()
+    out = tmp_path / "golden.csv"
+    harness.emit_csv(harness.run_experiment(cfg, max_workers=1), str(out))
+    assert out.read_bytes() == GOLDEN.read_bytes()
 
 
 @pytest.mark.parametrize("n", [0, -1, 2**32])

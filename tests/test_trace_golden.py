@@ -12,6 +12,8 @@ to alter routes, and say so in CHANGES.md.
 
 import hashlib
 
+import pytest
+
 import phantomnet as pn
 from phantomnet.adversary import observe_packet
 from phantomnet.harness import RunSpec, start_run
@@ -58,6 +60,7 @@ def packet_records():
                             perch = network.sink
 
 
+@pytest.mark.pin
 def test_packet_traces_match_the_recorded_hash():
     digest = hashlib.sha256()
     count = 0
