@@ -6,8 +6,8 @@ the sink, which is exactly the minimum-hop-count beacon exchange a real
 deployment would run at startup. Reach within r between nodes is the
 radio graph; reach to a point, and the r0 visible area, go through a
 grid of cells at least r wide. ``Draws`` is the one source of random
-numbers. The module needs numpy only; the per-hop kernels read Python
-lists and tuples, made once per field or per node.
+numbers. Data rule: numpy does per-field and per-session work; the
+per-packet path reads only Python lists, tuples and floats.
 """
 
 from __future__ import annotations

@@ -33,14 +33,14 @@ def make_router(network: Network, protocol: str, source: int, *, h: int,
     parameters, whatever the protocol, and the source must be a sensor,
     not the sink, that the sink flood reached. A sector-phantom source one
     hop from the sink (a radio neighbor of it) sends directly; any other
-    reuses its frame and candidate domains for the whole session. The
+    reuses its frame and candidate domain lists for the whole session. The
     restricted-flooding router reuses the source-rooted hop field, flooded
     h hops out, its phantom ring (EmptyRing when no node sits exactly h
     hops out) and the memo of its descent.
     """
     params = SectorParams(h, *rmin_rmax_for(h), omega)
     if not (0 <= source < len(network) and source != network.sink
-            and network.hops[source] != UNREACHABLE):
+            and network.hop_list[source] != UNREACHABLE):
         raise InvalidParameter(f"source {source} is not a sensor the sink reached")
 
     if protocol == PSSPR:

@@ -80,8 +80,8 @@ def build_frame(network: Network, source: int) -> SourceFrame:
 
 
 def candidate_domain(network: Network, frame: SourceFrame,
-                     params: SectorParams) -> list[np.ndarray]:
-    """Per-sector candidate node ids, index i holding sector i+1.
+                     params: SectorParams) -> list[list[int]]:
+    """Per-sector candidate ids, ascending lists, index i holding sector i+1.
 
     A node qualifies when its distance from the source lies in
     [r_min*r, r_max*r] and it sits on the sink-facing side of the line
@@ -105,8 +105,8 @@ def candidate_domain(network: Network, frame: SourceFrame,
     psi = np.arctan2(wy[ids], -wx[ids]) + math.pi / 2.0
     sector = np.minimum((psi / params.theta).astype(np.int64), params.omega - 1)
 
-    domains = [ids[sector == k] for k in range(params.omega)]
-    if all(len(d) == 0 for d in domains):
+    domains = [ids[sector == k].tolist() for k in range(params.omega)]
+    if not any(domains):
         raise EmptyDomain(
             f"no candidate phantom in annulus [{params.r_min},{params.r_max}] "
             f"hops around source {frame.source}")
@@ -114,20 +114,19 @@ def candidate_domain(network: Network, frame: SourceFrame,
 
 
 def select_phantom(network: Network, frame: SourceFrame, params: SectorParams,
-                   rng, domains: list[np.ndarray]) -> PhantomChoice:
+                   rng, domains: list[list[int]]) -> PhantomChoice:
     """Draw a pseudo-phantom pair and pick the phantom for one packet.
 
     ``domains`` is the session's ``candidate_domain``. The sector is
-    drawn uniformly among non-empty sectors, the first pseudo-phantom
+    drawn uniformly among the non-empty lists, the first pseudo-phantom
     uniformly within it; its mirror is the node nearest the point
     reflection through V. Each of the pair carries the packet with equal
     probability, except when no node lies within r of the reflected
     point, in which case the first pseudo-phantom is forced.
     """
-    nonempty = [k for k, dom in enumerate(domains) if len(dom)]
-    sector = nonempty[rng.integers(len(nonempty))]
-    dom = domains[sector]
-    p1 = int(dom[rng.integers(len(dom))])
+    nonempty = [dom for dom in domains if dom]
+    dom = nonempty[rng.integers(len(nonempty))]
+    p1 = dom[rng.integers(len(dom))]
     xs, ys = network.xs, network.ys
     px, py = xs[p1], ys[p1]
     sx, sy = xs[frame.source], ys[frame.source]
@@ -175,11 +174,11 @@ def same_hop_count(beta: float, params: SectorParams) -> int:
 
 
 def route_packet(network: Network, frame: SourceFrame, params: SectorParams,
-                 rng, domains: list[np.ndarray]) -> RouteTrace:
+                 rng, domains: list[list[int]]) -> RouteTrace:
     """Route one packet source-to-sink through a freshly drawn phantom.
 
-    ``domains`` is the session's ``candidate_domain``; a source one hop
-    from the sink never gets here, as ``protocols.make_router`` has it
+    ``domains`` is the session's ``candidate_domain`` lists; a source one
+    hop from the sink never gets here, as ``protocols.make_router`` has it
     send directly. A phantom on the source side of V is reached, on it or
     on a radio neighbor of it, by directed routing, which then continues
     away from the source to the r_max ring, hands over to the same-hop

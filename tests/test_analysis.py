@@ -45,6 +45,11 @@ class TestRatios:
     def test_degenerate_single_radius(self):
         assert an.ratio_pusbrf_over_psspr(5, 5, 5) == pytest.approx(100.0)
 
+    def test_h_outside_the_annulus_rejected(self):
+        with pytest.raises(InvalidParameter,
+                           match="need r_min <= h <= r_max, got 6, 5, 8"):
+            an.ratio_pusbrf_over_psspr(5, 6, 8)
+
 
 class TestFailurePath:
     def test_reference_point(self):
@@ -79,6 +84,12 @@ class TestPhantomCounts:
         assert an.phantom_count_pusbrf(h) == pytest.approx(n_pusbrf, abs=0.01)
         assert an.phantom_count_psspr(r_min, r_max, h - r_min) == pytest.approx(
             n_psspr, abs=0.01)
+
+    @pytest.mark.parametrize("count", [an.phantom_count_hbdrw,
+                                       an.phantom_count_pusbrf])
+    def test_h_below_two_rejected(self, count):
+        with pytest.raises(InvalidParameter, match="h must be >= 2, got 1"):
+            count(1)
 
     def test_ordering(self):
         for h, (r_min, r_max) in an.RMIN_RMAX_PRESETS.items():

@@ -156,6 +156,17 @@ def test_analyze_domain_error_exit_code(argv, code, capsys):
     assert captured.err.startswith("runtime error: " if code == 2 else "error: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--h", "1", "--r0", "0.5"], "h must be >= 2, got 1"),  # r0 fits h = 1
+    (["--h", "5", "--H", "0"], "H must be >= 1, got 0"),
+], ids=["h1", "H0"])
+def test_analyze_rejects_h_and_H_below_their_floor(argv, message, capsys):
+    assert main(["analyze", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("flag", [("--omega", "0"), ("--omega", "-2"),
                                   ("--omega", "3")])
 def test_analyze_rejects_the_omega_simulate_rejects(flag, capsys):
@@ -331,6 +342,23 @@ def test_simulate_roundtrip(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("protocol,h,H,")
+
+
+def test_simulate_exits_two_when_a_cell_loses_every_run(tmp_path, capsys):
+    # No node of these fields is 500 hops out: 3 of 33 runs fail, under
+    # the 10% abort, yet they are all of the H = 500 cell.
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("n_nodes = 400\nfield_side = 1200\n"
+                   "protocols = shortest-path\nh = 5\n"
+                   "H = 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 500\n"
+                   "packets_per_run = 5\nseeds = 1, 2, 3\n")
+    out = tmp_path / "res.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("3/33 runs failed: ")
+    assert err[-1] == ("runtime error: every run failed for shortest-path "
+                       "at h=5 H=500")
+    assert not out.exists()
 
 
 def test_simulate_bad_config_exits_one(tmp_path, capsys):

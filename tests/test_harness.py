@@ -2,6 +2,7 @@ import concurrent.futures
 import contextlib
 import math
 import os
+import statistics
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -10,10 +11,13 @@ import numpy as np
 import pytest
 
 import phantomnet as pn
+from phantomnet.adversary import RunRecord
+from phantomnet.baselines import shortest_path_route
 from phantomnet.config import DEFAULTS, ExperimentConfig, load_config, parse_config
-from phantomnet.errors import HarnessError, InvalidParameter, ParseError
-from phantomnet.harness import (RunSpec, emit_csv, pick_source, run_experiment,
-                                run_one, start_run)
+from phantomnet.errors import (ConnectivityError, HarnessError,
+                               InvalidParameter, ParseError)
+from phantomnet.harness import (AggregateRow, RunSpec, emit_csv, pick_source,
+                                run_experiment, run_one, start_run)
 from phantomnet.protocols import PROTOCOLS
 
 
@@ -86,6 +90,9 @@ class TestConfigParsing:
         dict(seeds=[]),
         dict(seeds=[-1]),                   # numpy seeds are >= 0
         dict(protocols=["carrier-pigeon"]),
+        dict(protocols=[]),
+        dict(h=[]),
+        dict(H=[]),
         dict(omega=5),
         dict(packets_per_run=0),
         dict(r=math.nan),                   # non-finite sizes crash numpy
@@ -344,6 +351,18 @@ class TestRunExperiment:
             "(shortest-path, 5, 4, 5, ConnectivityError), "
             "(shortest-path, 5, 4, 29, ConnectivityError)\n")
 
+    def test_cell_with_every_run_failed_aborts(self, capsys):
+        # H = 500 fails on every field: 3 of 33 runs, under the 10% abort,
+        # but a cell with no run left has no row to write.
+        cfg = tiny_config(n_nodes=400, field_side=1200.0,
+                          H=[*range(3, 13), 500], packets_per_run=5)
+        with pytest.raises(HarnessError, match="^every run failed for "
+                           "shortest-path at h=5 H=500$"):
+            run_experiment(cfg, max_workers=1)
+        assert capsys.readouterr().err == "3/33 runs failed: " + ", ".join(
+            f"(shortest-path, 5, 500, {seed}, InvalidParameter)"
+            for seed in (1, 2, 3)) + "\n"
+
 
 class TestPickSource:
     def test_within_window_and_stable_across_protocols(self, desk_net):
@@ -409,3 +428,64 @@ class TestUncappedConfigs:
                                               and long.safety_time <= cap)
                     past_cap += long.safety_time > cap
         assert past_cap     # some run does outlast the cap
+
+
+def shortest_path_closed_form(network, source, cap):
+    """The record of a shortest-path session, from its route alone.
+
+    The route is the same for every packet, and on a minimum-hop path a
+    perch hears only its two path neighbors, so the adversary moves one
+    hop back per packet from the sink. It is captured on reaching index
+    j, the last before the sink inside the source's visible area (the
+    source at index 0 is). Every packet is delivered and is a failure
+    path, since its route starts inside that area."""
+    path = shortest_path_route(network, source).hops
+    last = len(path) - 1
+    visible = network.visible(source)
+    j = max(i for i in range(last) if path[i] in visible)
+    safety = min(last - j, cap)
+    return RunRecord(safety, last - j <= cap, last * safety, safety, safety)
+
+
+class TestKnownAnswers:
+    """Shortest-path runs of the desk defaults against their closed form.
+    Seed 23's field fails the connectivity check, so the harness has no
+    run on it."""
+
+    def desk_forms(self, cfg):
+        forms = {}
+        for seed in cfg.seeds:
+            spec = RunSpec("shortest-path", cfg.h[0], cfg.H[0], seed, cfg)
+            if seed == 23:
+                with pytest.raises(ConnectivityError):
+                    start_run(spec)
+                continue
+            network, source, _ = start_run(spec)
+            forms[seed] = shortest_path_closed_form(network, source,
+                                                    cfg.packets_per_run)
+        return forms
+
+    def test_every_run_record_is_the_closed_form(self):
+        cfg = ExperimentConfig().validate()
+        forms = self.desk_forms(cfg)
+        assert len(forms) == 29
+        for seed, form in forms.items():
+            for h, H in cfg.sweep_points:
+                assert run_one(RunSpec("shortest-path", h, H, seed,
+                                       cfg)) == form, (seed, h)
+
+    def test_sweep_rows_are_the_closed_form_means(self, sweep_rows):
+        # Every sum below is of small integers, so it is exact, and each
+        # mean is the correctly rounded quotient whichever way it is summed.
+        forms = list(self.desk_forms(ExperimentConfig().validate()).values())
+        rows = [row for row in sweep_rows if row.protocol == "shortest-path"]
+        assert [row.h for row in rows] == [5, 10, 15, 20]
+        for row in rows:
+            assert row == AggregateRow(
+                "shortest-path", row.h, 20,
+                statistics.fmean(f.safety_time for f in forms),
+                statistics.fmean(f.total_hops / f.safety_time for f in forms),
+                statistics.fmean(f.captured for f in forms),
+                statistics.fmean(f.failure_paths / f.safety_time
+                                 for f in forms),
+                29)

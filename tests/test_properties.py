@@ -180,6 +180,36 @@ def test_psspr_leg_order_follows_the_phantoms_side(n, seed, h, H, omega):
                     or nodes[-1] == nodes[0])
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(**FIELDS, protocol=st.sampled_from(["hbdrw", "pusbrf"]))
+def test_baseline_packets_make_their_known_hop_count(n, seed, h, H, omega,
+                                                     protocol):
+    """A PUSBRF packet makes h hops to its phantom, an HBDRW packet its
+    walk's hops, and each then the sink hop count of where it stands."""
+    network, source, traces = random_session(n, seed, h, H, omega, protocol)
+    for trace in traces:
+        (_, walk), _ = trace.legs
+        if protocol == "pusbrf":
+            assert trace.transmissions == h + network.hop_list[trace.phantom]
+        else:
+            assert trace.transmissions == (len(walk) - 1
+                                           + network.hop_list[walk[-1]])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(n=FIELDS["n"], seed=FIELDS["seed"], h=FIELDS["h"],
+       omega=FIELDS["omega"])
+def test_psspr_direct_send_is_one_transmission(n, seed, h, omega):
+    side = math.sqrt(n / 3.5e-4)
+    try:
+        network = pn.deploy(n, side, 100.0, 300.0, seed)
+    except ConnectivityError:
+        assume(False)
+    for source in network.neighbors(network.sink):
+        traces = route_session(network, "psspr", source, h, omega, seed)
+        assert [t.transmissions for t in traces] == [1] * PACKETS
+
+
 def stitch_oracle(legs):
     """Reference per-hop views of a leg list: the legs concatenated, each
     starting where the one before ended. The first node carries the

@@ -40,6 +40,11 @@ def test_bad_source_rejected_at_set_up(protocol, source, case):
         pn.make_router(field_with_stray(), protocol, source, h=1, omega=2)
 
 
+def test_unknown_protocol_rejected_at_set_up():
+    with pytest.raises(InvalidParameter, match="unknown protocol 'nope'"):
+        pn.make_router(field_with_stray(), "nope", 1, h=5, omega=6)
+
+
 # Small bounds and the extremes: n = 1 draws nothing, n = 2**31 never
 # rejects, n = 2**31 + 1 rejects almost half of its draws.
 EDGE_N = (1, 2, 3, 6, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1)

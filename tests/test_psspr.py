@@ -6,9 +6,9 @@ import pytest
 import phantomnet as pn
 from phantomnet.errors import EmptyDomain, InvalidParameter
 from phantomnet.net import project
-from phantomnet.psspr import (SectorParams, _same_hop_leg, _walk,
-                              build_frame, candidate_domain, route_packet,
-                              same_hop_count, select_phantom)
+from phantomnet.psspr import (SectorParams, _angle_deg, _same_hop_leg,
+                              _walk, build_frame, candidate_domain,
+                              route_packet, same_hop_count, select_phantom)
 from phantomnet.trace import PHASE_DIRECT, enters_visible_area
 
 
@@ -89,6 +89,17 @@ class TestCandidateDomain:
         all_ids = [int(n) for dom in domains for n in dom]
         assert len(all_ids) == len(set(all_ids))
 
+    def test_sectors_are_ascending_lists_of_python_ints(self, dense_net):
+        # The per-packet draw reads Python data only.
+        src = pn.pick_source(dense_net, 10, 11)
+        frame = build_frame(dense_net, src)
+        domains = candidate_domain(dense_net, frame, SectorParams(5, 4, 6, 6))
+        assert type(domains) is list
+        for dom in domains:
+            assert type(dom) is list
+            assert all(type(n) is int for n in dom)
+            assert dom == sorted(dom)
+
     def test_empty_domain_raises(self):
         net = make_line_network([[500, 500], [600, 500]], r=150.0,
                                 field_side=1000.0)
@@ -149,6 +160,12 @@ class TestSelectPhantom:
         b = select_phantom(dense_net, frame, params,
                            np.random.default_rng(9), domains)
         assert a == b
+
+
+class TestAngle:
+    def test_zero_length_vector_gives_zero(self):
+        assert _angle_deg(0.0, 0.0, 3.0, 4.0) == 0.0
+        assert _angle_deg(3.0, 4.0, 0.0, 0.0) == 0.0
 
 
 class TestSameHopCount:
